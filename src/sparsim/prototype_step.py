@@ -1,10 +1,12 @@
 """Gradient of the objective with respect to one prototype, and the update.
 
-Moving a prototype changes the objective both directly (through its
-similarity column) and indirectly (the optimal coefficients and bias
-shift with it).  The indirect part comes from differentiating the ridge
-normal equations, reusing the solver's factorization.  A decaying
-repulsion term keeps prototypes from collapsing onto each other.
+Moving a prototype changes the objective directly, through its similarity
+column, and indirectly, because the optimal coefficients and bias shift
+with it.  At an exact coefficient solve the objective is stationary in
+(beta, b), so by the envelope theorem the indirect part is zero and the
+total derivative equals the direct partial derivative; that is what the
+step uses.  A decaying repulsion term keeps prototypes from collapsing
+onto each other.
 """
 
 from dataclasses import dataclass, replace
@@ -25,18 +27,19 @@ STALE_TOL = 1e-6
 class PrototypeGradient:
     """Total derivative for one prototype, with its diagnostic parts.
 
-    ``grad`` equals ``direct + coef_response + penalty`` exactly; the
-    coefficient-response part is analytically zero at an exact
-    coefficient solve and stays at solver-noise level in practice.
+    ``grad`` equals ``direct + penalty`` exactly.  The response of the
+    optimal coefficients to the prototype move contributes nothing at an
+    exact coefficient solve (envelope theorem), so ``direct`` is the whole
+    derivative of the data term.
     """
 
     grad: np.ndarray
     direct: np.ndarray
-    coef_response: np.ndarray
     penalty: np.ndarray
 
 
-def _check_fresh(system, beta, bias):
+def _check_fresh(S, data, lam, beta, bias):
+    system = ridge.assemble(S, data.weights, data.targets, lam)
     coef = np.concatenate([beta, [bias]])
     residual = np.max(np.abs(system.matrix @ coef - system.rhs))
     if residual > STALE_TOL * max(1.0, np.max(np.abs(system.rhs))):
@@ -45,29 +48,15 @@ def _check_fresh(system, beta, bias):
         )
 
 
-def _data_gradient(S, system, data, spec, protos, beta, bias, j, lam, grad_mode):
-    """Direct and coefficient-response parts, given the current similarity
-    matrix and the assembled ridge system for it."""
-    m, d = protos.shape
+def _data_gradient(S, data, spec, protos, beta, bias, j, grad_mode):
+    """Direct partial derivative of the data term with respect to prototype
+    j, given the current similarity matrix (column j is reused as the
+    similarities to prototype j)."""
     resid = S @ beta + bias - data.targets
-    D = sim.grad_z_matrix(spec, data.features, protos[j], grad_mode)
+    D = sim.grad_z_matrix(spec, data.features, protos[j], grad_mode, column=S[:, j])
     if not np.all(np.isfinite(D)):
         raise SimilarityEvalError(f"non-finite similarity gradient for prototype {j}")
-    w = data.weights * resid
-    beta_j = beta[j]
-    direct = 2.0 * beta_j * (w @ D)
-
-    # Sensitivity of (coefficients, bias) to the prototype, from the
-    # differentiated normal equations: -M^{-1} (beta_j [S'; 1'] + [V'; 0']) U D.
-    UD = data.weights[:, None] * D
-    T = np.empty((m + 1, d))
-    T[:m] = beta_j * (S.T @ UD)
-    T[j] += w @ D
-    T[m] = beta_j * UD.sum(axis=0)
-    sens = -ridge.solve_against(system, T)
-    dcoef, dbias = sens[:m], sens[m]
-    coef_response = 2.0 * (w @ S) @ dcoef + 2.0 * w.sum() * dbias + 2.0 * lam * (beta @ dcoef)
-    return direct, coef_response
+    return 2.0 * beta[j] * ((data.weights * resid) @ D)
 
 
 def _penalty(protos, spec, j, t, decay_power, grad_mode):
@@ -99,21 +88,13 @@ def total_gradient(
     if not 0 <= j < model.m:
         raise ValueError(f"prototype index {j} out of range for m={model.m}")
     S = sim.sim_matrix(model.similarity, data.features, model.prototypes).values
-    system = ridge.assemble(S, data.weights, data.targets, lam)
-    _check_fresh(system, model.beta, model.bias)
-    direct, coef_response = _data_gradient(
-        S, system, data, model.similarity, model.prototypes, model.beta, model.bias, j, lam, grad_mode
-    )
+    _check_fresh(S, data, lam, model.beta, model.bias)
+    direct = _data_gradient(S, data, model.similarity, model.prototypes, model.beta, model.bias, j, grad_mode)
     if penalty_t is not None:
         penalty = _penalty(model.prototypes, model.similarity, j, penalty_t, penalty_decay, grad_mode)
     else:
         penalty = np.zeros(model.dim)
-    return PrototypeGradient(
-        grad=direct + coef_response + penalty,
-        direct=direct,
-        coef_response=coef_response,
-        penalty=penalty,
-    )
+    return PrototypeGradient(grad=direct + penalty, direct=direct, penalty=penalty)
 
 
 def penalty_gradient(
@@ -132,14 +113,11 @@ def penalty_gradient(
     return _penalty(model.prototypes, model.similarity, j, t, decay_power, grad_mode)
 
 
-def _update_prototype(protos, beta, bias, spec, j, data, config, t, S, system, box):
-    """New position for prototype j given cached similarities and system."""
+def _update_prototype(protos, beta, bias, spec, j, data, config, t, S, box):
+    """New position for prototype j given the cached similarity matrix."""
     if t < 1:
         raise ValueError(f"iteration count must be >= 1, got {t}")
-    direct, coef_response = _data_gradient(
-        S, system, data, spec, protos, beta, bias, j, config.lam, config.grad_mode
-    )
-    grad = direct + coef_response
+    grad = _data_gradient(S, data, spec, protos, beta, bias, j, config.grad_mode)
     if config.penalty_enabled:
         penalty = _penalty(protos, spec, j, t, config.penalty_decay_power, config.grad_mode)
     else:
@@ -179,10 +157,9 @@ def step_prototype(
     if not 0 <= j < model.m:
         raise ValueError(f"prototype index {j} out of range for m={model.m}")
     S = sim.sim_matrix(model.similarity, data.features, model.prototypes).values
-    system = ridge.assemble(S, data.weights, data.targets, config.lam)
-    _check_fresh(system, model.beta, model.bias)
+    _check_fresh(S, data, config.lam, model.beta, model.bias)
     z_new = _update_prototype(
-        model.prototypes, model.beta, model.bias, model.similarity, j, data, config, t, S, system,
+        model.prototypes, model.beta, model.bias, model.similarity, j, data, config, t, S,
         resolve_box(config.box, data),
     )
     protos = model.prototypes.copy()

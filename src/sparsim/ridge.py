@@ -2,9 +2,9 @@
 
 For fixed prototypes the objective is an ordinary weighted ridge
 regression in the similarity features, so the coefficients and bias come
-from one symmetric linear solve.  A conjugate-gradient variant with warm
-starts is provided as the iterative alternative; both reach the same
-fixed point.
+from one symmetric linear solve.  When a single prototype moves, only its
+row and column of the system change, and :func:`update_column` rewrites
+just those.
 """
 
 from dataclasses import dataclass
@@ -57,6 +57,21 @@ def assemble(S, weights, targets, lam: float) -> RidgeSystem:
     return RidgeSystem(matrix=matrix, rhs=rhs)
 
 
+def update_column(system: RidgeSystem, S, weights, targets, j: int, lam: float):
+    """Rewrite, in place, the parts of ``system`` that depend on column j
+    of S, after that column changed.
+
+    One O(nm) product instead of the O(nm^2) of :func:`assemble`.  The
+    row is recomputed from S, so no rounding accumulates over updates.
+    """
+    m = system.m
+    uc = weights * S[:, j]
+    system.matrix[j, :m] = system.matrix[:m, j] = S.T @ uc
+    system.matrix[j, j] += lam
+    system.matrix[j, m] = system.matrix[m, j] = uc.sum()
+    system.rhs[j] = uc @ targets
+
+
 def _solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Symmetric direct solve with one jittered retry on near-singularity.
 
@@ -100,46 +115,3 @@ def solve(system: RidgeSystem):
     """
     x = _solve_linear(system.matrix, system.rhs)
     return x[:-1], float(x[-1])
-
-
-def solve_against(system: RidgeSystem, B: np.ndarray) -> np.ndarray:
-    """Apply the system's inverse to arbitrary right-hand sides.
-
-    Shares the factorization policy of :func:`solve`; the inverse is never
-    formed explicitly.
-    """
-    return _solve_linear(system.matrix, np.asarray(B, dtype=float))
-
-
-def solve_iterative(system: RidgeSystem, warm_start=None, tol: float = 1e-12, max_iter: int = None):
-    """Conjugate-gradient solve, optionally warm-started.
-
-    Returns (coefficients, bias, iterations).  The warm start changes the
-    iteration count only; the fixed point matches the direct solve.
-    """
-    M, rhs = system.matrix, system.rhs
-    size = rhs.shape[0]
-    if max_iter is None:
-        max_iter = 50 * size
-    if warm_start is None:
-        x = np.zeros(size)
-    else:
-        coef, bias = warm_start
-        x = np.concatenate([np.ravel(coef), [float(bias)]])
-        if x.shape[0] != size:
-            raise ValueError(f"warm start has length {x.shape[0]}, expected {size}")
-    bound = tol * max(np.linalg.norm(rhs), 1e-300)
-    r = rhs - M @ x
-    p = r.copy()
-    rs = float(r @ r)
-    iterations = 0
-    while np.sqrt(rs) > bound and iterations < max_iter:
-        Mp = M @ p
-        alpha = rs / float(p @ Mp)
-        x += alpha * p
-        r -= alpha * Mp
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        iterations += 1
-    return x[:-1], float(x[-1]), iterations

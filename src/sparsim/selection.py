@@ -154,7 +154,8 @@ def _validation_loss(model, data, loss_kind):
 
 
 def _descend_grid(data, grid, config, spec):
-    """Fit at the largest size, then prune + warm-refit down the grid.
+    """Fit at the largest size, then drop the smallest-coefficient
+    prototypes and warm-refit down the grid.
 
     Returns the models at every grid size and the positions pruned at
     each step.
@@ -164,9 +165,11 @@ def _descend_grid(data, grid, config, spec):
     models.append(model)
     pruned.append(())
     for target in grid[1:]:
+        # The survivors go straight into fit, which re-solves their
+        # coefficients itself; prune would solve them once more.
         dropped = smallest_coefficient_positions(model.beta, model.m - target)
-        model = prune(model, data, target, config.lam)
-        model, _ = fit(data, target, config=config, similarity=spec, init=model.prototypes)
+        survivors = np.delete(model.prototypes, dropped, axis=0)
+        model, _ = fit(data, target, config=config, similarity=spec, init=survivors)
         models.append(model)
         pruned.append(dropped)
     return models, pruned

@@ -203,22 +203,26 @@ def grad_z(spec: SimilaritySpec, x, z, mode: str = "analytic") -> np.ndarray:
     return grad
 
 
-def grad_z_matrix(spec: SimilaritySpec, rows, z, mode: str = "analytic") -> np.ndarray:
+def grad_z_matrix(spec: SimilaritySpec, rows, z, mode: str = "analytic", column=None) -> np.ndarray:
     """Stacked gradients d s(rows[i], z) / dz, one row per sample.
 
     Vectorized for the analytic and approximate modes; the numeric mode
-    falls back to per-row finite differences.
+    falls back to per-row finite differences.  ``column``, when given,
+    holds the already evaluated similarities s(rows[i], z); the analytic
+    RBF and approximate modes use it instead of evaluating them again.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     z = np.asarray(z, dtype=float)
     if mode == "analytic" and spec.kind == "rbf":
         diff = rows - z
-        s = np.exp(-spec.gamma * np.einsum("ij,ij->i", diff, diff))
-        EVAL_COUNTER.add(rows.shape[0])
-        return 2.0 * spec.gamma * s[:, None] * diff
+        if column is None:
+            column = np.exp(-spec.gamma * np.einsum("ij,ij->i", diff, diff))
+            EVAL_COUNTER.add(rows.shape[0])
+        return 2.0 * spec.gamma * column[:, None] * diff
     if mode == "analytic" and spec.kind == "linear":
         return rows.copy()
     if mode == "approximate":
-        s = sim_matrix(spec, rows, z[None, :]).values[:, 0]
-        return s[:, None] * (rows - z)
+        if column is None:
+            column = sim_matrix(spec, rows, z[None, :]).values[:, 0]
+        return column[:, None] * (rows - z)
     return np.stack([grad_z(spec, row, z, mode) for row in rows])

@@ -82,7 +82,8 @@ def fit(
 
     Each iteration moves one prototype (round-robin) with a projected
     gradient step and then re-solves the coefficients exactly.  Only the
-    moved prototype's similarity column is recomputed per iteration.
+    moved prototype's similarity column, and its row and column of the
+    normal equations, are recomputed per iteration.
     Training stops once consecutive objective values have differed by
     less than ``config.epsilon`` for a full sweep (m iterations in a
     row, so a single pinned prototype cannot end the run early), or
@@ -98,10 +99,10 @@ def fit(
         protos = np.array(init, dtype=float)
         if protos.shape != (m, data.dim):
             raise ValueError(f"init must have shape ({m}, {data.dim}), got {protos.shape}")
+        if m > data.n:
+            raise ValueError(f"m={m} exceeds n={data.n}")
     else:
         protos = init_prototypes(data, m, config.seed)
-    if m > data.n:
-        raise ValueError(f"m={m} exceeds n={data.n}")
 
     box = resolve_box(config.box, data)
     S = sim.sim_matrix(spec, data.features, protos).values.copy()
@@ -118,17 +119,16 @@ def fit(
         j = (t - 1) % m
         z_prev, col_prev = protos[j].copy(), S[:, j].copy()
         try:
-            z_new = prototype_step._update_prototype(
-                protos, beta, bias, spec, j, data, config, t, S, system, box
-            )
+            z_new = prototype_step._update_prototype(protos, beta, bias, spec, j, data, config, t, S, box)
             step_norm = float(np.linalg.norm(z_new - protos[j]))
             protos[j] = z_new
             S[:, j] = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
             omega_before = _loss(S, beta, bias, data, config.lam)
-            system = ridge.assemble(S, data.weights, data.targets, config.lam)
+            ridge.update_column(system, S, data.weights, data.targets, j, config.lam)
             beta, bias = ridge.solve(system)
         except SparsimError as exc:
-            # Roll back to the last consistent prototype/coefficient pair.
+            # Roll back to the last consistent prototype/coefficient pair;
+            # the system is not read again, so a rewritten row can stay.
             protos[j], S[:, j] = z_prev, col_prev
             trace.termination = "error"
             trace.error = str(exc)

@@ -5,7 +5,7 @@ import pytest
 
 from sparsim import Dataset, SparseModel, objective
 from sparsim.ridge import assemble, solve
-from sparsim.similarity import sim_matrix
+from sparsim.similarity import grad_z_matrix, sim_matrix
 
 
 def resolve_coefficients(data, protos, spec, lam):
@@ -36,6 +36,28 @@ def fd_objective_grad(data, protos, spec, lam, j, h=1e-5):
         fm, _ = resolved_objective(data, zm, spec, lam)
         grad[p] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def coefficient_response(data, model, j, lam):
+    """The part of the prototype-j derivative that flows through the
+    re-solved coefficients, by implicit differentiation of the ridge
+    normal equations.  Zero at an exact coefficient solve (envelope
+    theorem); training omits it, and this oracle checks that it may."""
+    S = sim_matrix(model.similarity, data.features, model.prototypes).values
+    m, d = model.prototypes.shape
+    beta_j = model.beta[j]
+    w = data.weights * (S @ model.beta + model.bias - data.targets)
+    D = grad_z_matrix(model.similarity, data.features, model.prototypes[j])
+    # Sensitivity of (coefficients, bias) to the prototype:
+    # -M^{-1} (beta_j [S'; 1'] + [V'; 0']) U D.
+    UD = data.weights[:, None] * D
+    T = np.empty((m + 1, d))
+    T[:m] = beta_j * (S.T @ UD)
+    T[j] += w @ D
+    T[m] = beta_j * UD.sum(axis=0)
+    sens = -np.linalg.solve(assemble(S, data.weights, data.targets, lam).matrix, T)
+    dcoef, dbias = sens[:m], sens[m]
+    return 2.0 * (w @ S) @ dcoef + 2.0 * w.sum() * dbias + 2.0 * lam * (model.beta @ dcoef)
 
 
 def random_instance(seed, n_max=40, d_max=6, m_max=4):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fd_objective_grad, random_instance, resolve_coefficients, resolved_objective
+from conftest import coefficient_response, fd_objective_grad, random_instance, resolve_coefficients
 
 from sparsim import Dataset, SparseModel, TrainConfig, predict_batch
 from sparsim.errors import NonFiniteUpdateError, StaleCoefficientsError
@@ -22,9 +22,7 @@ class TestTotalGradient:
         spec = SimilaritySpec(kind="rbf", gamma=0.8)
         model = solved_model(data, protos, spec, 1e-3)
         got = total_gradient(data, model, 0, 1e-3, penalty_t=2)
-        np.testing.assert_allclose(
-            got.grad, got.direct + got.coef_response + got.penalty, atol=1e-12
-        )
+        np.testing.assert_allclose(got.grad, got.direct + got.penalty, atol=1e-12)
 
     def test_perfect_fit_leaves_only_penalty(self, rng):
         # targets generated by a planted model at the prototypes: residual
@@ -60,6 +58,19 @@ class TestTotalGradient:
                 got = total_gradient(data, model, j, lam).grad
                 oracle = fd_objective_grad(data, protos, spec, lam, j)
                 np.testing.assert_allclose(got, oracle, rtol=1e-4, atol=1e-8)
+
+    def test_coefficient_response_is_negligible(self):
+        # the step omits the coefficient-response term; the implicit-
+        # differentiation oracle shows it vanishes at an exact solve
+        for seed in range(25):
+            data, protos, r = random_instance(seed)
+            spec = SimilaritySpec(kind="rbf", gamma=float(r.uniform(0.3, 2.0)))
+            for lam in (0.0, 1e-6, 1e-3, 0.1):
+                model = solved_model(data, protos, spec, lam)
+                for j in range(model.m):
+                    direct = total_gradient(data, model, j, lam).direct
+                    response = coefficient_response(data, model, j, lam)
+                    assert np.linalg.norm(response) <= 1e-9 * np.linalg.norm(direct)
 
     def test_stale_coefficients_detected(self, rng):
         data, protos, _ = random_instance(3)
@@ -223,14 +234,14 @@ class TestStep:
 
         # finite gradient whose full step overflows but whose half step fits
         big = np.full(d, 1.2e308)
-        monkeypatch.setattr(ps, "_data_gradient", lambda *a, **k: (big, np.zeros(d)))
+        monkeypatch.setattr(ps, "_data_gradient", lambda *a, **k: big)
         config = TrainConfig(lam=1e-3, eta=2.0, penalty_enabled=False)
         with np.errstate(over="ignore"):
             stepped = step_prototype(model, 0, data, config, 1)
         assert np.all(np.isfinite(stepped.prototypes))
 
         # an infinite gradient survives the halving and must raise
-        monkeypatch.setattr(ps, "_data_gradient", lambda *a, **k: (np.full(d, np.inf), np.zeros(d)))
+        monkeypatch.setattr(ps, "_data_gradient", lambda *a, **k: np.full(d, np.inf))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteUpdateError):
             step_prototype(model, 0, data, config, 1)
 

@@ -3,7 +3,7 @@ import pytest
 
 from sparsim import Dataset, SparseModel, objective
 from sparsim.errors import SingularSystemError
-from sparsim.ridge import RidgeSystem, assemble, solve, solve_against, solve_iterative
+from sparsim.ridge import RidgeSystem, assemble, solve, update_column
 from sparsim.similarity import SimilaritySpec, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -57,6 +57,20 @@ class TestAssemble:
         M, rhs = oracle_system(S, u, y, 0.05)
         np.testing.assert_allclose(system.matrix, M, rtol=1e-12)
         np.testing.assert_allclose(system.rhs, rhs, rtol=1e-12)
+
+    def test_update_column_matches_loop_oracle(self, rng):
+        # every column in turn replaced, each update checked against a
+        # fresh loop-built system for the changed similarities
+        S = rng.uniform(0, 1, (9, 4))
+        u = rng.uniform(0.5, 2, 9)
+        y = rng.normal(0, 1, 9)
+        system = assemble(S, u, y, 0.05)
+        for j in (0, 3, 1, 2, 3):
+            S[:, j] = rng.uniform(0, 1, 9)
+            update_column(system, S, u, y, j, 0.05)
+            M, rhs = oracle_system(S, u, y, 0.05)
+            np.testing.assert_allclose(system.matrix, M, rtol=1e-12)
+            np.testing.assert_allclose(system.rhs, rhs, rtol=1e-12)
 
 
 class TestSolve:
@@ -162,37 +176,3 @@ class TestOracleEquivalence:
             oracle = np.linalg.solve(M, rhs)
             got = np.concatenate([beta, [bias]])
             np.testing.assert_allclose(got, oracle, rtol=1e-8, atol=1e-12)
-
-
-class TestIterative:
-    def test_warm_start_changes_iterations_not_fixed_point(self, rng):
-        S = rng.uniform(0, 1, (25, 5))
-        u = rng.uniform(0.5, 2, 25)
-        y = rng.normal(0, 1, 25)
-        system = assemble(S, u, y, 1e-3)
-        beta_d, bias_d = solve(system)
-        beta_c, bias_c, iters_cold = solve_iterative(system)
-        beta_w, bias_w, iters_warm = solve_iterative(system, warm_start=(beta_d, bias_d))
-        assert iters_warm < iters_cold
-        assert iters_warm == 0
-        np.testing.assert_allclose(beta_c, beta_d, rtol=1e-8, atol=1e-10)
-        assert bias_c == pytest.approx(bias_d, rel=1e-8, abs=1e-10)
-        np.testing.assert_allclose(beta_w, beta_d, rtol=1e-8, atol=1e-10)
-
-    def test_perturbed_warm_start_converges_to_same_point(self, rng):
-        S = rng.uniform(0, 1, (15, 3))
-        system = assemble(S, np.ones(15), rng.normal(0, 1, 15), 0.01)
-        beta_d, bias_d = solve(system)
-        start = (beta_d + rng.normal(0, 0.5, 3), bias_d - 1.0)
-        beta_w, bias_w, iters = solve_iterative(system, warm_start=start)
-        assert iters > 0
-        np.testing.assert_allclose(beta_w, beta_d, rtol=1e-8, atol=1e-10)
-
-
-class TestSolveAgainst:
-    def test_matrix_rhs(self, rng):
-        S = rng.uniform(0, 1, (12, 3))
-        system = assemble(S, np.ones(12), rng.normal(0, 1, 12), 0.1)
-        B = rng.normal(0, 1, (4, 5))
-        X = solve_against(system, B)
-        np.testing.assert_allclose(system.matrix @ X, B, atol=1e-9)

@@ -4,7 +4,10 @@ import pytest
 from conftest import resolve_coefficients
 
 from sparsim import Dataset, SparseModel, TrainConfig, distill, fit, predict_batch
-from sparsim.similarity import SimilaritySpec, default_spec
+from sparsim import similarity as sim
+from sparsim.prototype_step import STALE_TOL
+from sparsim.ridge import assemble
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec
 from sparsim.training import init_prototypes
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -16,6 +19,15 @@ def planted_dataset(seed, protos, beta, bias, n=20, spec=RBF1):
     X = rng.normal(0, 1, (n, protos.shape[1]))
     X[: protos.shape[0]] = protos  # make the planted prototypes selectable rows
     return Dataset(features=X, targets=predict_batch(planted, X)), planted
+
+
+def normal_equation_residual(model, data, lam):
+    """Residual of the returned (beta, b) against a freshly assembled
+    system for the returned prototypes, and the system's right-hand side."""
+    S = sim.sim_matrix(model.similarity, data.features, model.prototypes)
+    system = assemble(S, data.weights, data.targets, lam)
+    residual = system.matrix @ np.concatenate([model.beta, [model.bias]]) - system.rhs
+    return residual, system.rhs
 
 
 class TestInitPrototypes:
@@ -139,6 +151,27 @@ class TestFit:
         assert "synthetic failure" in trace.error
         assert model.m == 2
         assert np.all(np.isfinite(model.prototypes))
+        # the failed iteration's system rewrite must not leak into the model
+        residual, rhs = normal_equation_residual(model, data, TrainConfig().lam)
+        assert np.max(np.abs(residual)) <= STALE_TOL * max(1.0, np.max(np.abs(rhs)))
+
+    def test_incremental_system_matches_fresh_assembly(self, rng):
+        # many row-and-column rewrites of the normal equations leave the
+        # returned coefficients solving the system assembled from scratch
+        data = Dataset(
+            features=rng.normal(0, 1, (40, 3)), targets=rng.normal(0, 1, 40), weights=rng.uniform(0.5, 2, 40)
+        )
+        for lam in (1e-6, 1e-3):
+            config = TrainConfig(seed=1, lam=lam, eta=0.1, max_sweeps=8, epsilon=1e-300)
+            model, trace = fit(data, 5, config=config, similarity=RBF1)
+            assert len(trace.records) == 40
+            residual, rhs = normal_equation_residual(model, data, lam)
+            assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_init_with_more_prototypes_than_rows_rejected(self, rng):
+        data = Dataset(features=rng.normal(0, 1, (3, 2)), targets=rng.normal(0, 1, 3))
+        with pytest.raises(ValueError):
+            fit(data, 4, config=TrainConfig(lam=1e-3), similarity=RBF1, init=rng.normal(0, 1, (4, 2)))
 
     def test_metadata_provenance(self, rng):
         data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
@@ -154,6 +187,40 @@ class TestFit:
         model, _ = fit(data, 2, config=TrainConfig(max_sweeps=1))
         assert model.similarity.kind == "rbf"
         assert model.similarity.gamma == 0.25
+
+
+class TestEvaluationBudget:
+    # n*m for the initial similarity matrix, n per iteration for the moved
+    # prototype's new column; the data gradient reuses that cached column
+    # and costs nothing, the repulsion penalty m-1 per iteration
+
+    def budget(self, data, m, config, spec):
+        before = EVAL_COUNTER.read()
+        _, trace = fit(data, m, config=config, similarity=spec)
+        return EVAL_COUNTER.read() - before, len(trace.records)
+
+    def test_analytic_rbf(self, rng):
+        data = Dataset(features=rng.normal(0, 1, (20, 2)), targets=rng.normal(0, 1, 20))
+        n, m = 20, 3
+        for penalty in (False, True):
+            config = TrainConfig(seed=0, eta=0.1, max_sweeps=4, epsilon=1e-300, penalty_enabled=penalty)
+            evals, iterations = self.budget(data, m, config, RBF1)
+            assert iterations == 12
+            assert evals == n * m + iterations * n + (iterations * (m - 1) if penalty else 0)
+
+    def test_approximate_blackbox(self, rng):
+        data = Dataset(features=rng.normal(0, 1, (15, 2)), targets=rng.normal(0, 1, 15))
+        n, m = 15, 3
+        sim.register_scorer("budget-rbf", lambda a, b: float(np.exp(-np.sum((a - b) ** 2))))
+        try:
+            spec = SimilaritySpec(kind="blackbox", blackbox_id="budget-rbf")
+            config = TrainConfig(seed=0, eta=0.1, max_sweeps=3, epsilon=1e-300, penalty_enabled=False,
+                                 grad_mode="approximate")
+            evals, iterations = self.budget(data, m, config, spec)
+        finally:
+            sim.unregister_scorer("budget-rbf")
+        assert iterations == 9
+        assert evals == n * m + iterations * n
 
 
 class TestDistill:
