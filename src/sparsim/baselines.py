@@ -164,18 +164,9 @@ def lasso_kkt_residuals(S, weights, targets, beta, bias, lam1):
 def _restricted_solve(S, u, y, active, signs, lam1):
     """Minimizer over the active coefficients with |beta| replaced by
     sign-weighted beta (valid while the signs hold)."""
-    SA = S[:, active]
-    uSA = u[:, None] * SA
-    k = len(active)
-    M = np.empty((k + 1, k + 1))
-    M[:k, :k] = SA.T @ uSA
-    M[:k, k] = uSA.sum(axis=0)
-    M[k, :k] = M[:k, k]
-    M[k, k] = u.sum()
-    rhs = np.empty(k + 1)
-    rhs[:k] = SA.T @ (u * y) - lam1 * np.asarray(signs) / 2.0
-    rhs[k] = np.sum(u * y)
-    return ridge._solve_linear(M, rhs)
+    system = ridge.assemble(S[:, active], u, y, 0.0)
+    system.rhs[: len(active)] -= lam1 * np.asarray(signs) / 2.0
+    return ridge._solve_linear(system.matrix, system.rhs)
 
 
 def _lasso_polish(S, u, y, beta, bias, lam1, tol):

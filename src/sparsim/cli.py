@@ -1,22 +1,25 @@
 """Command-line entry point for reproducible experiments.
 
-Subcommands: train, select-m, baseline, bench, predict.  Every run writes
-a JSON manifest next to its outputs with the resolved configuration, the
-wall-clock time and the similarity-evaluation count.  Exit codes: 0 on
-success, 2 on usage errors, 1 on runtime errors.
+Subcommands: train, select-m, baseline, bench, predict.  Each ``cmd_*``
+does its own work and returns the manifest's config, seed, inputs and
+outputs; :func:`main`, the only run path, times the run, counts its
+similarity evaluations, closes every black-box bridge and writes the JSON
+manifest ``<out stem>.manifest.json``.  Exit codes: 0 on success, 2 on
+usage errors (malformed flag values included), 1 on runtime errors.
 """
 
 import argparse
+import contextlib
 import csv
-import json
 import os
 import sys
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import baselines, dataio, metrics, selection, similarity, training
-from .datatypes import Dataset, TrainConfig, predict_batch
+from .datatypes import TrainConfig, predict_batch
 from .errors import SparsimError
 
 
@@ -40,33 +43,33 @@ def _nonneg_float(text):
     return value
 
 
-def _parse_box(text, dim):
-    if text is None:
-        return None
+def _box(text):
+    """'data', or a (lo, hi) pair that :func:`_train_config` tiles to every dimension."""
     if text == "data":
         return "data"
     try:
         lo, hi = (float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"box must be 'data' or 'lo,hi', got {text!r}")
-    return np.tile([lo, hi], (dim, 1))
+    return lo, hi
+
+
+def _grid(text):
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid must be comma-separated integers, got {text!r}")
 
 
 def _stem(path):
     return os.path.splitext(path)[0]
 
 
-def _load(args):
-    data = dataio.load_csv(args.data, args.target, getattr(args, "group_column", None))
-    return data
-
-
-def _similarity_spec(args, dim):
+def _similarity_spec(args, dim, bridges):
     if getattr(args, "blackbox", None):
-        bridge = dataio.blackbox_bridge(args.blackbox)
-        return bridge.spec, bridge
+        return bridges.enter_context(dataio.blackbox_bridge(args.blackbox)).spec
     gamma = args.gamma if args.gamma is not None else 1.0 / dim
-    return similarity.SimilaritySpec(kind="rbf", gamma=gamma), None
+    return similarity.SimilaritySpec(kind="rbf", gamma=gamma)
 
 
 def _train_config(args, dim):
@@ -76,92 +79,42 @@ def _train_config(args, dim):
         epsilon=args.epsilon,
         max_sweeps=args.max_sweeps,
         penalty_enabled=args.penalty,
-        box=_parse_box(args.box, dim),
+        box=np.tile(args.box, (dim, 1)) if isinstance(args.box, tuple) else args.box,
         seed=args.seed,
         grad_mode=args.grad_mode,
     )
 
 
-def _write_manifest(out, subcommand, config, seed, inputs, outputs, started, evals_before):
-    manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "wall_clock_seconds": time.perf_counter() - started,
-        "similarity_evaluations": similarity.EVAL_COUNTER.read() - evals_before,
-    }
-    path = _stem(out) + ".manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=dataio._jsonable)
-        fh.write("\n")
+def _config_dict(config: TrainConfig, spec, **extra):
+    return {**asdict(config), "similarity": dataio.similarity_dict(spec), **extra}
 
 
-def _config_dict(config: TrainConfig, spec, extra=None):
-    out = {
-        "lam": config.lam,
-        "eta": config.eta,
-        "epsilon": config.epsilon,
-        "max_sweeps": config.max_sweeps,
-        "penalty_enabled": config.penalty_enabled,
-        "penalty_decay_power": config.penalty_decay_power,
-        "box": None if config.box is None else (config.box if isinstance(config.box, str) else config.box.tolist()),
-        "seed": config.seed,
-        "grad_mode": config.grad_mode,
-        "similarity": {"kind": spec.kind, "gamma": spec.gamma, "blackbox_id": spec.blackbox_id},
-    }
-    if extra:
-        out.update(extra)
-    return out
-
-
-def cmd_train(args):
-    started = time.perf_counter()
-    evals = similarity.EVAL_COUNTER.read()
-    data = _load(args)
-    spec, bridge = _similarity_spec(args, data.dim)
-    try:
-        config = _train_config(args, data.dim)
-        model, trace = training.fit(data, args.m, config=config, similarity=spec)
-        dataio.save_model(model, args.out)
-        trace_path = _stem(args.out) + ".trace.csv"
-        trace.write_csv(trace_path)
-    finally:
-        if bridge is not None:
-            bridge.close()
+def cmd_train(args, bridges):
+    data = dataio.load_csv(args.data, args.target)
+    spec = _similarity_spec(args, data.dim, bridges)
+    config = _train_config(args, data.dim)
+    model, trace = training.fit(data, args.m, config=config, similarity=spec)
+    dataio.save_model(model, args.out)
+    trace_path = _stem(args.out) + ".trace.csv"
+    trace.write_csv(trace_path)
     print(f"trained m={model.m} model, final objective {trace.final_objective:.6g} ({trace.termination})")
-    _write_manifest(
-        args.out, "train", _config_dict(config, spec, {"m": args.m}), args.seed,
-        [args.data], [args.out, trace_path], started, evals,
-    )
-    return 0
+    return _config_dict(config, spec, m=args.m), args.seed, [args.data], [args.out, trace_path]
 
 
-def cmd_select_m(args):
-    started = time.perf_counter()
-    evals = similarity.EVAL_COUNTER.read()
-    data = _load(args)
-    spec, bridge = _similarity_spec(args, data.dim)
-    try:
-        config = _train_config(args, data.dim)
-        grid = tuple(int(v) for v in args.grid.split(",")) if args.grid else selection.default_grid(data.n)
-        grid_config = selection.GridConfig(grid=grid, rho=args.rho, loss_kind=args.loss, folds=args.folds)
-        model, trace = selection.select_model_size(data, grid_config, config, spec)
-        dataio.save_model(model, args.out)
-        trace_path = _stem(args.out) + ".selection.csv"
-        trace.write_csv(trace_path)
-    finally:
-        if bridge is not None:
-            bridge.close()
+def cmd_select_m(args, bridges):
+    data = dataio.load_csv(args.data, args.target, args.group_column)
+    spec = _similarity_spec(args, data.dim, bridges)
+    config = _train_config(args, data.dim)
+    grid = args.grid or selection.default_grid(data.n)
+    grid_config = selection.GridConfig(grid=grid, rho=args.rho, loss_kind=args.loss, folds=args.folds)
+    model, trace = selection.select_model_size(data, grid_config, config, spec)
+    dataio.save_model(model, args.out)
+    trace_path = _stem(args.out) + ".selection.csv"
+    trace.write_csv(trace_path)
     print(f"chose m={trace.chosen_m} over grid {grid}")
-    _write_manifest(
-        args.out, "select-m",
-        _config_dict(config, spec, {"grid": list(grid), "rho": grid_config.resolved_rho,
-                                    "loss": args.loss, "folds": args.folds, "chosen_m": trace.chosen_m}),
-        args.seed, [args.data], [args.out, trace_path], started, evals,
-    )
-    return 0
+    config_doc = _config_dict(config, spec, grid=list(grid), rho=grid_config.resolved_rho,
+                              loss=args.loss, folds=args.folds, chosen_m=trace.chosen_m)
+    return config_doc, args.seed, [args.data], [args.out, trace_path]
 
 
 def _fit_baseline(data, method, args, spec):
@@ -185,11 +138,9 @@ def _metric_rows(model, data):
     return rows
 
 
-def cmd_baseline(args):
-    started = time.perf_counter()
-    evals = similarity.EVAL_COUNTER.read()
-    data = _load(args)
-    spec, _ = _similarity_spec(args, data.dim)
+def cmd_baseline(args, bridges):
+    data = dataio.load_csv(args.data, args.target)
+    spec = _similarity_spec(args, data.dim, bridges)
     model = _fit_baseline(data, args.method, args, spec)
     dataio.save_model(model, args.out)
     eval_data = dataio.load_csv(args.test, args.target) if args.test else data
@@ -200,45 +151,35 @@ def cmd_baseline(args):
         for name, value in _metric_rows(model, eval_data):
             writer.writerow([name, value if isinstance(value, int) else repr(float(value))])
     print(f"{args.method}: m={model.m}")
-    _write_manifest(
-        args.out, "baseline",
-        {"method": args.method, "m": args.m, "lam": args.lam, "lam1": args.lam1,
-         "seed": args.seed, "similarity": {"kind": spec.kind, "gamma": spec.gamma}},
-        args.seed, [p for p in [args.data, args.test] if p], [args.out, metrics_path], started, evals,
-    )
-    return 0
+    config_doc = {"method": args.method, "m": args.m, "lam": args.lam, "lam1": args.lam1,
+                  "seed": args.seed, "similarity": dataio.similarity_dict(spec)}
+    return config_doc, args.seed, [p for p in [args.data, args.test] if p], [args.out, metrics_path]
 
 
 BENCH_METHODS = ("sparse", "ps-r", "ps-b", "ps-s", "ps-km", "ridge", "lasso")
 
 
-def cmd_bench(args):
-    started = time.perf_counter()
-    evals = similarity.EVAL_COUNTER.read()
-    data = _load(args)
+def cmd_bench(args, bridges):
+    data = dataio.load_csv(args.data, args.target)
     test = dataio.load_csv(args.test, args.target) if args.test else data
-    spec, bridge = _similarity_spec(args, data.dim)
-    try:
-        config = _train_config(args, data.dim)
-        methods = args.methods.split(",") if args.methods else list(BENCH_METHODS)
-        classification = set(np.unique(test.targets)) <= {-1.0, 1.0}
-        rows = []
-        for method in methods:
-            t0 = time.perf_counter()
-            if method == "sparse":
-                model, _ = training.fit(data, args.m, config=config, similarity=spec)
-            else:
-                model = _fit_baseline(data, method, args, spec)
-            train_seconds = time.perf_counter() - t0
-            pred = predict_batch(model, test.features)
-            if classification and args.metric == "error":
-                value = metrics.error_rate(pred, test.targets)
-            else:
-                value = metrics.mae(pred, test.targets)
-            rows.append((method, value, model.m, metrics.eval_cost(model), train_seconds))
-    finally:
-        if bridge is not None:
-            bridge.close()
+    spec = _similarity_spec(args, data.dim, bridges)
+    config = _train_config(args, data.dim)
+    methods = args.methods.split(",") if args.methods else list(BENCH_METHODS)
+    classification = set(np.unique(test.targets)) <= {-1.0, 1.0}
+    rows = []
+    for method in methods:
+        t0 = time.perf_counter()
+        if method == "sparse":
+            model, _ = training.fit(data, args.m, config=config, similarity=spec)
+        else:
+            model = _fit_baseline(data, method, args, spec)
+        train_seconds = time.perf_counter() - t0
+        pred = predict_batch(model, test.features)
+        if classification and args.metric == "error":
+            value = metrics.error_rate(pred, test.targets)
+        else:
+            value = metrics.mae(pred, test.targets)
+        rows.append((method, value, model.m, metrics.eval_cost(model), train_seconds))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         metric_name = "error" if (classification and args.metric == "error") else "mae"
@@ -246,61 +187,24 @@ def cmd_bench(args):
         for method, value, m, cost, secs in rows:
             writer.writerow([method, repr(float(value)), m, cost, f"{secs:.6f}"])
     print(f"benchmarked {len(rows)} methods -> {args.out}")
-    _write_manifest(
-        args.out, "bench",
-        _config_dict(config, spec, {"m": args.m, "methods": methods, "metric": args.metric,
-                                    "lam1": args.lam1}),
-        args.seed, [p for p in [args.data, args.test] if p], [args.out], started, evals,
-    )
-    return 0
+    config_doc = _config_dict(config, spec, m=args.m, methods=methods, metric=args.metric, lam1=args.lam1)
+    return config_doc, args.seed, [p for p in [args.data, args.test] if p], [args.out]
 
 
-def cmd_predict(args):
-    started = time.perf_counter()
-    evals = similarity.EVAL_COUNTER.read()
+def cmd_predict(args, bridges):
     model = dataio.load_model(args.model)
-    bridge = None
     if args.blackbox:
-        bridge = dataio.blackbox_bridge(args.blackbox)
-        from dataclasses import replace
-
+        bridge = bridges.enter_context(dataio.blackbox_bridge(args.blackbox))
         model = replace(model, similarity=bridge.spec)
-    try:
-        rows = _read_feature_rows(args.data, args.target)
-        predictions = predict_batch(model, rows) if rows.shape[0] else np.empty(0)
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["prediction"])
-            for value in predictions:
-                writer.writerow([repr(float(value))])
-    finally:
-        if bridge is not None:
-            bridge.close()
+    rows = dataio.load_features(args.data, args.target)
+    predictions = predict_batch(model, rows) if rows.shape[0] else np.empty(0)
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["prediction"])
+        for value in predictions:
+            writer.writerow([repr(float(value))])
     print(f"wrote {predictions.shape[0]} predictions")
-    _write_manifest(
-        args.out, "predict", {"model": args.model, "target": args.target}, None,
-        [args.model, args.data], [args.out], started, evals,
-    )
-    return 0
-
-
-def _read_feature_rows(path, target_column=None):
-    """Feature matrix from a CSV, tolerating zero data rows."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise dataio.DataFormatError(f"{path}: empty file, expected a header row") from None
-        skip = {header.index(target_column)} if target_column in header else set()
-        rows = []
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                rows.append([float(cell) for i, cell in enumerate(row) if i not in skip])
-            except ValueError:
-                raise dataio.DataFormatError(f"{path}: row {row_num}: non-numeric cell") from None
-    width = len(header) - len(skip)
-    return np.array(rows, dtype=float).reshape(len(rows), width)
+    return {"model": args.model, "target": args.target}, None, [args.model, args.data], [args.out]
 
 
 def _add_common(parser, out_help="output model path (JSON)"):
@@ -323,7 +227,7 @@ def _add_train_knobs(parser):
     penalty.add_argument("--penalty", dest="penalty", action="store_true", default=True,
                          help="repel nearby prototypes (default)")
     penalty.add_argument("--no-penalty", dest="penalty", action="store_false")
-    parser.add_argument("--box", nargs="?", const="data", default=None,
+    parser.add_argument("--box", nargs="?", type=_box, const="data", default=None,
                         help="projection bounds: 'data' for the feature hull or 'lo,hi'")
     parser.add_argument("--blackbox", default=None,
                         help="command of a line-protocol similarity scorer")
@@ -343,7 +247,7 @@ def build_parser():
     p = sub.add_parser("select-m", help="choose the prototype count by incremental CV")
     _add_common(p)
     _add_train_knobs(p)
-    p.add_argument("--grid", default=None, help="descending sizes, e.g. 10,5,4,3,2")
+    p.add_argument("--grid", type=_grid, default=None, help="descending sizes, e.g. 10,5,4,3,2")
     p.add_argument("--rho", type=_nonneg_float, default=None, help="size penalty weight")
     p.add_argument("--loss", choices=("mse", "mae", "error_rate"), default="mse")
     p.add_argument("--folds", type=_positive_int, default=5)
@@ -381,13 +285,26 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
+    evals_before = similarity.EVAL_COUNTER.read()
     try:
-        return args.func(args)
+        with contextlib.ExitStack() as bridges:
+            config, seed, inputs, outputs = args.func(args, bridges)
+        manifest = {
+            "subcommand": args.subcommand,
+            "config": config,
+            "seed": seed,
+            "inputs": inputs,
+            "outputs": outputs,
+            "wall_clock_seconds": time.perf_counter() - started,
+            "similarity_evaluations": similarity.EVAL_COUNTER.read() - evals_before,
+        }
+        dataio.write_json(manifest, _stem(args.out) + ".manifest.json")
     except (SparsimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
-"""Dataset and model files, synthetic desk-scale datasets, and the
-line-protocol bridge to external black-box scorers.
+"""File formats, synthetic desk-scale datasets, and the line-protocol
+bridge to external black-box scorers.
+
+It is the only module that reads CSV or writes JSON: one CSV reader
+whose errors name the row (and column), and one JSON writer and one JSON
+form of a similarity spec for both model files and run manifests.
 
 Model files are versioned JSON with decimal float text that round-trips
 exactly, so saving and loading reproduces predictions bit for bit.
@@ -40,11 +44,11 @@ SINE_FREQ = 2.0
 SINE_NOISE_STD = 0.05
 
 
-def load_csv(path, target_column: str, group_column: str = None) -> Dataset:
-    """Read a headered CSV into a dataset.
+def _read_rows(path, columns=()):
+    """Header and data rows of a headered CSV.
 
-    All columns except the target (and optional group) become features,
-    in header order.  Parse failures report the offending row and column.
+    Checks that the file has a header row, that every name in ``columns``
+    is in it and that every row has as many cells as the header.
     """
     with open(path, newline="") as fh:
         reader = csvmod.reader(fh)
@@ -52,37 +56,59 @@ def load_csv(path, target_column: str, group_column: str = None) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: empty file, expected a header row") from None
-        if target_column not in header:
-            raise DataFormatError(f"{path}: no column named {target_column!r} in header {header}")
-        if group_column is not None and group_column not in header:
-            raise DataFormatError(f"{path}: no column named {group_column!r} in header {header}")
-        target_pos = header.index(target_column)
-        group_pos = header.index(group_column) if group_column is not None else None
-        feature_pos = [i for i in range(len(header)) if i != target_pos and i != group_pos]
-        features, targets, groups = [], [], []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+        for name in columns:
+            if name not in header:
+                raise DataFormatError(f"{path}: no column named {name!r} in header {header}")
+        rows = list(reader)
+    for row_num, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}")
+    return header, rows
+
+
+def _parse_floats(path, header, rows, positions):
+    """The cells at ``positions`` of every row as a (rows, positions) float
+    array; a cell that does not parse is reported with its row and column."""
+    out = np.empty((len(rows), len(positions)))
+    for r, row in enumerate(rows):
+        for c, pos in enumerate(positions):
+            try:
+                out[r, c] = float(row[pos])
+            except ValueError:
                 raise DataFormatError(
-                    f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}"
-                )
-            def parse(pos):
-                try:
-                    return float(row[pos])
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {row_num}, column {header[pos]!r}: cannot parse {row[pos]!r}"
-                    ) from None
-            features.append([parse(i) for i in feature_pos])
-            targets.append(parse(target_pos))
-            if group_pos is not None:
-                groups.append(row[group_pos])
-    if not targets:
+                    f"{path}: row {r + 2}, column {header[pos]!r}: cannot parse {row[pos]!r}"
+                ) from None
+    return out
+
+
+def load_csv(path, target_column: str, group_column: str = None) -> Dataset:
+    """Read a headered CSV into a dataset.
+
+    All columns except the target (and optional group) become features,
+    in header order.  Parse failures report the offending row and column.
+    """
+    columns = [target_column] if group_column is None else [target_column, group_column]
+    header, rows = _read_rows(path, columns)
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    target_pos = header.index(target_column)
+    group_pos = header.index(group_column) if group_column is not None else None
+    feature_pos = [i for i in range(len(header)) if i != target_pos and i != group_pos]
+    values = _parse_floats(path, header, rows, feature_pos + [target_pos])
     return Dataset(
-        features=np.array(features),
-        targets=np.array(targets),
-        groups=np.array(groups) if groups else None,
+        features=values[:, :-1],
+        targets=values[:, -1],
+        groups=np.array([row[group_pos] for row in rows]) if group_pos is not None else None,
     )
+
+
+def load_features(path, target_column: str = None) -> np.ndarray:
+    """Feature matrix of a headered CSV: every column except
+    ``target_column`` when the header has it.  A file with a header and no
+    data rows gives a (0, d) array."""
+    header, rows = _read_rows(path)
+    skip = header.index(target_column) if target_column in header else None
+    return _parse_floats(path, header, rows, [i for i in range(len(header)) if i != skip])
 
 
 def write_csv(data: Dataset, path, target_column: str = "target", group_column: str = "group"):
@@ -108,23 +134,30 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def write_json(doc, path):
+    """Write ``doc`` as indented, key-sorted JSON (numpy values as plain lists and numbers)."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
+        fh.write("\n")
+
+
+def similarity_dict(spec: sim.SimilaritySpec) -> dict:
+    """The JSON form of a similarity spec, as model files and manifests store it."""
+    gamma = None if spec.gamma is None else float(spec.gamma)
+    return {"kind": spec.kind, "gamma": gamma, "blackbox_id": spec.blackbox_id}
+
+
 def save_model(model: SparseModel, path):
     """Persist a model as versioned JSON; loading reproduces predictions exactly."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "similarity": {
-            "kind": model.similarity.kind,
-            "gamma": None if model.similarity.gamma is None else float(model.similarity.gamma),
-            "blackbox_id": model.similarity.blackbox_id,
-        },
+        "similarity": similarity_dict(model.similarity),
         "prototypes": model.prototypes.tolist(),
         "beta": model.beta.tolist(),
         "bias": model.bias,
         "metadata": model.metadata,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_model(path) -> SparseModel:

@@ -1,12 +1,17 @@
 import csv
 import json
+import shlex
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsim import gen_synthetic, load_model, write_csv
-from sparsim.cli import main
+from sparsim import EVAL_COUNTER, SimilaritySpec, dataio, gen_synthetic, load_model, similarity, write_csv
+from sparsim.cli import build_parser, main
 from sparsim.datatypes import predict_batch
+from test_dataio import RBF_SCORER
 
 
 @pytest.fixture
@@ -42,6 +47,15 @@ class TestTrain:
                  "--out", tmp_path / "m.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--m", "2", "--box", "1,2,3"],
+        ["select-m", "--grid", "3,x"],
+    ])
+    def test_malformed_flag_value_is_usage_error(self, tmp_path, train_csv, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--data", train_csv, "--target", "target", "--out", tmp_path / "m.json"])
+        assert exc.value.code == 2
+
     def test_identical_invocations_identical_files(self, tmp_path, train_csv):
         args = ["train", "--data", train_csv, "--target", "target", "--m", "2",
                 "--eta", "0.1", "--seed", "7"]
@@ -56,6 +70,102 @@ class TestTrain:
                     "--out", tmp_path / "m.json"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+TRAIN_CONFIG_KEYS = {"lam", "eta", "epsilon", "max_sweeps", "penalty_enabled", "penalty_decay_power",
+                     "box", "seed", "grad_mode", "similarity"}
+MANIFEST_CASES = {
+    "train": (["--m", "2", "--max-sweeps", "3"], TRAIN_CONFIG_KEYS | {"m"}),
+    "select-m": (["--grid", "3,2", "--folds", "2", "--max-sweeps", "3"],
+                 TRAIN_CONFIG_KEYS | {"grid", "rho", "loss", "folds", "chosen_m"}),
+    "baseline": (["--method", "ps-km", "--m", "3"], {"method", "m", "lam", "lam1", "seed", "similarity"}),
+    "bench": (["--m", "2", "--max-sweeps", "3", "--methods", "sparse,ps-r"],
+              TRAIN_CONFIG_KEYS | {"m", "methods", "metric", "lam1"}),
+    "predict": ([], {"model", "target"}),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(MANIFEST_CASES))
+def test_manifest_contract(tmp_path, train_csv, subcommand):
+    extra, config_keys = MANIFEST_CASES[subcommand]
+    args = [subcommand, "--data", train_csv, "--target", "target", *extra]
+    if subcommand == "predict":
+        model = tmp_path / "model.json"
+        assert run(["train", "--data", train_csv, "--target", "target", "--m", "2", "--out", model]) == 0
+        args += ["--model", model]
+    out = tmp_path / ("out.csv" if subcommand in ("bench", "predict") else "out.json")
+    before = EVAL_COUNTER.read()
+    assert run(args + ["--out", out]) == 0
+    evals = EVAL_COUNTER.read() - before
+    manifest = json.load(open(tmp_path / "out.manifest.json"))
+    assert set(manifest) == {"subcommand", "config", "seed", "inputs", "outputs",
+                             "wall_clock_seconds", "similarity_evaluations"}
+    assert manifest["subcommand"] == subcommand
+    assert set(manifest["config"]) == config_keys
+    if "similarity" in config_keys:
+        assert set(manifest["config"]["similarity"]) == {"kind", "gamma", "blackbox_id"}
+    assert evals > 0
+    assert manifest["similarity_evaluations"] == evals
+    assert manifest["outputs"][0] == str(out)
+    assert all(Path(p).exists() for p in manifest["inputs"] + manifest["outputs"])
+
+
+GARBAGE_SCORER = """\
+import sys
+for line in sys.stdin:
+    print("garbage")
+    sys.stdout.flush()
+"""
+
+
+class TestBlackbox:
+    @pytest.fixture
+    def bridges(self, monkeypatch):
+        """Every bridge the CLI opens, so the test can check that it was closed."""
+        opened = []
+
+        def record(command):
+            opened.append(dataio.BlackboxBridge(command))
+            return opened[-1]
+
+        monkeypatch.setattr(dataio, "blackbox_bridge", record)
+        return opened
+
+    def scorer(self, tmp_path, source):
+        script = tmp_path / "scorer.py"
+        script.write_text(source)
+        return f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+
+    def assert_closed(self, bridges):
+        assert bridges
+        assert not similarity._SCORERS
+        for bridge in bridges:
+            assert bridge._proc.wait(timeout=5) is not None
+
+    def test_train_then_predict_close_their_scorers(self, tmp_path, train_csv, bridges):
+        command = self.scorer(tmp_path, RBF_SCORER)
+        model_out = tmp_path / "model.json"
+        assert run(["train", "--data", train_csv, "--target", "target", "--m", "2", "--eta", "0.1",
+                    "--grad-mode", "approximate", "--max-sweeps", "2", "--blackbox", command,
+                    "--out", model_out]) == 0
+        pred_out = tmp_path / "pred.csv"
+        assert run(["predict", "--model", model_out, "--data", train_csv, "--target", "target",
+                    "--blackbox", command, "--out", pred_out]) == 0
+        assert len(bridges) == 2
+        self.assert_closed(bridges)
+        got = np.array([float(r[0]) for r in list(csv.reader(open(pred_out, newline="")))[1:]])
+        native = replace(load_model(model_out), similarity=SimilaritySpec(kind="rbf", gamma=1.0))
+        expected = predict_batch(native, gen_synthetic("two_gaussians", seed=0).features)
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_failing_scorer_is_runtime_error_and_closed(self, tmp_path, train_csv, bridges, capsys):
+        code = run(["train", "--data", train_csv, "--target", "target", "--m", "2",
+                    "--grad-mode", "approximate", "--blackbox", self.scorer(tmp_path, GARBAGE_SCORER),
+                    "--out", tmp_path / "model.json"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        self.assert_closed(bridges)
+        assert not (tmp_path / "model.manifest.json").exists()
 
 
 class TestSelectM:
@@ -188,6 +298,20 @@ class TestPredict:
         rows = list(csv.reader(open(pred_out, newline="")))
         assert rows == [["prediction"]]
 
+    @pytest.mark.parametrize("rows, where", [
+        ("1.0,2.0,0.5\n1.0,2.0,3.0,4.0\n", "row 3"),
+        ("1.0,2.0,0.5\n1.0,x,0.5\n", "row 3, column 'f1'"),
+    ])
+    def test_input_error_names_its_location(self, tmp_path, train_csv, capsys, rows, where):
+        model_out = tmp_path / "model.json"
+        run(["train", "--data", train_csv, "--target", "target", "--m", "1", "--out", model_out])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("f0,f1,target\n" + rows)
+        code = run(["predict", "--model", model_out, "--data", bad, "--target", "target",
+                    "--out", tmp_path / "p.csv"])
+        assert code == 1
+        assert where in capsys.readouterr().err
+
     def test_dimension_mismatch_is_runtime_error(self, tmp_path, train_csv, capsys):
         model_out = tmp_path / "model.json"
         run(["train", "--data", train_csv, "--target", "target", "--m", "1", "--out", model_out])
@@ -196,3 +320,14 @@ class TestPredict:
         code = run(["predict", "--model", model_out, "--data", bad, "--out", tmp_path / "p.csv"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("sparsim ")]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
+    assert {argv[1] for argv in commands} == {"train", "select-m", "baseline", "bench", "predict"}

@@ -12,6 +12,7 @@ from sparsim.dataio import (
     TWO_GAUSSIANS_CENTERS,
     TWO_GAUSSIANS_STD,
     blackbox_bridge,
+    load_features,
 )
 from sparsim.errors import BlackboxError, DataFormatError
 from sparsim.similarity import SimilaritySpec, sim_matrix
@@ -51,6 +52,14 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(DataFormatError):
             load_csv(path, "target")
+
+    def test_features_exclude_target_and_allow_no_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,target,b\n1.0,0.5,2.0\n")
+        np.testing.assert_array_equal(load_features(path, "target"), [[1.0, 2.0]])
+        np.testing.assert_array_equal(load_features(path), [[1.0, 0.5, 2.0]])
+        path.write_text("a,target,b\n")
+        assert load_features(path, "target").shape == (0, 2)
 
     def test_round_trip_identity(self, tmp_path, rng):
         data = Dataset(
