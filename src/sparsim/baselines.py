@@ -151,14 +151,10 @@ def lasso_kkt_residuals(S, weights, targets, beta, bias, lam1):
     """Subgradient violations, one per coefficient plus the intercept."""
     r = targets - S @ beta - bias
     corr = 2.0 * (weights * r) @ S
-    res = np.empty(beta.shape[0] + 1)
-    for j in range(beta.shape[0]):
-        if beta[j] != 0.0:
-            res[j] = abs(corr[j] - lam1 * np.sign(beta[j]))
-        else:
-            res[j] = max(0.0, abs(corr[j]) - lam1)
-    res[-1] = abs(2.0 * np.sum(weights * r))
-    return res
+    coef = np.where(
+        beta != 0, np.abs(corr - lam1 * np.sign(beta)), np.maximum(0.0, np.abs(corr) - lam1)
+    )
+    return np.append(coef, abs(2.0 * np.sum(weights * r)))
 
 
 def _restricted_solve(S, u, y, active, signs, lam1):

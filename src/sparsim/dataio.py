@@ -10,7 +10,6 @@ exactly, so saving and loading reproduces predictions bit for bit.
 """
 
 import json
-import os
 import shlex
 import subprocess
 import csv as csvmod
@@ -248,7 +247,9 @@ class BlackboxBridge:
     Requests are single lines ``d a_1 .. a_d b_1 .. b_d``; the scorer
     answers one decimal value per line.  The process is spawned once and
     queried serially.  Close the bridge (or use it as a context manager)
-    to release the process and the scorer registration.
+    to release the process and the scorer registration.  The scorer id,
+    ``bridge-<n>`` with n counted per process, is saved in model files,
+    so it carries no process id: identical runs write identical files.
     """
 
     _counter = 0
@@ -263,7 +264,7 @@ class BlackboxBridge:
             raise BlackboxError(f"could not start scorer {argv!r}: {exc}") from exc
         BlackboxBridge._counter += 1
         self._lines_read = 0
-        scorer_id = f"bridge-{os.getpid()}-{BlackboxBridge._counter}"
+        scorer_id = f"bridge-{BlackboxBridge._counter}"
         self.spec = sim.SimilaritySpec(kind="blackbox", blackbox_id=scorer_id)
         sim.register_scorer(scorer_id, self._score)
 

@@ -48,11 +48,10 @@ def _check_fresh(S, data, lam, beta, bias):
         )
 
 
-def _data_gradient(S, data, spec, protos, beta, bias, j, grad_mode):
+def _data_gradient(S, data, spec, protos, beta, resid, j, grad_mode):
     """Direct partial derivative of the data term with respect to prototype
     j, given the current similarity matrix (column j is reused as the
-    similarities to prototype j)."""
-    resid = S @ beta + bias - data.targets
+    similarities to prototype j) and its residual ``S @ beta + bias - y``."""
     D = sim.grad_z_matrix(spec, data.features, protos[j], grad_mode, column=S[:, j])
     if not np.all(np.isfinite(D)):
         raise SimilarityEvalError(f"non-finite similarity gradient for prototype {j}")
@@ -89,7 +88,8 @@ def total_gradient(
         raise ValueError(f"prototype index {j} out of range for m={model.m}")
     S = sim.sim_matrix(model.similarity, data.features, model.prototypes).values
     _check_fresh(S, data, lam, model.beta, model.bias)
-    direct = _data_gradient(S, data, model.similarity, model.prototypes, model.beta, model.bias, j, grad_mode)
+    resid = S @ model.beta + model.bias - data.targets
+    direct = _data_gradient(S, data, model.similarity, model.prototypes, model.beta, resid, j, grad_mode)
     if penalty_t is not None:
         penalty = _penalty(model.prototypes, model.similarity, j, penalty_t, penalty_decay, grad_mode)
     else:
@@ -113,11 +113,12 @@ def penalty_gradient(
     return _penalty(model.prototypes, model.similarity, j, t, decay_power, grad_mode)
 
 
-def _update_prototype(protos, beta, bias, spec, j, data, config, t, S, box):
-    """New position for prototype j given the cached similarity matrix."""
+def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
+    """New position for prototype j given the cached similarity matrix and
+    its residual."""
     if t < 1:
         raise ValueError(f"iteration count must be >= 1, got {t}")
-    grad = _data_gradient(S, data, spec, protos, beta, bias, j, config.grad_mode)
+    grad = _data_gradient(S, data, spec, protos, beta, resid, j, config.grad_mode)
     if config.penalty_enabled:
         penalty = _penalty(protos, spec, j, t, config.penalty_decay_power, config.grad_mode)
     else:
@@ -158,8 +159,9 @@ def step_prototype(
         raise ValueError(f"prototype index {j} out of range for m={model.m}")
     S = sim.sim_matrix(model.similarity, data.features, model.prototypes).values
     _check_fresh(S, data, config.lam, model.beta, model.bias)
+    resid = S @ model.beta + model.bias - data.targets
     z_new = _update_prototype(
-        model.prototypes, model.beta, model.bias, model.similarity, j, data, config, t, S,
+        model.prototypes, model.beta, resid, model.similarity, j, data, config, t, S,
         resolve_box(config.box, data),
     )
     protos = model.prototypes.copy()

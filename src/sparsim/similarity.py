@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import SimilarityEvalError, UnsupportedGradModeError
 
@@ -135,6 +136,13 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
 
     Adds k*m to the evaluation counter.  Evaluation failures are re-raised
     with the offending (row, column) location.
+
+    The RBF block sums the exact squared differences (a_p - b_p)^2 in
+    ``cdist`` and exponentiates in place, so its only (k, m) array is the
+    result: peak memory is about one output-sized array, whatever d is.
+    No ||a||^2 + ||b||^2 - 2 a.b expansion is used, so nothing cancels;
+    only the rounding of the d-term sum can differ from :func:`eval`
+    (for d >= 2, relative differences near 1e-15).
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     protos = np.atleast_2d(np.asarray(protos, dtype=float))
@@ -144,8 +152,9 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
         )
     k, m = rows.shape[0], protos.shape[0]
     if spec.kind == "rbf":
-        diff = rows[:, None, :] - protos[None, :, :]
-        values = np.exp(-spec.gamma * np.einsum("ijk,ijk->ij", diff, diff))
+        values = cdist(rows, protos, "sqeuclidean")
+        values *= -spec.gamma
+        np.exp(values, out=values)
     elif spec.kind == "linear":
         values = rows @ protos.T
     else:

@@ -67,8 +67,9 @@ def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
 
 
 def _loss(S, beta, bias, data, lam):
+    """Objective value and the residual ``S @ beta + bias - y`` it was taken from."""
     resid = S @ beta + bias - data.targets
-    return float(np.dot(data.weights * resid, resid) + lam * np.dot(beta, beta))
+    return float(np.dot(data.weights * resid, resid) + lam * np.dot(beta, beta)), resid
 
 
 def fit(
@@ -109,7 +110,7 @@ def fit(
     system = ridge.assemble(S, data.weights, data.targets, config.lam)
     beta, bias = ridge.solve(system)
     trace = TrainTrace()
-    omega_prev = _loss(S, beta, bias, data, config.lam)
+    omega_prev, resid = _loss(S, beta, bias, data, config.lam)
     trace.initial_objective = omega_prev
     trace.final_objective = omega_prev
 
@@ -119,11 +120,11 @@ def fit(
         j = (t - 1) % m
         z_prev, col_prev = protos[j].copy(), S[:, j].copy()
         try:
-            z_new = prototype_step._update_prototype(protos, beta, bias, spec, j, data, config, t, S, box)
+            z_new = prototype_step._update_prototype(protos, beta, resid, spec, j, data, config, t, S, box)
             step_norm = float(np.linalg.norm(z_new - protos[j]))
             protos[j] = z_new
             S[:, j] = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
-            omega_before = _loss(S, beta, bias, data, config.lam)
+            omega_before, _ = _loss(S, beta, bias, data, config.lam)
             ridge.update_column(system, S, data.weights, data.targets, j, config.lam)
             beta, bias = ridge.solve(system)
         except SparsimError as exc:
@@ -133,7 +134,7 @@ def fit(
             trace.termination = "error"
             trace.error = str(exc)
             break
-        omega_after = _loss(S, beta, bias, data, config.lam)
+        omega_after, resid = _loss(S, beta, bias, data, config.lam)
         trace.records.append(IterationRecord(t, j, omega_before, omega_after, step_norm))
         trace.final_objective = omega_after
         iterations = t

@@ -2,10 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sparsim import Dataset, SparseModel, objective
 from sparsim.ridge import assemble, solve
 from sparsim.similarity import grad_z_matrix, sim_matrix
+
+# Property tests run a fixed, small set of examples so that tier-1 stays
+# reproducible and fast; no example database is written.
+settings.register_profile("sparsim", derandomize=True, max_examples=25, deadline=None, database=None)
+settings.load_profile("sparsim")
+
+
+def einsum_rbf_matrix(spec, rows, protos):
+    """RBF block by broadcasting the exact differences into a (k, m, d)
+    temporary and reducing it with einsum: an independent formula for
+    ``sim_matrix``, equal to the bit for d <= 2."""
+    diff = rows[:, None, :] - protos[None, :, :]
+    return np.exp(-spec.gamma * np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def resolve_coefficients(data, protos, spec, lam):

@@ -180,6 +180,29 @@ class TestLasso:
         coef, *_ = np.linalg.lstsq(w[:, None] * A, w * data.targets, rcond=None)
         np.testing.assert_allclose(predict_batch(model, data.features), A @ coef, atol=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    @pytest.mark.parametrize("lam1", [0.0, 0.3, 2.0])
+    def test_kkt_residuals_match_loop_oracle(self, rng, n, lam1):
+        def loop_oracle(S, weights, targets, beta, bias, lam1):
+            r = targets - S @ beta - bias
+            corr = 2.0 * (weights * r) @ S
+            res = np.empty(len(beta) + 1)
+            for j in range(len(beta)):
+                if beta[j] != 0.0:
+                    res[j] = abs(corr[j] - lam1 * np.sign(beta[j]))
+                else:
+                    res[j] = max(0.0, abs(corr[j]) - lam1)
+            res[-1] = abs(2.0 * np.sum(weights * r))
+            return res
+
+        for _ in range(20):
+            S = rng.uniform(0.0, 1.0, (12, n))
+            weights = rng.uniform(0.5, 2.0, 12)
+            targets = rng.normal(0.0, 1.0, 12)
+            beta = rng.normal(0.0, 1.0, n) * (rng.uniform(size=n) < 0.5)
+            args = (S, weights, targets, beta, float(rng.normal()), lam1)
+            np.testing.assert_array_equal(lasso_kkt_residuals(*args), loop_oracle(*args))
+
     def test_kkt_residuals_below_tolerance(self):
         data = spread_instance()
         S = sim_matrix(RBF1, data.features, data.features).values

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import shlex
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sparsim
 from sparsim import EVAL_COUNTER, SimilaritySpec, dataio, gen_synthetic, load_model, similarity, write_csv
 from sparsim.cli import build_parser, main
 from sparsim.datatypes import predict_batch
@@ -157,6 +160,20 @@ class TestBlackbox:
         native = replace(load_model(model_out), similarity=SimilaritySpec(kind="rbf", gamma=1.0))
         expected = predict_batch(native, gen_synthetic("two_gaussians", seed=0).features)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_identical_invocations_identical_model_files(self, tmp_path, train_csv):
+        # Separate processes, as two shell invocations would be.
+        env = {**os.environ, "PYTHONPATH": str(Path(sparsim.__file__).resolve().parents[1])}
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            subprocess.run(
+                [sys.executable, "-m", "sparsim.cli", "train", "--data", str(train_csv), "--target", "target",
+                 "--m", "2", "--eta", "0.1", "--grad-mode", "approximate", "--max-sweeps", "1",
+                 "--blackbox", self.scorer(tmp_path, RBF_SCORER), "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert (tmp_path / "a.trace.csv").read_bytes() == (tmp_path / "b.trace.csv").read_bytes()
 
     def test_failing_scorer_is_runtime_error_and_closed(self, tmp_path, train_csv, bridges, capsys):
         code = run(["train", "--data", train_csv, "--target", "target", "--m", "2",

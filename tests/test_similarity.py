@@ -1,5 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import einsum_rbf_matrix
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sparsim import similarity as sim
 from sparsim.errors import SimilarityEvalError, UnsupportedGradModeError
@@ -146,6 +152,38 @@ class TestSimMatrix:
             oracle = np.array([[sim.eval(spec, r, p) for p in protos] for r in rows])
             np.testing.assert_allclose(S, oracle, rtol=1e-14)
 
+    @pytest.mark.parametrize("k, m, d", [(1, 1, 1), (1, 6, 2), (9, 1, 1), (7, 1, 50), (30, 12, 50)])
+    def test_rbf_matches_eval_across_shapes(self, rng, k, m, d):
+        rows = rng.normal(0, 1, (k, d))
+        protos = rng.normal(0, 1, (m, d))
+        spec = default_spec(d)
+        S = sim_matrix(spec, rows, protos).values
+        oracle = np.array([[sim.eval(spec, r, p) for p in protos] for r in rows])
+        np.testing.assert_allclose(S, oracle, rtol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rbf_bit_identical_to_einsum_oracle_in_low_dimension(self, rng, d):
+        for k, m, gamma in [(1, 1, 1.0), (40, 9, 0.5), (3, 25, 7.0), (90, 10, 1.0 / d)]:
+            rows = rng.normal(0, 2, (k, d))
+            protos = rng.normal(0, 2, (m, d))
+            spec = SimilaritySpec(kind="rbf", gamma=gamma)
+            np.testing.assert_array_equal(
+                sim_matrix(spec, rows, protos).values, einsum_rbf_matrix(spec, rows, protos)
+            )
+
+    def test_rbf_peak_memory_is_about_one_output(self, rng):
+        k, m, d = 20000, 20, 50
+        rows = rng.normal(0, 1, (k, d))
+        protos = rng.normal(0, 1, (m, d))
+        tracemalloc.start()
+        try:
+            S = sim_matrix(default_spec(d), rows, protos).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S.nbytes == 8 * k * m
+        assert peak <= 1.5 * S.nbytes
+
     def test_counter_increments_by_k_times_m(self, rng):
         rows = rng.normal(0, 1, (7, 2))
         protos = rng.normal(0, 1, (3, 2))
@@ -179,3 +217,21 @@ class TestSimMatrix:
                 sim_matrix(spec, rows, np.zeros((1, 1)))
         finally:
             sim.unregister_scorer("nan")
+
+
+@given(
+    X=st.integers(1, 8).flatmap(
+        lambda d: arrays(np.float64, st.tuples(st.integers(1, 12), st.just(d)), elements=st.floats(-2.0, 2.0))
+    ),
+    scale=st.floats(1e-3, 1.0),
+)
+def test_rbf_kernel_invariants(X, scale):
+    """Unit diagonal, exact symmetry, values in (0, 1] and agreement with
+    ``eval`` for any rows and any bandwidth up to 1/d."""
+    spec = SimilaritySpec(kind="rbf", gamma=scale / X.shape[1])
+    S = sim_matrix(spec, X, X).values
+    np.testing.assert_array_equal(np.diag(S), np.ones(X.shape[0]))
+    np.testing.assert_array_equal(S, S.T)
+    assert np.all((S > 0.0) & (S <= 1.0))
+    oracle = np.array([[sim.eval(spec, a, b) for b in X] for a in X])
+    np.testing.assert_allclose(S, oracle, rtol=1e-14)
