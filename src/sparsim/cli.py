@@ -10,7 +10,6 @@ usage errors (malformed flag values included), 1 on runtime errors.
 
 import argparse
 import contextlib
-import csv
 import os
 import sys
 import time
@@ -23,24 +22,29 @@ from .datatypes import TrainConfig, predict_batch
 from .errors import SparsimError
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _bounded(convert, positive):
+    """argparse type: a value of type ``convert`` that is > 0 (``positive``)
+    or >= 0, so an out-of-range flag value is a usage error."""
+    noun = "integer" if convert is int else "number"
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {'an' if convert is int else 'a'} {noun}")
+        if not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a {'positive' if positive else 'non-negative'} {noun}, got {value}"
+            )
+        return value
+
+    return parse
 
 
-def _nonneg_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
-    return value
+_positive_int = _bounded(int, positive=True)
+_nonneg_int = _bounded(int, positive=False)
+_positive_float = _bounded(float, positive=True)
+_nonneg_float = _bounded(float, positive=False)
 
 
 def _box(text):
@@ -51,6 +55,8 @@ def _box(text):
         lo, hi = (float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"box must be 'data' or 'lo,hi', got {text!r}")
+    if not lo <= hi:
+        raise argparse.ArgumentTypeError(f"box lower bound {lo} exceeds upper bound {hi}")
     return lo, hi
 
 
@@ -145,11 +151,7 @@ def cmd_baseline(args, bridges):
     dataio.save_model(model, args.out)
     eval_data = dataio.load_csv(args.test, args.target) if args.test else data
     metrics_path = _stem(args.out) + ".metrics.csv"
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in _metric_rows(model, eval_data):
-            writer.writerow([name, value if isinstance(value, int) else repr(float(value))])
+    dataio.write_table(metrics_path, ["metric", "value"], _metric_rows(model, eval_data))
     print(f"{args.method}: m={model.m}")
     config_doc = {"method": args.method, "m": args.m, "lam": args.lam, "lam1": args.lam1,
                   "seed": args.seed, "similarity": dataio.similarity_dict(spec)}
@@ -179,13 +181,9 @@ def cmd_bench(args, bridges):
             value = metrics.error_rate(pred, test.targets)
         else:
             value = metrics.mae(pred, test.targets)
-        rows.append((method, value, model.m, metrics.eval_cost(model), train_seconds))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        metric_name = "error" if (classification and args.metric == "error") else "mae"
-        writer.writerow(["method", metric_name, "m", "evals_per_prediction", "train_seconds"])
-        for method, value, m, cost, secs in rows:
-            writer.writerow([method, repr(float(value)), m, cost, f"{secs:.6f}"])
+        rows.append((method, value, model.m, metrics.eval_cost(model), f"{train_seconds:.6f}"))
+    metric_name = "error" if (classification and args.metric == "error") else "mae"
+    dataio.write_table(args.out, ["method", metric_name, "m", "evals_per_prediction", "train_seconds"], rows)
     print(f"benchmarked {len(rows)} methods -> {args.out}")
     config_doc = _config_dict(config, spec, m=args.m, methods=methods, metric=args.metric, lam1=args.lam1)
     return config_doc, args.seed, [p for p in [args.data, args.test] if p], [args.out]
@@ -198,11 +196,7 @@ def cmd_predict(args, bridges):
         model = replace(model, similarity=bridge.spec)
     rows = dataio.load_features(args.data, args.target)
     predictions = predict_batch(model, rows) if rows.shape[0] else np.empty(0)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prediction"])
-        for value in predictions:
-            writer.writerow([repr(float(value))])
+    dataio.write_table(args.out, ["prediction"], ([value] for value in predictions))
     print(f"wrote {predictions.shape[0]} predictions")
     return {"model": args.model, "target": args.target}, None, [args.model, args.data], [args.out]
 
@@ -210,17 +204,17 @@ def cmd_predict(args, bridges):
 def _add_common(parser, out_help="output model path (JSON)"):
     parser.add_argument("--data", required=True, help="training CSV with a header row")
     parser.add_argument("--target", required=True, help="name of the target column")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_nonneg_int, default=0)
     parser.add_argument("--lambda", dest="lam", type=_nonneg_float, default=1e-6,
                         help="ridge regularization (default 1e-6)")
-    parser.add_argument("--gamma", type=float, default=None,
+    parser.add_argument("--gamma", type=_positive_float, default=None,
                         help="RBF bandwidth (default 1/d)")
     parser.add_argument("--out", required=True, help=out_help)
 
 
 def _add_train_knobs(parser):
-    parser.add_argument("--eta", type=float, default=0.5, help="gradient step size")
-    parser.add_argument("--epsilon", type=float, default=1e-6, help="convergence tolerance")
+    parser.add_argument("--eta", type=_positive_float, default=0.5, help="gradient step size")
+    parser.add_argument("--epsilon", type=_positive_float, default=1e-6, help="convergence tolerance")
     parser.add_argument("--max-sweeps", type=_positive_int, default=50)
     parser.add_argument("--grad-mode", choices=similarity.GRAD_MODES, default="analytic")
     penalty = parser.add_mutually_exclusive_group()

@@ -1,18 +1,19 @@
 """File formats, synthetic desk-scale datasets, and the line-protocol
 bridge to external black-box scorers.
 
-It is the only module that reads CSV or writes JSON: one CSV reader
-whose errors name the row (and column), and one JSON writer and one JSON
-form of a similarity spec for both model files and run manifests.
+It is the only module that reads or writes CSV or writes JSON: one CSV
+reader whose errors name the row (and column), one CSV writer, and one
+JSON writer and one JSON form of a similarity spec for both model files
+and run manifests.
 
 Model files are versioned JSON with decimal float text that round-trips
 exactly, so saving and loading reproduces predictions bit for bit.
 """
 
+import csv
 import json
 import shlex
 import subprocess
-import csv as csvmod
 
 import numpy as np
 
@@ -50,7 +51,7 @@ def _read_rows(path, columns=()):
     is in it and that every row has as many cells as the header.
     """
     with open(path, newline="") as fh:
-        reader = csvmod.reader(fh)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -110,19 +111,25 @@ def load_features(path, target_column: str = None) -> np.ndarray:
     return _parse_floats(path, header, rows, [i for i in range(len(header)) if i != skip])
 
 
+def write_table(path, header, rows):
+    """Write a header row and data rows as CSV.  Floats are written as
+    ``repr(float(v))``, which reads back exactly; other cells as ``str``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+        )
+
+
 def write_csv(data: Dataset, path, target_column: str = "target", group_column: str = "group"):
     """Write a dataset as CSV (features f0..fD-1, then target, then group)."""
-    with open(path, "w", newline="") as fh:
-        writer = csvmod.writer(fh)
-        header = [f"f{i}" for i in range(data.dim)] + [target_column]
-        if data.groups is not None:
-            header.append(group_column)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.features[i]] + [repr(float(data.targets[i]))]
-            if data.groups is not None:
-                row.append(str(data.groups[i]))
-            writer.writerow(row)
+    header = [f"f{i}" for i in range(data.dim)] + [target_column]
+    rows = np.column_stack([data.features, data.targets]).tolist()
+    if data.groups is not None:
+        header.append(group_column)
+        rows = [row + [str(g)] for row, g in zip(rows, data.groups)]
+    write_table(path, header, rows)
 
 
 def _jsonable(value):

@@ -205,7 +205,6 @@ class TrainConfig:
     epsilon: float = 1e-6
     max_sweeps: int = 50
     penalty_enabled: bool = True
-    penalty_decay_power: float = 2.0
     box: Union[None, str, np.ndarray] = None
     seed: int = 0
     grad_mode: str = "analytic"
@@ -238,9 +237,15 @@ class TrainConfig:
 
 
 def resolve_box(box, data: Dataset):
-    """Materialize the projection bounds, or None when projection is off."""
+    """Materialize the projection bounds, or None when projection is off.
+
+    An explicit box must have one (lo, hi) row per data dimension.
+    """
     if box is None:
         return None
     if isinstance(box, str):  # "data": per-dimension hull of the training features
         return np.column_stack([data.features.min(axis=0), data.features.max(axis=0)])
-    return np.asarray(box, dtype=float)
+    box = np.asarray(box, dtype=float)
+    if box.shape[0] != data.dim:
+        raise ValueError(f"box has {box.shape[0]} rows but the data have {data.dim} dimensions")
+    return box

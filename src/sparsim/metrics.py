@@ -1,11 +1,11 @@
 """Evaluation measures and similarity-evaluation cost accounting."""
 
-import csv
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
+from . import dataio
 from . import similarity as sim
 from .datatypes import SparseModel, predict
 
@@ -73,11 +73,7 @@ def far_frr_curve(genuine_scores, impostor_scores) -> List[OperatingPoint]:
 
 
 def write_far_frr_csv(points: List[OperatingPoint], path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "far", "frr"])
-        for p in points:
-            writer.writerow([repr(p.threshold), repr(p.far), repr(p.frr)])
+    dataio.write_table(path, ["threshold", "far", "frr"], [[p.threshold, p.far, p.frr] for p in points])
 
 
 def eval_cost(model: SparseModel, x=None) -> int:

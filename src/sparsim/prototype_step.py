@@ -22,6 +22,9 @@ from .errors import NonFiniteUpdateError, SimilarityEvalError, StaleCoefficients
 # call-after-coefficient-step contract.
 STALE_TOL = 1e-6
 
+# The repulsion penalty at iteration t is scaled by t^(-PENALTY_DECAY_POWER).
+PENALTY_DECAY_POWER = 2.0
+
 
 @dataclass(frozen=True)
 class PrototypeGradient:
@@ -58,14 +61,14 @@ def _data_gradient(S, data, spec, protos, beta, resid, j, grad_mode):
     return 2.0 * beta[j] * ((data.weights * resid) @ D)
 
 
-def _penalty(protos, spec, j, t, decay_power, grad_mode):
+def _penalty(protos, spec, j, t, grad_mode):
     if t < 1:
         raise ValueError(f"iteration count must be >= 1, got {t}")
     if protos.shape[0] == 1:
         return np.zeros(protos.shape[1])
     others = np.delete(protos, j, axis=0)
     grads = sim.grad_z_matrix(spec, others, protos[j], grad_mode)
-    return float(t) ** (-decay_power) * grads.sum(axis=0)
+    return float(t) ** (-PENALTY_DECAY_POWER) * grads.sum(axis=0)
 
 
 def total_gradient(
@@ -75,7 +78,6 @@ def total_gradient(
     lam: float,
     grad_mode: str = "analytic",
     penalty_t: int = None,
-    penalty_decay: float = 2.0,
 ) -> PrototypeGradient:
     """Derivative of the full objective with respect to prototype j.
 
@@ -91,18 +93,16 @@ def total_gradient(
     resid = S @ model.beta + model.bias - data.targets
     direct = _data_gradient(S, data, model.similarity, model.prototypes, model.beta, resid, j, grad_mode)
     if penalty_t is not None:
-        penalty = _penalty(model.prototypes, model.similarity, j, penalty_t, penalty_decay, grad_mode)
+        penalty = _penalty(model.prototypes, model.similarity, j, penalty_t, grad_mode)
     else:
         penalty = np.zeros(model.dim)
     return PrototypeGradient(grad=direct + penalty, direct=direct, penalty=penalty)
 
 
-def penalty_gradient(
-    model: SparseModel, j: int, t: int, decay_power: float = 2.0, grad_mode: str = "analytic"
-) -> np.ndarray:
+def penalty_gradient(model: SparseModel, j: int, t: int, grad_mode: str = "analytic") -> np.ndarray:
     """Decayed gradient of prototype j's summed similarity to the others.
 
-    Returns t^(-decay_power) * sum_{k != j} ds(z_k, z_j)/dz_j, which the
+    Returns t^(-PENALTY_DECAY_POWER) * sum_{k != j} ds(z_k, z_j)/dz_j, which the
     update subtracts, pushing z_j away from nearby prototypes.  Zero for
     single-prototype models and for exactly coincident prototypes (the
     RBF gradient vanishes at zero distance; see step_prototype for the
@@ -110,7 +110,7 @@ def penalty_gradient(
     """
     if not 0 <= j < model.m:
         raise ValueError(f"prototype index {j} out of range for m={model.m}")
-    return _penalty(model.prototypes, model.similarity, j, t, decay_power, grad_mode)
+    return _penalty(model.prototypes, model.similarity, j, t, grad_mode)
 
 
 def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
@@ -120,7 +120,7 @@ def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
         raise ValueError(f"iteration count must be >= 1, got {t}")
     grad = _data_gradient(S, data, spec, protos, beta, resid, j, config.grad_mode)
     if config.penalty_enabled:
-        penalty = _penalty(protos, spec, j, t, config.penalty_decay_power, config.grad_mode)
+        penalty = _penalty(protos, spec, j, t, config.grad_mode)
     else:
         penalty = 0.0
     z_old = protos[j]
@@ -157,12 +157,12 @@ def step_prototype(
     """
     if not 0 <= j < model.m:
         raise ValueError(f"prototype index {j} out of range for m={model.m}")
+    box = resolve_box(config.box, data)
     S = sim.sim_matrix(model.similarity, data.features, model.prototypes).values
     _check_fresh(S, data, config.lam, model.beta, model.bias)
     resid = S @ model.beta + model.bias - data.targets
     z_new = _update_prototype(
-        model.prototypes, model.beta, resid, model.similarity, j, data, config, t, S,
-        resolve_box(config.box, data),
+        model.prototypes, model.beta, resid, model.similarity, j, data, config, t, S, box
     )
     protos = model.prototypes.copy()
     protos[j] = z_new

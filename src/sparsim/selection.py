@@ -6,13 +6,12 @@ state, walking the grid downward.  The chosen size minimizes
 ``loss(m) + rho * m`` averaged over the folds.
 """
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import metrics, ridge
+from . import dataio, metrics, ridge
 from . import similarity as sim
 from .datatypes import Dataset, SparseModel, TrainConfig
 from .training import fit
@@ -66,11 +65,11 @@ class SelectionTrace:
     chosen_m: int = 0
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "loss", "L", "chosen"])
-            for row in self.rows:
-                writer.writerow([row.m, repr(row.loss), repr(row.objective), int(row.m == self.chosen_m)])
+        dataio.write_table(
+            path,
+            ["m", "loss", "L", "chosen"],
+            [[row.m, row.loss, row.objective, int(row.m == self.chosen_m)] for row in self.rows],
+        )
 
 
 def default_grid(n: int) -> Tuple[int, ...]:

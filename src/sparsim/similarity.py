@@ -5,6 +5,10 @@ Three kinds of similarity are supported: an RBF kernel
 black-box scorers registered by the host program (e.g. a matcher wrapped
 in a subprocess, see :mod:`sparsim.dataio`).  Every evaluation is tallied
 in a global counter so that test-time cost can be measured exactly.
+
+Similarity values are computed in two places only: :func:`eval`, the
+per-pair reference, and :func:`sim_matrix`, the block evaluator behind
+everything else, prototype gradients included (:func:`grad_z_matrix`).
 """
 
 import threading
@@ -173,65 +177,49 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     return SimilarityMatrix(values=values)
 
 
-def numeric_step(z: np.ndarray) -> float:
-    """Central-difference step scaled to the prototype magnitude."""
-    return 1e-6 * max(1.0, float(np.max(np.abs(z)))) if z.size else 1e-6
-
-
 def grad_z(spec: SimilaritySpec, x, z, mode: str = "analytic") -> np.ndarray:
-    """Gradient of s(x, z) with respect to the prototype z.
-
-    Modes:
-      analytic     closed form; RBF gives 2*gamma*s(x,z)*(x-z), the dot
-                   product gives x.  Unavailable for black-box scorers.
-      approximate  the shift heuristic s(x,z)*(x-z); needs one evaluation.
-      numeric      central finite differences, 2*d evaluations.
-    """
+    """Gradient of s(x, z) with respect to the prototype z: the one-row
+    case of :func:`grad_z_matrix`, with the same modes and costs."""
     x, z = _check_pair(x, z)
-    if mode not in GRAD_MODES:
-        raise ValueError(f"unknown gradient mode {mode!r}")
-    if mode == "analytic":
-        if spec.kind == "rbf":
-            diff = x - z
-            return 2.0 * spec.gamma * np.exp(-spec.gamma * np.dot(diff, diff)) * diff
-        if spec.kind == "linear":
-            return x.copy()
-        raise UnsupportedGradModeError(
-            f"analytic gradient unavailable for {spec.kind!r} similarity"
-        )
-    if mode == "approximate":
-        return eval(spec, x, z) * (x - z)
-    h = numeric_step(z)
-    grad = np.empty_like(z)
-    for p in range(z.size):
-        zp = z.copy()
-        zp[p] = z[p] + h
-        zm = z.copy()
-        zm[p] = z[p] - h
-        grad[p] = (eval(spec, x, zp) - eval(spec, x, zm)) / (2.0 * h)
-    return grad
+    return grad_z_matrix(spec, x[None, :], z, mode)[0]
 
 
 def grad_z_matrix(spec: SimilaritySpec, rows, z, mode: str = "analytic", column=None) -> np.ndarray:
     """Stacked gradients d s(rows[i], z) / dz, one row per sample.
 
-    Vectorized for the analytic and approximate modes; the numeric mode
-    falls back to per-row finite differences.  ``column``, when given,
-    holds the already evaluated similarities s(rows[i], z); the analytic
-    RBF and approximate modes use it instead of evaluating them again.
+    Modes, with their cost in similarity evaluations for n rows in d
+    dimensions:
+      analytic     closed form; RBF gives 2*gamma*s(x,z)*(x-z) (n
+                   evaluations), the dot product gives x (none).
+                   Unavailable for black-box scorers.
+      approximate  the shift heuristic s(x,z)*(x-z); n evaluations.
+      numeric      central finite differences against the 2*d shifted
+                   prototypes z +- h*e_p; 2*d*n evaluations.
+
+    Every similarity value comes from one :func:`sim_matrix` call.
+    ``column``, when given, holds the already evaluated similarities
+    s(rows[i], z); the analytic RBF and approximate modes use it instead
+    and cost no evaluations.
     """
+    if mode not in GRAD_MODES:
+        raise ValueError(f"unknown gradient mode {mode!r}")
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     z = np.asarray(z, dtype=float)
-    if mode == "analytic" and spec.kind == "rbf":
-        diff = rows - z
-        if column is None:
-            column = np.exp(-spec.gamma * np.einsum("ij,ij->i", diff, diff))
-            EVAL_COUNTER.add(rows.shape[0])
-        return 2.0 * spec.gamma * column[:, None] * diff
-    if mode == "analytic" and spec.kind == "linear":
-        return rows.copy()
-    if mode == "approximate":
-        if column is None:
-            column = sim_matrix(spec, rows, z[None, :]).values[:, 0]
-        return column[:, None] * (rows - z)
-    return np.stack([grad_z(spec, row, z, mode) for row in rows])
+    if mode == "numeric":
+        # Step scaled to the prototype magnitude.
+        h = 1e-6 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+        shift = h * np.eye(z.size)
+        S = sim_matrix(spec, rows, np.vstack([z + shift, z - shift])).values
+        # Finite values can still difference to inf; callers reject
+        # non-finite gradients.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (S[:, : z.size] - S[:, z.size :]) / (2.0 * h)
+    if mode == "analytic" and spec.kind != "rbf":
+        if spec.kind == "linear":
+            return rows.copy()
+        raise UnsupportedGradModeError(f"analytic gradient unavailable for {spec.kind!r} similarity")
+    if column is None:
+        column = sim_matrix(spec, rows, z[None, :]).values[:, 0]
+    if mode == "analytic":
+        return 2.0 * spec.gamma * column[:, None] * (rows - z)
+    return column[:, None] * (rows - z)

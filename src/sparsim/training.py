@@ -1,13 +1,12 @@
 """Alternating optimization loop: prototype steps round-robin, exact
 coefficient re-solve after every move, objective-based stopping."""
 
-import csv
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from . import prototype_step, ridge
+from . import dataio, prototype_step, ridge
 from . import similarity as sim
 from .datatypes import Dataset, SparseModel, TrainConfig, resolve_box
 from .errors import SparsimError
@@ -33,11 +32,11 @@ class TrainTrace:
     error: Optional[str] = None
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "j", "omega_before", "omega_after", "step_norm"])
-            for rec in self.records:
-                writer.writerow([rec.t, rec.j, repr(rec.omega_before), repr(rec.omega_after), repr(rec.step_norm)])
+        dataio.write_table(
+            path,
+            ["t", "j", "omega_before", "omega_after", "step_norm"],
+            [[rec.t, rec.j, rec.omega_before, rec.omega_after, rec.step_norm] for rec in self.records],
+        )
 
 
 def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:

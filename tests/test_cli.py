@@ -53,6 +53,11 @@ class TestTrain:
     @pytest.mark.parametrize("argv", [
         ["train", "--m", "2", "--box", "1,2,3"],
         ["select-m", "--grid", "3,x"],
+        ["train", "--m", "2", "--box", "2,1"],
+        ["train", "--m", "2", "--eta", "0"],
+        ["train", "--m", "2", "--epsilon", "0"],
+        ["train", "--m", "2", "--gamma", "0"],
+        ["train", "--m", "2", "--seed", "-1"],
     ])
     def test_malformed_flag_value_is_usage_error(self, tmp_path, train_csv, argv):
         with pytest.raises(SystemExit) as exc:
@@ -75,7 +80,7 @@ class TestTrain:
         assert "error" in capsys.readouterr().err
 
 
-TRAIN_CONFIG_KEYS = {"lam", "eta", "epsilon", "max_sweeps", "penalty_enabled", "penalty_decay_power",
+TRAIN_CONFIG_KEYS = {"lam", "eta", "epsilon", "max_sweeps", "penalty_enabled",
                      "box", "seed", "grad_mode", "similarity"}
 MANIFEST_CASES = {
     "train": (["--m", "2", "--max-sweeps", "3"], TRAIN_CONFIG_KEYS | {"m"}),

@@ -6,7 +6,7 @@ from conftest import coefficient_response, fd_objective_grad, random_instance, r
 from sparsim import Dataset, SparseModel, TrainConfig, predict_batch
 from sparsim.errors import NonFiniteUpdateError, StaleCoefficientsError
 from sparsim.prototype_step import penalty_gradient, step_prototype, total_gradient
-from sparsim.similarity import SimilaritySpec
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 
@@ -115,12 +115,6 @@ class TestPenaltyGradient:
         for t in (2, 3, 5, 10):
             np.testing.assert_array_equal(penalty_gradient(model, 1, t), base / t**2)
 
-    def test_decay_power_override(self, rng):
-        protos = rng.normal(0, 1, (3, 2))
-        model = SparseModel(prototypes=protos, beta=np.ones(3), bias=0.0, similarity=RBF1)
-        base = penalty_gradient(model, 0, 1, decay_power=1.0)
-        np.testing.assert_allclose(penalty_gradient(model, 0, 4, decay_power=1.0), base / 4)
-
     def test_requires_positive_iteration(self, rng):
         model = SparseModel(prototypes=rng.normal(0, 1, (2, 2)), beta=[1.0, 1.0], bias=0.0, similarity=RBF1)
         with pytest.raises(ValueError):
@@ -167,6 +161,16 @@ class TestStep:
         stepped = step_prototype(model, 0, data, config, 1)
         assert np.all(stepped.prototypes[0] >= data.features.min(axis=0) - 1e-12)
         assert np.all(stepped.prototypes[0] <= data.features.max(axis=0) + 1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_box_rows_must_match_dimension(self, rows):
+        data, protos, _ = random_instance(9)  # d = 6
+        model = solved_model(data, protos, RBF1, 1e-3)
+        config = TrainConfig(lam=1e-3, box=np.tile([-1.0, 1.0], (rows, 1)))
+        before = EVAL_COUNTER.read()
+        with pytest.raises(ValueError, match=f"box has {rows} rows but the data have {model.dim} dimensions"):
+            step_prototype(model, 0, data, config, 1)
+        assert EVAL_COUNTER.read() == before
 
     def test_penalty_pushes_apart(self):
         # two prototypes at unit distance with zero residual: the update

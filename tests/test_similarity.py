@@ -235,3 +235,56 @@ def test_rbf_kernel_invariants(X, scale):
     assert np.all((S > 0.0) & (S <= 1.0))
     oracle = np.array([[sim.eval(spec, a, b) for b in X] for a in X])
     np.testing.assert_allclose(S, oracle, rtol=1e-14)
+
+
+@given(
+    data=st.integers(1, 5).flatmap(
+        lambda d: st.tuples(
+            arrays(np.float64, st.tuples(st.integers(1, 10), st.just(d)), elements=st.floats(-2.0, 2.0)),
+            arrays(np.float64, st.just(d), elements=st.floats(-2.0, 2.0)),
+        )
+    ),
+    gamma=st.floats(0.05, 5.0),
+)
+def test_grad_z_matrix_modes_and_costs(data, gamma):
+    """Every gradient mode of ``grad_z_matrix`` against its closed form or
+    finite-difference oracle, with its exact evaluation cost: n without a
+    column, none with ``column=``, 2*d*n in numeric mode."""
+    rows, z = data
+    n, d = rows.shape
+    spec = SimilaritySpec(kind="rbf", gamma=gamma)
+    s = np.array([sim.eval(spec, x, z) for x in rows])
+
+    def counted(*args, **kwargs):
+        before = EVAL_COUNTER.read()
+        out = sim.grad_z_matrix(*args, **kwargs)
+        return out, EVAL_COUNTER.read() - before
+
+    analytic, cost = counted(spec, rows, z, "analytic")
+    assert cost == n
+    # atol absorbs subnormal products (coordinates near 5e-324).
+    np.testing.assert_allclose(analytic, 2.0 * gamma * s[:, None] * (rows - z), rtol=1e-13, atol=1e-300)
+    cached, cost = counted(spec, rows, z, "analytic", column=s)
+    assert cost == 0
+    np.testing.assert_array_equal(cached, 2.0 * gamma * s[:, None] * (rows - z))
+    linear, cost = counted(LINEAR, rows, z, "analytic")
+    assert cost == 0
+    np.testing.assert_array_equal(linear, rows)
+
+    approx, cost = counted(spec, rows, z, "approximate")
+    assert cost == n
+    np.testing.assert_allclose(approx, analytic / (2.0 * gamma), rtol=1e-12, atol=1e-300)
+    assert counted(spec, rows, z, "approximate", column=s)[1] == 0
+
+    numeric, cost = counted(spec, rows, z, "numeric")
+    assert cost == 2 * d * n
+    np.testing.assert_allclose(numeric, analytic, rtol=1e-6, atol=1e-8)
+
+    sim.register_scorer("py-rbf", lambda a, b: float(np.exp(-gamma * np.dot(a - b, a - b))))
+    try:
+        blackbox = SimilaritySpec(kind="blackbox", blackbox_id="py-rbf")
+        scored, cost = counted(blackbox, rows, z, "numeric")
+    finally:
+        sim.unregister_scorer("py-rbf")
+    assert cost == 2 * d * n
+    np.testing.assert_allclose(scored, numeric, rtol=1e-7, atol=1e-9)

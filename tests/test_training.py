@@ -173,6 +173,15 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(data, 4, config=TrainConfig(lam=1e-3), similarity=RBF1, init=rng.normal(0, 1, (4, 2)))
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_box_rows_must_match_dimension(self, rng, rows):
+        data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
+        config = TrainConfig(lam=1e-3, box=np.tile([-1.0, 1.0], (rows, 1)))
+        before = EVAL_COUNTER.read()
+        with pytest.raises(ValueError, match=f"box has {rows} rows but the data have 2 dimensions"):
+            fit(data, 2, config=config, similarity=RBF1)
+        assert EVAL_COUNTER.read() == before
+
     def test_metadata_provenance(self, rng):
         data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
         config = TrainConfig(seed=4, lam=1e-4, max_sweeps=3)
