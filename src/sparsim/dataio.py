@@ -14,6 +14,7 @@ import csv
 import json
 import shlex
 import subprocess
+import threading
 
 import numpy as np
 
@@ -252,9 +253,10 @@ class BlackboxBridge:
     """Similarity scorer backed by a line-protocol subprocess.
 
     Requests are single lines ``d a_1 .. a_d b_1 .. b_d``; the scorer
-    answers one decimal value per line.  The process is spawned once and
-    queried serially.  Close the bridge (or use it as a context manager)
-    to release the process and the scorer registration.  The scorer id,
+    answers one decimal value per line.  The process is spawned once, and
+    a per-bridge lock serializes its requests, so threads may share one
+    bridge.  ``spec`` carries the bridge's scorer; close the bridge (or use
+    it as a context manager) to release the process.  The scorer id,
     ``bridge-<n>`` with n counted per process, is saved in model files,
     so it carries no process id: identical runs write identical files.
     """
@@ -271,32 +273,32 @@ class BlackboxBridge:
             raise BlackboxError(f"could not start scorer {argv!r}: {exc}") from exc
         BlackboxBridge._counter += 1
         self._lines_read = 0
+        self._lock = threading.Lock()
         scorer_id = f"bridge-{BlackboxBridge._counter}"
-        self.spec = sim.SimilaritySpec(kind="blackbox", blackbox_id=scorer_id)
-        sim.register_scorer(scorer_id, self._score)
+        self.spec = sim.SimilaritySpec(kind="blackbox", blackbox_id=scorer_id, scorer=self._score)
 
     def _score(self, a, b):
-        if self._proc.poll() is not None:
-            raise BlackboxError(f"scorer process exited with code {self._proc.returncode}")
         tokens = [str(a.shape[0])] + [repr(float(v)) for v in a] + [repr(float(v)) for v in b]
-        try:
-            self._proc.stdin.write(" ".join(tokens) + "\n")
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise BlackboxError(f"scorer process pipe failed: {exc}") from exc
-        self._lines_read += 1
-        if line == "":
-            raise BlackboxError(f"scorer closed its output before response line {self._lines_read}")
-        try:
-            return float(line.strip())
-        except ValueError:
-            raise BlackboxError(
-                f"malformed scorer response at line {self._lines_read}: {line.strip()!r}"
-            ) from None
+        with self._lock:
+            if self._proc.poll() is not None:
+                raise BlackboxError(f"scorer process exited with code {self._proc.returncode}")
+            try:
+                self._proc.stdin.write(" ".join(tokens) + "\n")
+                self._proc.stdin.flush()
+                line = self._proc.stdout.readline()
+            except (BrokenPipeError, OSError) as exc:
+                raise BlackboxError(f"scorer process pipe failed: {exc}") from exc
+            self._lines_read += 1
+            if line == "":
+                raise BlackboxError(f"scorer closed its output before response line {self._lines_read}")
+            try:
+                return float(line.strip())
+            except ValueError:
+                raise BlackboxError(
+                    f"malformed scorer response at line {self._lines_read}: {line.strip()!r}"
+                ) from None
 
     def close(self):
-        sim.unregister_scorer(self.spec.blackbox_id)
         if self._proc.poll() is None:
             self._proc.stdin.close()
             self._proc.terminate()
@@ -313,5 +315,5 @@ class BlackboxBridge:
 
 
 def blackbox_bridge(command) -> BlackboxBridge:
-    """Spawn a scorer subprocess and register it as a black-box similarity."""
+    """Spawn a scorer subprocess; the bridge's ``spec`` evaluates through it."""
     return BlackboxBridge(command)

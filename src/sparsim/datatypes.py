@@ -210,7 +210,7 @@ class TrainConfig:
     grad_mode: str = "analytic"
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")

@@ -40,7 +40,7 @@ class GridConfig:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.folds < 2:
             raise ValueError(f"need at least 2 folds, got {self.folds}")
-        if self.rho is not None and self.rho < 0:
+        if self.rho is not None and not self.rho >= 0:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
         object.__setattr__(self, "grid", grid)
 

@@ -2,9 +2,10 @@
 
 Three kinds of similarity are supported: an RBF kernel
 ``s(a, b) = exp(-gamma * ||a - b||^2)``, a plain dot product, and opaque
-black-box scorers registered by the host program (e.g. a matcher wrapped
-in a subprocess, see :mod:`sparsim.dataio`).  Every evaluation is tallied
-in a global counter so that test-time cost can be measured exactly.
+black-box scorers: a pair function carried by the spec itself (e.g. a
+matcher wrapped in a subprocess, see :mod:`sparsim.dataio`), called from
+the caller's thread.  Every evaluation is tallied in a global counter so
+that test-time cost can be measured exactly.
 
 Similarity values are computed in two places only: :func:`eval`, the
 per-pair reference, and :func:`sim_matrix`, the block evaluator behind
@@ -12,7 +13,7 @@ everything else, prototype gradients included (:func:`grad_z_matrix`).
 """
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,32 +44,22 @@ class EvalCounter:
 #: Global counter; predicting with an m-prototype model adds exactly m.
 EVAL_COUNTER = EvalCounter()
 
-# Registry of black-box scorers plus a lock serializing their calls
-# (scorers are assumed non-reentrant).
-_SCORERS: dict = {}
-_SCORER_LOCK = threading.Lock()
-
-
-def register_scorer(scorer_id: str, fn: Callable[[np.ndarray, np.ndarray], float]):
-    """Register a symmetric black-box scorer under an opaque identifier."""
-    _SCORERS[scorer_id] = fn
-
-
-def unregister_scorer(scorer_id: str):
-    _SCORERS.pop(scorer_id, None)
-
-
 @dataclass(frozen=True)
 class SimilaritySpec:
     """Identity of a similarity function.
 
-    For ``kind="rbf"`` a positive ``gamma`` is required; ``blackbox_id``
-    must name a registered scorer for ``kind="blackbox"``.
+    For ``kind="rbf"`` a positive ``gamma`` is required.  ``kind="blackbox"``
+    needs a ``blackbox_id`` and evaluates through ``scorer``, a symmetric
+    pair function ``(a, b) -> float`` called unsynchronized from the
+    caller's thread.  The scorer is not part of the spec's identity
+    (equality, hash, ``repr``, saved form), so a loaded black-box spec
+    needs one attached again with :func:`dataclasses.replace`.
     """
 
     kind: str = "rbf"
     gamma: Optional[float] = None
     blackbox_id: Optional[str] = None
+    scorer: Optional[Callable[[np.ndarray, np.ndarray], float]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -78,6 +69,8 @@ class SimilaritySpec:
                 raise ValueError(f"rbf similarity needs gamma > 0, got {self.gamma}")
         if self.kind == "blackbox" and not self.blackbox_id:
             raise ValueError("blackbox similarity needs a blackbox_id")
+        if self.kind != "blackbox" and self.scorer is not None:
+            raise ValueError(f"{self.kind} similarity takes no scorer")
 
 
 def default_spec(dim: int) -> SimilaritySpec:
@@ -112,17 +105,14 @@ def _raw_eval(spec: SimilaritySpec, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.exp(-spec.gamma * np.dot(diff, diff)))
     if spec.kind == "linear":
         return float(np.dot(a, b))
-    scorer = _SCORERS.get(spec.blackbox_id)
-    if scorer is None:
-        raise SimilarityEvalError(f"no scorer registered under {spec.blackbox_id!r}")
-    with _SCORER_LOCK:
-        try:
-            value = float(scorer(a, b))
-        except SimilarityEvalError:
-            raise
-        except Exception as exc:
-            raise SimilarityEvalError(f"black-box scorer {spec.blackbox_id!r} failed: {exc}") from exc
-    return value
+    if spec.scorer is None:
+        raise SimilarityEvalError(f"black-box similarity {spec.blackbox_id!r} has no scorer attached")
+    try:
+        return float(spec.scorer(a, b))
+    except SimilarityEvalError:
+        raise
+    except Exception as exc:
+        raise SimilarityEvalError(f"black-box scorer {spec.blackbox_id!r} failed: {exc}") from exc
 
 
 def eval(spec: SimilaritySpec, a, b) -> float:
@@ -170,9 +160,8 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
                 except SimilarityEvalError as exc:
                     raise SimilarityEvalError(f"evaluation failed at row {i}, column {j}: {exc}") from exc
     EVAL_COUNTER.add(k * m)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
         raise SimilarityEvalError(f"non-finite similarity at row {i}, column {j}")
     return SimilarityMatrix(values=values)
 

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sparsim.dataio import (
     blackbox_bridge,
     load_features,
 )
-from sparsim.errors import BlackboxError, DataFormatError
+from sparsim.errors import BlackboxError, DataFormatError, SimilarityEvalError
 from sparsim.similarity import SimilaritySpec, sim_matrix
 from sparsim.datatypes import predict, predict_batch
 
@@ -267,3 +268,43 @@ class TestBlackboxBridge:
             np.testing.assert_allclose(
                 predict_batch(via_bridge, X), predict_batch(native, X), atol=1e-12
             )
+
+    def test_loaded_model_does_not_reach_a_live_bridge(self, tmp_path, rng):
+        # the saved id names the bridge, but only the spec carries its scorer
+        script = tmp_path / "scorer.py"
+        script.write_text(RBF_SCORER)
+        with blackbox_bridge([sys.executable, str(script)]) as bridge:
+            model = SparseModel(prototypes=rng.normal(0, 1, (2, 2)), beta=[1.0, -1.0], bias=0.0,
+                                similarity=bridge.spec)
+            save_model(model, tmp_path / "model.json")
+            loaded = load_model(tmp_path / "model.json")
+            assert loaded.similarity == bridge.spec and loaded.similarity.scorer is None
+            with pytest.raises(SimilarityEvalError, match=bridge.spec.blackbox_id):
+                predict(loaded, np.zeros(2))
+
+    def test_threads_share_one_bridge(self, tmp_path, rng):
+        script = tmp_path / "scorer.py"
+        script.write_text(RBF_SCORER)
+        blocks = [(rng.normal(0, 1, (6, 3)), rng.normal(0, 1, (4, 3))) for _ in range(4)]
+        results = [None] * len(blocks)
+
+        def work(t, spec):
+            results[t] = sim_matrix(spec, *blocks[t]).values
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with blackbox_bridge([sys.executable, str(script)]) as bridge:
+                threads = [
+                    threading.Thread(target=work, args=(t, bridge.spec), daemon=True) for t in range(len(blocks))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads), "a thread hung on the shared bridge"
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert all(got is not None for got in results), "a thread failed on the shared bridge"
+        for (rows, protos), got in zip(blocks, results):
+            np.testing.assert_allclose(got, sim_matrix(RBF1, rows, protos).values, atol=1e-12)

@@ -77,16 +77,12 @@ class TestPredict:
             predict(model, np.zeros(4))
 
     def test_nonfinite_similarity_names_prototype(self):
-        from sparsim import similarity as sim
-
-        sim.register_scorer("nan2", lambda a, b: np.nan if b[0] > 0.5 else 1.0)
-        try:
-            spec = SimilaritySpec(kind="blackbox", blackbox_id="nan2")
-            model = toy_model(np.array([[0.0], [1.0]]), [1.0, 1.0], spec=spec)
-            with pytest.raises(Exception, match=r"column 1"):
-                predict(model, np.zeros(1))
-        finally:
-            sim.unregister_scorer("nan2")
+        spec = SimilaritySpec(
+            kind="blackbox", blackbox_id="nan2", scorer=lambda a, b: np.nan if b[0] > 0.5 else 1.0
+        )
+        model = toy_model(np.array([[0.0], [1.0]]), [1.0, 1.0], spec=spec)
+        with pytest.raises(Exception, match=r"column 1"):
+            predict(model, np.zeros(1))
 
     def test_pure_function_bitwise(self, rng):
         model = toy_model(rng.normal(0, 1, (3, 2)), rng.normal(0, 1, 3), bias=0.1)
@@ -144,6 +140,8 @@ class TestTrainConfig:
             TrainConfig(max_sweeps=0)
         with pytest.raises(ValueError):
             TrainConfig(lam=-1.0)
+        with pytest.raises(ValueError):
+            TrainConfig(lam=np.nan)
         with pytest.raises(ValueError):
             TrainConfig(grad_mode="newton")
         with pytest.raises(ValueError):

@@ -211,23 +211,21 @@ class TestStep:
         assert end_gap < start_gap
 
     def test_nonfinite_similarity_gradient_propagates(self):
-        from sparsim import similarity as sim
         from sparsim.errors import SimilarityEvalError
 
         data = Dataset(features=[[0.0], [1.0]], targets=[1.0, -1.0])
         # finite but extreme scores overflow the central difference, which
         # must surface as a similarity-gradient failure
-        sim.register_scorer("steep", lambda a, b: np.sign(b[0] - 0.5) * 1e308 if b[0] != 0.5 else 1.0)
-        try:
-            spec = SimilaritySpec(kind="blackbox", blackbox_id="steep")
-            protos = np.array([[0.5]])
-            beta, bias = resolve_coefficients(data, protos, spec, 1e-6)
-            model = SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=spec)
-            config = TrainConfig(lam=1e-6, grad_mode="numeric", penalty_enabled=False)
-            with pytest.raises(SimilarityEvalError):
-                step_prototype(model, 0, data, config, 1)
-        finally:
-            sim.unregister_scorer("steep")
+        spec = SimilaritySpec(
+            kind="blackbox", blackbox_id="steep",
+            scorer=lambda a, b: np.sign(b[0] - 0.5) * 1e308 if b[0] != 0.5 else 1.0,
+        )
+        protos = np.array([[0.5]])
+        beta, bias = resolve_coefficients(data, protos, spec, 1e-6)
+        model = SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=spec)
+        config = TrainConfig(lam=1e-6, grad_mode="numeric", penalty_enabled=False)
+        with pytest.raises(SimilarityEvalError):
+            step_prototype(model, 0, data, config, 1)
 
     def test_overflowing_update_halved_once_then_error(self, monkeypatch, rng):
         import sparsim.prototype_step as ps

@@ -33,6 +33,8 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(grid=(3, 2), rho=-0.1)
         with pytest.raises(ValueError):
+            GridConfig(grid=(3, 2), rho=np.nan)
+        with pytest.raises(ValueError):
             GridConfig(grid=(3, 2), loss_kind="rmse")
 
     def test_rho_defaults_follow_loss(self):

@@ -33,6 +33,15 @@ class TestSpec:
     def test_default_spec_gamma(self):
         assert default_spec(4).gamma == 0.25
 
+    def test_scorer_only_for_blackbox(self):
+        with pytest.raises(ValueError, match="takes no scorer"):
+            SimilaritySpec(kind="rbf", gamma=1.0, scorer=lambda a, b: 1.0)
+
+    def test_scorer_is_not_identity(self):
+        bare = SimilaritySpec(kind="blackbox", blackbox_id="m")
+        carried = SimilaritySpec(kind="blackbox", blackbox_id="m", scorer=lambda a, b: 1.0)
+        assert carried == bare and hash(carried) == hash(bare) and repr(carried) == repr(bare)
+
 
 class TestEval:
     def test_rbf_zero_distance(self):
@@ -70,15 +79,12 @@ class TestEval:
             sim.eval(RBF1, [np.nan, 0.0], [0.0, 0.0])
 
     def test_blackbox_scorer_failure_surfaces(self):
-        sim.register_scorer("boom", lambda a, b: 1 / 0)
-        try:
-            with pytest.raises(SimilarityEvalError):
-                sim.eval(SimilaritySpec(kind="blackbox", blackbox_id="boom"), [0.0], [0.0])
-        finally:
-            sim.unregister_scorer("boom")
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="boom", scorer=lambda a, b: 1 / 0)
+        with pytest.raises(SimilarityEvalError, match="'boom' failed"):
+            sim.eval(spec, [0.0], [0.0])
 
-    def test_unregistered_blackbox(self):
-        with pytest.raises(SimilarityEvalError):
+    def test_blackbox_without_scorer_names_its_id(self):
+        with pytest.raises(SimilarityEvalError, match="'ghost'"):
             sim.eval(SimilaritySpec(kind="blackbox", blackbox_id="ghost"), [0.0], [0.0])
 
 
@@ -115,15 +121,11 @@ class TestGrad:
             np.testing.assert_allclose(approx, analytic / (2 * 1.7), rtol=1e-12)
 
     def test_analytic_unavailable_for_blackbox(self):
-        sim.register_scorer("id", lambda a, b: 1.0)
-        try:
-            spec = SimilaritySpec(kind="blackbox", blackbox_id="id")
-            with pytest.raises(UnsupportedGradModeError):
-                grad_z(spec, [0.0], [1.0], "analytic")
-            # the approximate mode works from evaluations alone
-            np.testing.assert_allclose(grad_z(spec, [0.0], [1.0], "approximate"), [-1.0])
-        finally:
-            sim.unregister_scorer("id")
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="id", scorer=lambda a, b: 1.0)
+        with pytest.raises(UnsupportedGradModeError):
+            grad_z(spec, [0.0], [1.0], "analytic")
+        # the approximate mode works from evaluations alone
+        np.testing.assert_allclose(grad_z(spec, [0.0], [1.0], "approximate"), [-1.0])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -200,23 +202,17 @@ class TestSimMatrix:
                 raise RuntimeError("matcher offline")
             return 1.0
 
-        sim.register_scorer("flaky", flaky)
-        try:
-            spec = SimilaritySpec(kind="blackbox", blackbox_id="flaky")
-            with pytest.raises(SimilarityEvalError, match=r"row 1, column 1"):
-                sim_matrix(spec, np.zeros((2, 2)), np.zeros((3, 2)))
-        finally:
-            sim.unregister_scorer("flaky")
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="flaky", scorer=flaky)
+        with pytest.raises(SimilarityEvalError, match=r"row 1, column 1"):
+            sim_matrix(spec, np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_nonfinite_value_located(self):
-        sim.register_scorer("nan", lambda a, b: np.nan if a[0] > 1.5 else 1.0)
-        try:
-            spec = SimilaritySpec(kind="blackbox", blackbox_id="nan")
-            rows = np.array([[0.0], [2.0]])
-            with pytest.raises(SimilarityEvalError, match=r"row 1"):
-                sim_matrix(spec, rows, np.zeros((1, 1)))
-        finally:
-            sim.unregister_scorer("nan")
+        spec = SimilaritySpec(
+            kind="blackbox", blackbox_id="nan", scorer=lambda a, b: np.nan if a[0] > 1.5 else 1.0
+        )
+        rows = np.array([[0.0], [2.0]])
+        with pytest.raises(SimilarityEvalError, match=r"row 1"):
+            sim_matrix(spec, rows, np.zeros((1, 1)))
 
 
 @given(
@@ -280,11 +276,9 @@ def test_grad_z_matrix_modes_and_costs(data, gamma):
     assert cost == 2 * d * n
     np.testing.assert_allclose(numeric, analytic, rtol=1e-6, atol=1e-8)
 
-    sim.register_scorer("py-rbf", lambda a, b: float(np.exp(-gamma * np.dot(a - b, a - b))))
-    try:
-        blackbox = SimilaritySpec(kind="blackbox", blackbox_id="py-rbf")
-        scored, cost = counted(blackbox, rows, z, "numeric")
-    finally:
-        sim.unregister_scorer("py-rbf")
+    blackbox = SimilaritySpec(
+        kind="blackbox", blackbox_id="py-rbf", scorer=lambda a, b: float(np.exp(-gamma * np.dot(a - b, a - b)))
+    )
+    scored, cost = counted(blackbox, rows, z, "numeric")
     assert cost == 2 * d * n
     np.testing.assert_allclose(scored, numeric, rtol=1e-7, atol=1e-9)

@@ -220,14 +220,12 @@ class TestEvaluationBudget:
     def test_approximate_blackbox(self, rng):
         data = Dataset(features=rng.normal(0, 1, (15, 2)), targets=rng.normal(0, 1, 15))
         n, m = 15, 3
-        sim.register_scorer("budget-rbf", lambda a, b: float(np.exp(-np.sum((a - b) ** 2))))
-        try:
-            spec = SimilaritySpec(kind="blackbox", blackbox_id="budget-rbf")
-            config = TrainConfig(seed=0, eta=0.1, max_sweeps=3, epsilon=1e-300, penalty_enabled=False,
-                                 grad_mode="approximate")
-            evals, iterations = self.budget(data, m, config, spec)
-        finally:
-            sim.unregister_scorer("budget-rbf")
+        spec = SimilaritySpec(
+            kind="blackbox", blackbox_id="budget-rbf", scorer=lambda a, b: float(np.exp(-np.sum((a - b) ** 2)))
+        )
+        config = TrainConfig(seed=0, eta=0.1, max_sweeps=3, epsilon=1e-300, penalty_enabled=False,
+                             grad_mode="approximate")
+        evals, iterations = self.budget(data, m, config, spec)
         assert iterations == 9
         assert evals == n * m + iterations * n
 
