@@ -4,14 +4,18 @@ then fit the linear part separately (no prototype optimization)."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
 from . import ridge
 from . import similarity as sim
 from .datatypes import Dataset, SparseModel
-from .errors import ConvergenceError, SingularSystemError
+from .errors import ConvergenceError
 
 SELECTION_KINDS = ("random", "border", "spanning", "kmedians")
+
+# Cholesky pivot share of its Gram diagonal below which a lasso column is dependent.
+DEPENDENT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,6 @@ def baseline_pipeline(
     return _ridge_model(data, data.features[idx], lam, spec, metadata)
 
 
-def _soft_threshold(value, threshold):
-    return np.sign(value) * max(abs(value) - threshold, 0.0)
-
-
 def lasso_kkt_residuals(S, weights, targets, beta, bias, lam1):
     """Subgradient violations, one per coefficient plus the intercept."""
     r = targets - S @ beta - bias
@@ -157,112 +157,106 @@ def lasso_kkt_residuals(S, weights, targets, beta, bias, lam1):
     return np.append(coef, abs(2.0 * np.sum(weights * r)))
 
 
-def _restricted_solve(S, u, y, active, signs, lam1):
-    """Minimizer over the active coefficients with |beta| replaced by
-    sign-weighted beta (valid while the signs hold)."""
-    system = ridge.assemble(S[:, active], u, y, 0.0)
-    system.rhs[: len(active)] -= lam1 * np.asarray(signs) / 2.0
-    return ridge._solve_linear(system.matrix, system.rhs)
-
-
-def _lasso_polish(S, u, y, beta, bias, lam1, tol):
-    """Primal active-set finisher for stalled coordinate descent.
-
-    Near-duplicate similarity columns make plain coordinate descent crawl.
-    Starting from its iterate, repeatedly solve the restricted system
-    exactly, drop coefficients whose sign flips, and admit the worst
-    subgradient violator, until the full optimality check passes.  Returns
-    None when no clean solution is found within the move budget.
-    """
-    n = beta.shape[0]
-    active = [int(j) for j in np.flatnonzero(beta)]
-    signs = [float(np.sign(beta[j])) for j in active]
-    for _ in range(4 * n + 4):
-        try:
-            x = _restricted_solve(S, u, y, active, signs, lam1)
-        except SingularSystemError:
-            # dependent active columns make the fixed-sign system
-            # inconsistent; retire the weakest member and retry
-            if not active:
-                return None
-            weakest = int(np.argmin([abs(beta[j]) for j in active]))
-            del active[weakest], signs[weakest]
-            continue
-        if lam1 > 0:
-            flipped = [i for i in range(len(active)) if np.sign(x[i]) != signs[i]]
-            if flipped:
-                for i in reversed(flipped):
-                    del active[i], signs[i]
-                continue
-        cand = np.zeros(n)
-        cand[active] = x[: len(active)]
-        cand_bias = float(x[len(active)])
-        res = lasso_kkt_residuals(S, u, y, cand, cand_bias, lam1)
-        if res.max() <= tol:
-            return cand, cand_bias
-        worst = int(np.argmax(res[:n]))
-        if worst in active or res[worst] <= tol:
-            return None
-        r = y - S @ cand - cand_bias
-        active.append(worst)
-        signs.append(float(np.sign(2.0 * np.dot(u * r, S[:, worst]))))
-    return None
-
-
 def lasso_similarity(
     data: Dataset,
     lam1: float,
     spec: sim.SimilaritySpec,
     tol: float = 1e-6,
-    max_sweeps: int = 10_000,
+    max_steps: int = 10_000,
 ) -> SparseModel:
     """L1-penalized least squares over all training prototypes.
 
-    Cyclic coordinate descent with soft thresholding; the intercept is
-    unpenalized and the similarity features are not standardized.  Only
-    prototypes with nonzero coefficients are kept (one zero-coefficient
-    prototype remains in the all-zero case so the model stays valid).
+    One exact LARS-lasso homotopy (Osborne, Presnell & Turlach 2000; Efron
+    et al. 2004).  The unpenalized, weighted intercept is eliminated by
+    weighted centering, so the path runs on G = Sc'U Sc and c = Sc'U(y - ybar),
+    computed once; the similarity features are not standardized.  From
+    lambda_max = max|2c| down to lam1 the active coefficients move along
+    w = G_AA^-1 s / 2 until the next event: an inactive correlation
+    2(c - G beta) reaching +-lambda (entry), an active coefficient reaching
+    zero (drop), or lam1 (stop).  The active block's Cholesky factor grows
+    by one triangular solve per entry and is re-factored after a drop, so
+    with k active columns an event costs O(n k), plus O(k^3) for a drop.
+    A column dependent on the active ones is not admitted, and a newcomer
+    whose direction opposes its sign (a tie) is dropped again at once; they
+    and a dropped column are barred on that side until the next event.
+
+    ``max_steps`` bounds the number of path events.  The result is checked
+    once against the optimality conditions and a ConvergenceError naming
+    the worst residual is raised if it exceeds ``tol``: a non-optimal
+    solution is never returned.  Only prototypes with nonzero coefficients
+    are kept (one zero-coefficient prototype remains in the all-zero case
+    so the model stays valid).
     """
-    if lam1 < 0:
+    if not lam1 >= 0:
         raise ValueError(f"lam1 must be >= 0, got {lam1}")
     S = sim.sim_matrix(spec, data.features, data.features).values
-    u, y = data.weights, data.targets
-    n = data.n
-    col_sq = np.einsum("i,ij->j", u, S * S)
-    beta = np.zeros(n)
-    bias = float(np.sum(u * y) / np.sum(u))
-    r = y - bias
-    for sweep in range(max_sweeps):
-        for j in range(n):
-            sj = S[:, j]
-            c = float((u * (r + beta[j] * sj)) @ sj)
-            new = _soft_threshold(c, lam1 / 2.0) / col_sq[j]
-            if new != beta[j]:
-                r += (beta[j] - new) * sj
-                beta[j] = new
-        shift = float(np.sum(u * r) / np.sum(u))
-        bias += shift
-        r -= shift
-        if np.max(lasso_kkt_residuals(S, u, y, beta, bias, lam1)) <= tol:
+    u, y, n = data.weights, data.targets, data.n
+    ybar = float(u @ y / np.sum(u))
+    sbar = u @ S / np.sum(u)
+    Sc = S - sbar
+    G = Sc.T @ (u[:, None] * Sc)
+    c = (u * (y - ybar)) @ Sc
+    # rows holds G's rows of the active set in active order; chol is the
+    # lower Cholesky factor of G_AA in that order
+    beta, rows, chol = np.zeros(n), np.empty((n, n)), np.empty((0, 0), order="F")
+    active, signs, barred, fresh = [], [], [], False
+    lam, events = 2.0 * float(np.max(np.abs(c))), 0
+    while lam > lam1 and events < max_steps:
+        events += 1
+        k, s = len(active), np.array(signs)
+        w = cho_solve((chol, True), s / 2.0, check_finite=False)
+        if fresh and w[-1] * s[-1] < 0:
+            # a tie: the newcomer would leave zero against its sign
+            barred, fresh, chol = [(active.pop(), signs.pop())], False, chol[:-1, :-1].copy("F")
+            continue
+        fresh = False
+        # the correlations g = 2(c - G beta) fall by a2 = 2 G w per unit of lambda;
+        # up/down are the steps at which they would reach +lambda/-lambda
+        a2, g = 2.0 * (np.vstack([w, beta[active]]) @ rows[:k])
+        g = 2.0 * c - g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(a2 < 1.0, (lam - g) / (1.0 - a2), np.inf)
+            down = np.where(a2 > -1.0, (lam + g) / (1.0 + a2), np.inf)
+            drop = np.where(w * s < 0, -beta[active] / w, np.inf).clip(min=0.0)
+        for b, side in barred:
+            (up if side > 0 else down)[b] = np.inf
+        enter = np.maximum(np.fmin(up, down), 0.0)
+        enter[active] = np.inf
+        j, t_drop = int(np.argmin(enter)), drop.min(initial=np.inf)
+        step = min(lam - lam1, enter[j], t_drop)
+        beta[active] += step * w
+        lam = lam1 if step == lam - lam1 else lam - step
+        if lam == lam1:
             break
-        if sweep % 10 == 9:
-            polished = _lasso_polish(S, u, y, beta, bias, lam1, tol)
-            if polished is not None:
-                beta, bias = polished
-                break
-    else:
-        worst = float(np.max(lasso_kkt_residuals(S, u, y, beta, bias, lam1)))
+        if step == t_drop:
+            i = int(np.argmin(drop))
+            barred = [(active[i], signs[i])]
+            beta[active[i]] = 0.0
+            active[i], signs[i], rows[i] = active[-1], signs[-1], rows[k - 1]
+            del active[-1], signs[-1]
+            chol = cholesky(rows[: k - 1, active], lower=True, check_finite=False)
+            continue
+        col = solve_triangular(chol, rows[:k, j], lower=True, check_finite=False)
+        pivot = G[j, j] - col @ col
+        sign = 1.0 if up[j] <= down[j] else -1.0
+        if not pivot > DEPENDENT_RTOL * G[j, j]:
+            barred.append((j, sign))
+            continue
+        grown = np.zeros((k + 1, k + 1), order="F")
+        grown[:k, :k], grown[k, :k], grown[k, k] = chol, col, np.sqrt(pivot)
+        chol, rows[k] = grown, G[j]
+        active.append(j)
+        signs.append(sign)
+        barred, fresh = [], True
+    bias = ybar - float(sbar @ beta)
+    worst = float(np.max(lasso_kkt_residuals(S, u, y, beta, bias, lam1)))
+    if worst > tol:
         raise ConvergenceError(
-            f"lasso did not reach optimality in {max_sweeps} sweeps (worst residual {worst:.3e})"
+            f"lasso path stopped at lambda {lam:.3e} (lam1 {lam1:.3e}) after {events} of "
+            f"{max_steps} events, not optimal (worst residual {worst:.3e})"
         )
-    keep = np.flatnonzero(beta)
-    if keep.size == 0:
-        keep = np.array([0])
+    keep = np.flatnonzero(beta) if np.any(beta) else np.array([0])
     metadata = {"method": "lasso", "lam1": lam1, "indices": [int(i) for i in keep]}
     return SparseModel(
-        prototypes=data.features[keep],
-        beta=beta[keep],
-        bias=bias,
-        similarity=spec,
-        metadata=metadata,
+        prototypes=data.features[keep], beta=beta[keep], bias=bias, similarity=spec, metadata=metadata
     )

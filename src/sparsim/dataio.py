@@ -10,6 +10,7 @@ Model files are versioned JSON with decimal float text that round-trips
 exactly, so saving and loading reproduces predictions bit for bit.
 """
 
+import contextlib
 import csv
 import json
 import shlex
@@ -299,13 +300,16 @@ class BlackboxBridge:
                 ) from None
 
     def close(self):
-        if self._proc.poll() is None:
+        with contextlib.suppress(OSError):  # a dead scorer cannot take unsent input
             self._proc.stdin.close()
+        if self._proc.poll() is None:
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self

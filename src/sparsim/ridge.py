@@ -42,7 +42,7 @@ def assemble(S, weights, targets, lam: float) -> RidgeSystem:
     n, m = S.shape
     if u.shape[0] != n or y.shape[0] != n:
         raise ValueError(f"similarities have {n} rows but {u.shape[0]} weights / {y.shape[0]} targets")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     uS = u[:, None] * S
     matrix = np.empty((m + 1, m + 1))

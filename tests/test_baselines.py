@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from sparsim import Dataset, gen_synthetic, predict_batch
@@ -19,6 +23,13 @@ from sparsim.errors import ConvergenceError
 from sparsim.similarity import SimilaritySpec, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
+
+
+def full_beta(model, n):
+    """The lasso model's coefficients scattered back over all n prototypes."""
+    beta = np.zeros(n)
+    beta[model.metadata["indices"]] = model.beta
+    return beta
 
 
 def spread_instance(seed=7, n=12):
@@ -148,6 +159,10 @@ class TestKernelRidgeFull:
         np.testing.assert_allclose(model.beta, 0.0, atol=1e-9)
         assert model.bias == pytest.approx(4.2, rel=1e-10)
 
+    def test_rejects_nan_lambda(self):
+        with pytest.raises(ValueError, match="lam"):
+            kernel_ridge_full(spread_instance(), float("nan"), RBF1)
+
     def test_matches_direct_solve(self, rng):
         from sparsim.ridge import assemble, solve
 
@@ -228,8 +243,50 @@ class TestLasso:
         X = np.vstack([rng.normal(0, 0.01, (10, 2))])
         data = Dataset(features=X, targets=rng.normal(0, 1, 10))
         with pytest.raises(ConvergenceError, match="residual"):
-            lasso_similarity(data, 1e-6, RBF1, max_sweeps=3)
+            lasso_similarity(data, 1e-6, RBF1, max_steps=2)
 
     def test_rejects_negative_penalty(self):
         with pytest.raises(ValueError):
             lasso_similarity(spread_instance(), -1.0, RBF1)
+
+    def test_rejects_nan_penalty(self):
+        with pytest.raises(ValueError, match="lam1"):
+            lasso_similarity(spread_instance(), float("nan"), RBF1)
+
+    @pytest.mark.parametrize("lam1", [1e-1, 1e-2, 1e-3])
+    def test_readme_sine_data_finishes(self, lam1):
+        # the README quick-start data: nearly dependent RBF columns on which
+        # coordinate descent ran out of sweeps after minutes
+        data = gen_synthetic("sine_regression", n=200, seed=0)
+        started = time.perf_counter()
+        model = lasso_similarity(data, lam1, RBF1)
+        elapsed = time.perf_counter() - started
+        S = sim_matrix(RBF1, data.features, data.features).values
+        res = lasso_kkt_residuals(S, data.weights, data.targets, full_beta(model, data.n), model.bias, lam1)
+        assert res.max() <= 1e-6
+        assert elapsed < 5.0
+
+
+@given(
+    n=st.integers(2, 15),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.0, 1.1),
+)
+def test_lasso_optimal_anywhere_on_the_path(n, d, seed, fraction):
+    """On a design with distinct integer coordinates (pairwise distance at
+    least 1, so the RBF Gram matrix is well conditioned), random weights and
+    any lam1 in [0, 1.1 lambda_max], the result satisfies the optimality
+    conditions to 1e-6, and lam1 >= lambda_max gives all zeros."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.permutation(n) for _ in range(d)]).astype(float)
+    data = Dataset(features=X, targets=rng.normal(0, 1, n), weights=rng.uniform(0.1, 3.0, n))
+    S = sim_matrix(RBF1, X, X).values
+    ybar = np.sum(data.weights * data.targets) / np.sum(data.weights)
+    lam_max = 2 * np.max(np.abs(((data.targets - ybar) * data.weights) @ S))
+    lam1 = fraction * lam_max
+    model = lasso_similarity(data, lam1, RBF1)
+    beta = full_beta(model, n)
+    assert lasso_kkt_residuals(S, data.weights, data.targets, beta, model.bias, lam1).max() <= 1e-6
+    if lam1 >= lam_max * (1 + 1e-12):  # beyond the rounding of lambda_max
+        np.testing.assert_array_equal(beta, 0.0)

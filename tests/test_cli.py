@@ -17,6 +17,11 @@ from sparsim.datatypes import predict_batch
 from test_dataio import RBF_SCORER
 
 
+def read_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 @pytest.fixture
 def train_csv(tmp_path):
     path = tmp_path / "train.csv"
@@ -36,10 +41,10 @@ class TestTrain:
         assert code == 0
         model = load_model(out)
         assert model.m == 2
-        trace_rows = list(csv.reader(open(tmp_path / "model.trace.csv", newline="")))
+        trace_rows = read_rows(tmp_path / "model.trace.csv")
         assert trace_rows[0] == ["t", "j", "omega_before", "omega_after", "step_norm"]
         assert len(trace_rows) > 1
-        manifest = json.load(open(tmp_path / "model.manifest.json"))
+        manifest = json.loads((tmp_path / "model.manifest.json").read_text())
         assert manifest["subcommand"] == "train"
         assert manifest["config"]["m"] == 2
         assert manifest["similarity_evaluations"] > 0
@@ -105,7 +110,7 @@ def test_manifest_contract(tmp_path, train_csv, subcommand):
     before = EVAL_COUNTER.read()
     assert run(args + ["--out", out]) == 0
     evals = EVAL_COUNTER.read() - before
-    manifest = json.load(open(tmp_path / "out.manifest.json"))
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     assert set(manifest) == {"subcommand", "config", "seed", "inputs", "outputs",
                              "wall_clock_seconds", "similarity_evaluations"}
     assert manifest["subcommand"] == subcommand
@@ -160,7 +165,7 @@ class TestBlackbox:
                     "--blackbox", command, "--out", pred_out]) == 0
         assert len(bridges) == 2
         self.assert_closed(bridges)
-        got = np.array([float(r[0]) for r in list(csv.reader(open(pred_out, newline="")))[1:]])
+        got = np.array([float(r[0]) for r in read_rows(pred_out)[1:]])
         native = replace(load_model(model_out), similarity=SimilaritySpec(kind="rbf", gamma=1.0))
         expected = predict_batch(native, gen_synthetic("two_gaussians", seed=0).features)
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -198,11 +203,11 @@ class TestSelectM:
                     "--rho", "1e-3", "--loss", "mse", "--folds", "3", "--eta", "0.15",
                     "--box", "--max-sweeps", "10", "--out", out])
         assert code == 0
-        rows = list(csv.reader(open(tmp_path / "model.selection.csv", newline="")))
+        rows = read_rows(tmp_path / "model.selection.csv")
         assert rows[0] == ["m", "loss", "L", "chosen"]
         for r in rows[1:]:
             assert float(r[2]) == pytest.approx(float(r[1]) + 1e-3 * int(r[0]), abs=0)
-        manifest = json.load(open(tmp_path / "model.manifest.json"))
+        manifest = json.loads((tmp_path / "model.manifest.json").read_text())
         chosen = manifest["config"]["chosen_m"]
         model = load_model(out)
         assert model.m == chosen
@@ -226,7 +231,7 @@ class TestBaseline:
         assert code == 0
         assert load_model(out).m == 3
         metrics_rows = dict(
-            (r[0], r[1]) for r in list(csv.reader(open(tmp_path / f"{method}.metrics.csv")))[1:]
+            (r[0], r[1]) for r in read_rows(tmp_path / f"{method}.metrics.csv")[1:]
         )
         assert metrics_rows["m"] == "3"
         assert metrics_rows["evals_per_prediction"] == "3"
@@ -258,7 +263,7 @@ class TestBench:
                     "--eta", "0.1", "--box", "--max-sweeps", "10",
                     "--methods", "sparse,ps-r,ridge", "--out", out])
         assert code == 0
-        rows = list(csv.reader(open(out, newline="")))
+        rows = read_rows(out)
         assert rows[0] == ["method", "mae", "m", "evals_per_prediction", "train_seconds"]
         table = {r[0]: r for r in rows[1:]}
         assert set(table) == {"sparse", "ps-r", "ridge"}
@@ -274,8 +279,8 @@ class TestBench:
         base_out = tmp_path / "base.json"
         run(["baseline", "--data", train_csv, "--target", "target", "--method", "ps-km",
              "--m", "4", "--seed", "3", "--out", base_out])
-        bench_mae = float(list(csv.reader(open(bench_out)))[1][1])
-        base_rows = dict((r[0], r[1]) for r in list(csv.reader(open(tmp_path / "base.metrics.csv")))[1:])
+        bench_mae = float(read_rows(bench_out)[1][1])
+        base_rows = dict((r[0], r[1]) for r in read_rows(tmp_path / "base.metrics.csv")[1:])
         assert bench_mae == float(base_rows["mae"])
 
     def test_missing_test_file_reports_error(self, tmp_path, train_csv, capsys):
@@ -294,7 +299,7 @@ class TestPredict:
         code = run(["predict", "--model", model_out, "--data", train_csv, "--target", "target",
                     "--out", pred_out])
         assert code == 0
-        rows = list(csv.reader(open(pred_out, newline="")))
+        rows = read_rows(pred_out)
         assert rows[0] == ["prediction"]
         got = np.array([float(r[0]) for r in rows[1:]])
         model = load_model(model_out)
@@ -302,7 +307,7 @@ class TestPredict:
         expected = predict_batch(model, data.features)
         np.testing.assert_array_equal(got, expected)
         # the residuals of these predictions reproduce the trace-final objective
-        trace_rows = list(csv.reader(open(tmp_path / "model.trace.csv", newline="")))
+        trace_rows = read_rows(tmp_path / "model.trace.csv")
         final_omega = float(trace_rows[-1][3])
         resid = got - data.targets
         omega = float(resid @ resid + 1e-6 * model.beta @ model.beta)
@@ -316,7 +321,7 @@ class TestPredict:
         pred_out = tmp_path / "pred.csv"
         assert run(["predict", "--model", model_out, "--data", empty, "--target", "target",
                     "--out", pred_out]) == 0
-        rows = list(csv.reader(open(pred_out, newline="")))
+        rows = read_rows(pred_out)
         assert rows == [["prediction"]]
 
     @pytest.mark.parametrize("rows, where", [

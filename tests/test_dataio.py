@@ -247,6 +247,18 @@ class TestBlackboxBridge:
             with pytest.raises(BlackboxError, match="line 3"):
                 sim.eval(bridge.spec, [0.0], [3.0])
 
+    @pytest.mark.parametrize("exited", [False, True], ids=["live", "exited"])
+    def test_close_releases_both_pipes(self, tmp_path, exited):
+        script = tmp_path / "scorer.py"
+        script.write_text("import sys; sys.exit(3)\n" if exited else RBF_SCORER)
+        bridge = blackbox_bridge([sys.executable, str(script)])
+        if exited:
+            bridge._proc.wait(timeout=30)
+        bridge.close()
+        assert bridge._proc.stdin.closed
+        assert bridge._proc.stdout.closed
+        assert bridge._proc.returncode is not None
+
     def test_dead_process_reported(self, tmp_path):
         script = tmp_path / "quit.py"
         script.write_text("import sys; sys.exit(3)\n")

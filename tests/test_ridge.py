@@ -44,6 +44,11 @@ class TestAssemble:
         np.testing.assert_allclose(diff - np.diag(np.diag(diff)), 0.0, atol=1e-15)
         np.testing.assert_array_equal(shifted.rhs, base.rhs)
 
+    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            assemble(np.ones((2, 1)), [1.0, 1.0], [1.0, 0.0], lam)
+
     def test_symmetry(self, rng):
         S = rng.uniform(0, 1, (10, 4))
         system = assemble(S, rng.uniform(0.1, 2, 10), rng.normal(0, 1, 10), 0.1)
