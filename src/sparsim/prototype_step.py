@@ -9,6 +9,7 @@ step uses.  A decaying repulsion term keeps prototypes from collapsing
 onto each other.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,17 +57,20 @@ def _data_gradient(S, data, spec, protos, beta, resid, j, grad_mode):
     j, given the current similarity matrix (column j is reused as the
     similarities to prototype j) and its residual ``S @ beta + bias - y``."""
     D = sim.grad_z_matrix(spec, data.features, protos[j], grad_mode, column=S[:, j])
-    if not np.all(np.isfinite(D)):
+    if not np.isfinite(D).all():
         raise SimilarityEvalError(f"non-finite similarity gradient for prototype {j}")
     return 2.0 * beta[j] * ((data.weights * resid) @ D)
 
 
-def _penalty(protos, spec, j, t, grad_mode):
+def _penalty(protos, spec, j, t, grad_mode, others=None):
+    """Decayed repulsion gradient for prototype j; ``others`` is every
+    prototype but j, when the caller has already built it."""
     if t < 1:
         raise ValueError(f"iteration count must be >= 1, got {t}")
     if protos.shape[0] == 1:
         return np.zeros(protos.shape[1])
-    others = np.delete(protos, j, axis=0)
+    if others is None:
+        others = np.concatenate((protos[:j], protos[j + 1 :]))
     grads = sim.grad_z_matrix(spec, others, protos[j], grad_mode)
     return float(t) ** (-PENALTY_DECAY_POWER) * grads.sum(axis=0)
 
@@ -119,30 +123,32 @@ def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
     if t < 1:
         raise ValueError(f"iteration count must be >= 1, got {t}")
     grad = _data_gradient(S, data, spec, protos, beta, resid, j, config.grad_mode)
+    others = np.concatenate((protos[:j], protos[j + 1 :]))
     if config.penalty_enabled:
-        penalty = _penalty(protos, spec, j, t, config.grad_mode)
+        penalty = _penalty(protos, spec, j, t, config.grad_mode, others)
     else:
         penalty = 0.0
     z_old = protos[j]
     z_new = z_old - config.eta * grad - penalty
-    if not np.all(np.isfinite(z_new)):
+    if not np.isfinite(z_new).all():
         z_new = z_old - (config.eta / 2.0) * grad - penalty
-        if not np.all(np.isfinite(z_new)):
+        if not np.isfinite(z_new).all():
             raise NonFiniteUpdateError(
                 f"update of prototype {j} stayed non-finite after halving the step"
             )
+    # z_new is finite, so minimum/maximum clip exactly as np.clip does, at less call cost.
     if box is not None:
-        z_new = np.clip(z_new, box[:, 0], box[:, 1])
+        z_new = np.minimum(np.maximum(z_new, box[:, 0]), box[:, 1])
 
     # Coincident prototypes feel no repulsion (the similarity gradient is
     # zero at distance zero); break exact ties with a tiny seeded nudge.
-    others = np.delete(protos, j, axis=0)
-    if others.size and np.min(np.linalg.norm(others - z_new, axis=1)) < 1e-12:
+    # sqrt is monotone: the root of the least squared distance is the least distance.
+    if others.size and math.sqrt(((others - z_new) ** 2).sum(axis=1).min()) < 1e-12:
         rng = np.random.default_rng([config.seed, t, j])
         direction = rng.standard_normal(protos.shape[1])
         z_new = z_new + 1e-6 * direction / np.linalg.norm(direction)
         if box is not None:
-            z_new = np.clip(z_new, box[:, 0], box[:, 1])
+            z_new = np.minimum(np.maximum(z_new, box[:, 0]), box[:, 1])
     return z_new
 
 

@@ -7,6 +7,7 @@ row and column of the system change, and :func:`update_column` rewrites
 just those.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,32 +65,35 @@ def update_column(system: RidgeSystem, S, weights, targets, j: int, lam: float):
     One O(nm) product instead of the O(nm^2) of :func:`assemble`.  The
     row is recomputed from S, so no rounding accumulates over updates.
     """
-    m = system.m
+    M, m = system.matrix, system.m
     uc = weights * S[:, j]
-    system.matrix[j, :m] = system.matrix[:m, j] = S.T @ uc
-    system.matrix[j, j] += lam
-    system.matrix[j, m] = system.matrix[m, j] = uc.sum()
+    M[j, :m] = M[:m, j] = S.T @ uc
+    M[j, j] += lam
+    M[j, m] = M[m, j] = uc.sum()
     system.rhs[j] = uc @ targets
 
 
 def _solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Symmetric direct solve with one jittered retry on near-singularity.
+    """Symmetric direct solve of M x = B for a vector B, with one jittered
+    retry on near-singularity.
 
     A solution only counts if its residual against the original matrix is
     below RESIDUAL_RTOL; otherwise the matrix is treated as numerically
     singular (equivalently, condition number beyond roughly 1/RESIDUAL_RTOL).
     """
-    scale = np.linalg.norm(B)
+    # sqrt(v.v) is what np.linalg.norm computes for a vector, minus its dispatch.
+    tol = RESIDUAL_RTOL * max(math.sqrt(B.dot(B)), 1e-300)
 
     def attempt(mat):
         try:
             x = np.linalg.solve(mat, B)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return None
         # Residual measured against the original, unjittered matrix.
-        if np.linalg.norm(M @ x - B) > RESIDUAL_RTOL * max(scale, 1e-300):
+        r = M @ x - B
+        if math.sqrt(r.dot(r)) > tol:
             return None
         return x
 

@@ -125,6 +125,13 @@ def eval(spec: SimilaritySpec, a, b) -> float:
     return value
 
 
+def _as_2d(x) -> np.ndarray:
+    """``x`` as a float array of at least two dimensions, skipping the costly
+    ``np.atleast_2d`` call when it already has two."""
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim == 2 else np.atleast_2d(x)
+
+
 def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     """Matrix of similarities s(rows[i], protos[j]).
 
@@ -138,8 +145,8 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     only the rounding of the d-term sum can differ from :func:`eval`
     (for d >= 2, relative differences near 1e-15).
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    protos = np.atleast_2d(np.asarray(protos, dtype=float))
+    rows = _as_2d(rows)
+    protos = _as_2d(protos)
     if rows.shape[1] != protos.shape[1]:
         raise ValueError(
             f"dimension mismatch: rows have {rows.shape[1]} columns, prototypes {protos.shape[1]}"
@@ -192,7 +199,7 @@ def grad_z_matrix(spec: SimilaritySpec, rows, z, mode: str = "analytic", column=
     """
     if mode not in GRAD_MODES:
         raise ValueError(f"unknown gradient mode {mode!r}")
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = _as_2d(rows)
     z = np.asarray(z, dtype=float)
     if mode == "numeric":
         # Step scaled to the prototype magnitude.

@@ -1,6 +1,7 @@
 """Alternating optimization loop: prototype steps round-robin, exact
 coefficient re-solve after every move, objective-based stopping."""
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -12,7 +13,7 @@ from .datatypes import Dataset, SparseModel, TrainConfig, resolve_box
 from .errors import SparsimError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     t: int
     j: int
@@ -68,7 +69,7 @@ def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
 def _loss(S, beta, bias, data, lam):
     """Objective value and the residual ``S @ beta + bias - y`` it was taken from."""
     resid = S @ beta + bias - data.targets
-    return float(np.dot(data.weights * resid, resid) + lam * np.dot(beta, beta)), resid
+    return float((data.weights * resid).dot(resid) + lam * beta.dot(beta)), resid
 
 
 def fit(
@@ -120,7 +121,8 @@ def fit(
         z_prev, col_prev = protos[j].copy(), S[:, j].copy()
         try:
             z_new = prototype_step._update_prototype(protos, beta, resid, spec, j, data, config, t, S, box)
-            step_norm = float(np.linalg.norm(z_new - protos[j]))
+            step = z_new - protos[j]
+            step_norm = math.sqrt(step.dot(step))
             protos[j] = z_new
             S[:, j] = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
             omega_before, _ = _loss(S, beta, bias, data, config.lam)

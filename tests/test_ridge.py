@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sparsim import Dataset, SparseModel, objective
 from sparsim.errors import SingularSystemError
-from sparsim.ridge import RidgeSystem, assemble, solve, update_column
+from sparsim.ridge import RESIDUAL_RTOL, RidgeSystem, assemble, solve, update_column
 from sparsim.similarity import SimilaritySpec, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -161,6 +163,50 @@ class TestSolve:
         rhs = np.array([1.0, 1.0])
         with pytest.raises(SingularSystemError):
             solve(RidgeSystem(matrix=M, rhs=rhs))
+
+    def test_returns_the_lapack_solution_bit_for_bit(self):
+        # the residual and finiteness checks accept and pass through the
+        # direct solve's own answer, unchanged
+        for seed in range(20):
+            r = np.random.default_rng(seed)
+            S = r.uniform(0, 1, (12, 4))
+            system = assemble(S, r.uniform(0.5, 2, 12), r.normal(0, 1, 12), 1e-4)
+            expected = np.linalg.solve(system.matrix, system.rhs)
+            beta, bias = solve(system)
+            np.testing.assert_array_equal(beta, expected[:-1])
+            assert bias == expected[-1]
+
+    def test_nonfinite_solution_rejected_without_warning(self, monkeypatch):
+        # a direct solve that returns inf (both attempts) is singular; the
+        # finiteness check must catch it before the residual product warns
+        attempts = []
+
+        def inf_solve(a, b):
+            attempts.append(a.copy())
+            return np.full(b.shape, np.inf)
+
+        monkeypatch.setattr(np.linalg, "solve", inf_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularSystemError, match="singular"):
+                solve(RidgeSystem(matrix=np.eye(3), rhs=np.ones(3)))
+        assert len(attempts) == 2
+        assert not np.array_equal(attempts[0], attempts[1])  # the retry is jittered
+
+    @pytest.mark.parametrize("ratio, accepted", [(0.5, True), (2.0, False)])
+    def test_residual_tolerance_is_relative_to_rhs_norm(self, monkeypatch, ratio, accepted):
+        # with M = I the residual of x = rhs + e is e itself; a solution
+        # counts while ||e|| <= RESIDUAL_RTOL * ||rhs||
+        rhs = np.array([3.0, 4.0])  # norm 5
+        error = np.array([ratio * RESIDUAL_RTOL * 5.0, 0.0])
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: b + error)
+        system = RidgeSystem(matrix=np.eye(2), rhs=rhs)
+        if accepted:
+            beta, bias = solve(system)
+            np.testing.assert_array_equal(np.append(beta, bias), rhs + error)
+        else:
+            with pytest.raises(SingularSystemError):
+                solve(system)
 
 
 class TestOracleEquivalence:

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparsim import Dataset, GridConfig, TrainConfig, fit, gen_synthetic, predict_batch, prune
 from sparsim.metrics import mse
@@ -82,6 +84,25 @@ class TestKfold:
                 if other is fold:
                     continue
                 assert members.isdisjoint(set(groups[other]))
+
+    @given(
+        group_of=st.lists(st.integers(0, 12), min_size=2, max_size=60),
+        k=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_folds_partition_samples_and_keep_groups_whole(self, group_of, k, seed):
+        groups = np.array(group_of)
+        n = groups.size
+        plain = kfold_split(n, min(k, n), seed)
+        grouped = group_kfold_split(groups, min(k, np.unique(groups).size), seed)
+        for folds in (plain, grouped):
+            # disjoint and covering: every sample in exactly one fold
+            assert sorted(np.concatenate(folds).tolist()) == list(range(n))
+        # no group is split across folds
+        fold_of = {}
+        for f, fold in enumerate(grouped):
+            for i in fold:
+                assert fold_of.setdefault(groups[i], f) == f
 
     def test_group_folds_need_enough_groups(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import resolve_coefficients
 
 from sparsim import Dataset, SparseModel, TrainConfig, distill, fit, predict_batch
 from sparsim import similarity as sim
+from sparsim.datatypes import resolve_box
 from sparsim.prototype_step import STALE_TOL
 from sparsim.ridge import assemble
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec
-from sparsim.training import init_prototypes
+from sparsim.training import IterationRecord, init_prototypes
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 
@@ -114,12 +119,23 @@ class TestFit:
         assert trace.termination == "converged"
         assert len(trace.records) == 2
 
-    def test_trace_bounded_by_sweep_budget(self, rng):
+    def test_trace_bounded_by_sweep_budget(self, rng, tmp_path):
         data = Dataset(features=rng.normal(0, 1, (12, 2)), targets=rng.normal(0, 1, 12))
         config = TrainConfig(seed=0, epsilon=1e-300, max_sweeps=7)
         _, trace = fit(data, 3, config=config, similarity=RBF1)
         assert trace.termination == "max_sweeps"
         assert len(trace.records) == 7 * 3
+        # records are immutable, with the CSV's field names in its order
+        fields = ["t", "j", "omega_before", "omega_after", "step_norm"]
+        assert [f.name for f in dataclasses.fields(IterationRecord)] == fields
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.records[0].omega_after = 0.0
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        expected = ",".join(fields) + "\r\n" + "".join(
+            f"{r.t},{r.j},{r.omega_before!r},{r.omega_after!r},{r.step_norm!r}\r\n" for r in trace.records
+        )
+        assert path.read_bytes().decode() == expected
 
     def test_seeded_runs_bitwise_reproducible(self, rng):
         data = Dataset(features=rng.normal(0, 1, (18, 3)), targets=rng.normal(0, 1, 18))
@@ -228,6 +244,53 @@ class TestEvaluationBudget:
         evals, iterations = self.budget(data, m, config, spec)
         assert iterations == 9
         assert evals == n * m + iterations * n
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(6, 40),
+    d=st.integers(1, 3),
+    m=st.integers(1, 6),
+    eta=st.floats(0.01, 1.0),
+    gamma=st.floats(0.2, 3.0),
+    penalty=st.booleans(),
+    box_kind=st.sampled_from([None, "data", "explicit"]),
+    grad_mode=st.sampled_from(["analytic", "approximate"]),
+)
+def test_fit_invariants_on_generated_problems(seed, n, d, m, eta, gamma, penalty, box_kind, grad_mode):
+    rng = np.random.default_rng(seed)
+    data = Dataset(features=rng.normal(0, 1, (n, d)), targets=rng.normal(0, 1, n), weights=rng.uniform(0.5, 2, n))
+    if box_kind == "explicit":
+        lo = rng.uniform(-1.0, 0.0, d)
+        box = np.column_stack([lo, lo + rng.uniform(0.2, 2.0, d)])
+    else:
+        box = box_kind
+    spec = SimilaritySpec(kind="rbf", gamma=gamma)
+    config = TrainConfig(seed=seed, lam=1e-3, eta=eta, box=box, penalty_enabled=penalty, grad_mode=grad_mode,
+                         max_sweeps=3, epsilon=1e-300)
+    before = EVAL_COUNTER.read()
+    model, trace = fit(data, m, config=config, similarity=spec)
+    evals = EVAL_COUNTER.read() - before
+    again, trace_again = fit(data, m, config=config, similarity=spec)
+
+    # every prototype moved at least once (convergence takes m small
+    # steps in a row) and is inside the box
+    assert trace.termination in ("max_sweeps", "converged")
+    iterations = len(trace.records)
+    assert m <= iterations <= 3 * m
+    if box is not None:
+        bounds = resolve_box(box, data)
+        assert np.all(model.prototypes >= bounds[:, 0]) and np.all(model.prototypes <= bounds[:, 1])
+    # the exact coefficient re-solve never raises the objective
+    for rec in trace.records:
+        assert rec.omega_after <= rec.omega_before * (1 + 1e-12)
+    # identical runs, identical records and models
+    assert trace_again.records == trace.records
+    np.testing.assert_array_equal(again.prototypes, model.prototypes)
+    np.testing.assert_array_equal(again.beta, model.beta)
+    assert again.bias == model.bias
+    # n*m initially, then n per moved column and m-1 per repulsion penalty
+    assert evals == n * m + iterations * (n + (m - 1) * penalty)
 
 
 class TestDistill:
