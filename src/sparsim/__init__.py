@@ -27,11 +27,10 @@ from .errors import (
     SimilarityEvalError,
     SingularSystemError,
     SparsimError,
-    StaleCoefficientsError,
     UnsupportedGradModeError,
 )
 from .metrics import OperatingPoint, error_rate, eval_cost, far_frr_curve, mae, mse
-from .selection import GridConfig, SelectionTrace, default_grid, kfold_split, prune, select_model_size
+from .selection import GridConfig, SelectionTrace, default_grid, kfold_split, select_model_size
 from .similarity import EVAL_COUNTER, SimilarityMatrix, SimilaritySpec, default_spec, grad_z, sim_matrix
 from .training import TrainTrace, distill, fit, init_prototypes
 
@@ -59,7 +58,6 @@ __all__ = [
     "select_model_size",
     "default_grid",
     "kfold_split",
-    "prune",
     "sim_matrix",
     "grad_z",
     "default_spec",
@@ -85,7 +83,6 @@ __all__ = [
     "SimilarityEvalError",
     "UnsupportedGradModeError",
     "SingularSystemError",
-    "StaleCoefficientsError",
     "NonFiniteUpdateError",
     "ConvergenceError",
     "DataFormatError",

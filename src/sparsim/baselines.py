@@ -189,6 +189,8 @@ def lasso_similarity(
     """
     if not lam1 >= 0:
         raise ValueError(f"lam1 must be >= 0, got {lam1}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     S = sim.sim_matrix(spec, data.features, data.features).values
     u, y, n = data.weights, data.targets, data.n
     ybar = float(u @ y / np.sum(u))

@@ -10,6 +10,7 @@ usage errors (malformed flag values included), 1 on runtime errors.
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -23,8 +24,8 @@ from .errors import SparsimError
 
 
 def _bounded(convert, positive):
-    """argparse type: a value of type ``convert`` that is > 0 (``positive``)
-    or >= 0, so an out-of-range flag value is a usage error."""
+    """argparse type: a finite value of type ``convert`` that is > 0
+    (``positive``) or >= 0, so an out-of-range flag value is a usage error."""
     noun = "integer" if convert is int else "number"
 
     def parse(text):
@@ -32,9 +33,9 @@ def _bounded(convert, positive):
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not {'an' if convert is int else 'a'} {noun}")
-        if not (value > 0 if positive else value >= 0):
+        if not (value > 0 if positive else value >= 0) or math.isinf(value):
             raise argparse.ArgumentTypeError(
-                f"expected a {'positive' if positive else 'non-negative'} {noun}, got {value}"
+                f"expected a finite {'positive' if positive else 'non-negative'} {noun}, got {value}"
             )
         return value
 
@@ -57,6 +58,8 @@ def _box(text):
         raise argparse.ArgumentTypeError(f"box must be 'data' or 'lo,hi', got {text!r}")
     if not lo <= hi:
         raise argparse.ArgumentTypeError(f"box lower bound {lo} exceeds upper bound {hi}")
+    if lo == math.inf or hi == -math.inf:
+        raise argparse.ArgumentTypeError(f"box {text!r} admits no finite value")
     return lo, hi
 
 

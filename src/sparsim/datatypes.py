@@ -210,12 +210,12 @@ class TrainConfig:
     grad_mode: str = "analytic"
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.grad_mode not in sim.GRAD_MODES:
@@ -231,6 +231,9 @@ class TrainConfig:
             box = _frozen_array(box)
             if box.ndim != 2 or box.shape[1] != 2:
                 raise ValueError(f"box must have shape (d, 2), got {box.shape}")
+            # Comparisons with NaN are false, so this also rejects NaN bounds.
+            if not ((box[:, 0] < np.inf) & (box[:, 1] > -np.inf)).all():
+                raise ValueError("box bounds must not be NaN, and every row must admit a finite value")
             if np.any(box[:, 0] > box[:, 1]):
                 raise ValueError("box lower bounds must not exceed upper bounds")
             object.__setattr__(self, "box", box)

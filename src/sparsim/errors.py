@@ -17,10 +17,6 @@ class SingularSystemError(SparsimError):
     """The coefficient system stayed numerically singular after jitter."""
 
 
-class StaleCoefficientsError(SparsimError):
-    """Coefficients do not solve the ridge system for the current prototypes."""
-
-
 class NonFiniteUpdateError(SparsimError):
     """A prototype update produced non-finite values even after halving the step."""
 

@@ -43,8 +43,8 @@ def assemble(S, weights, targets, lam: float) -> RidgeSystem:
     n, m = S.shape
     if u.shape[0] != n or y.shape[0] != n:
         raise ValueError(f"similarities have {n} rows but {u.shape[0]} weights / {y.shape[0]} targets")
-    if not lam >= 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     uS = u[:, None] * S
     matrix = np.empty((m + 1, m + 1))
     matrix[:m, :m] = S.T @ uS + lam * np.eye(m)
@@ -73,49 +73,39 @@ def update_column(system: RidgeSystem, S, weights, targets, j: int, lam: float):
     system.rhs[j] = uc @ targets
 
 
-def _solve_linear(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Symmetric direct solve of M x = B for a vector B, with one jittered
-    retry on near-singularity.
+def solve(system: RidgeSystem):
+    """Exact minimizer (coefficients, bias) of the ridge objective.
 
-    A solution only counts if its residual against the original matrix is
-    below RESIDUAL_RTOL; otherwise the matrix is treated as numerically
-    singular (equivalently, condition number beyond roughly 1/RESIDUAL_RTOL).
+    A solution only counts if its residual against the original matrix
+    satisfies ||M x - rhs|| <= RESIDUAL_RTOL ||rhs||; otherwise the system
+    is treated as numerically singular (condition number beyond roughly
+    1/RESIDUAL_RTOL) and gets one diagonal-jitter retry before raising
+    SingularSystemError.
     """
+    M, rhs = system.matrix, system.rhs
     # sqrt(v.v) is what np.linalg.norm computes for a vector, minus its dispatch.
-    tol = RESIDUAL_RTOL * max(math.sqrt(B.dot(B)), 1e-300)
+    tol = RESIDUAL_RTOL * max(math.sqrt(rhs.dot(rhs)), 1e-300)
 
     def attempt(mat):
         try:
-            x = np.linalg.solve(mat, B)
+            x = np.linalg.solve(mat, rhs)
         except np.linalg.LinAlgError:
             return None
         if not np.isfinite(x).all():
             return None
         # Residual measured against the original, unjittered matrix.
-        r = M @ x - B
+        r = M @ x - rhs
         if math.sqrt(r.dot(r)) > tol:
             return None
         return x
 
     x = attempt(M)
-    if x is not None:
-        return x
-    jitter = 1e-10 * np.trace(M) / M.shape[0]
-    x = attempt(M + jitter * np.eye(M.shape[0]))
+    if x is None:
+        jitter = 1e-10 * np.trace(M) / M.shape[0]
+        x = attempt(M + jitter * np.eye(M.shape[0]))
     if x is None:
         cond = np.linalg.cond(M)
         raise SingularSystemError(
             f"coefficient system is numerically singular (cond ~ {cond:.3e})"
         )
-    return x
-
-
-def solve(system: RidgeSystem):
-    """Exact minimizer (coefficients, bias) of the ridge objective.
-
-    The residual of the returned solution satisfies
-    ||M x - rhs|| <= 1e-9 ||rhs||; a numerically singular system gets one
-    diagonal-jitter retry before raising SingularSystemError.
-    """
-    x = _solve_linear(system.matrix, system.rhs)
     return x[:-1], float(x[-1])

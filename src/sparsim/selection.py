@@ -11,9 +11,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import dataio, metrics, ridge
+from . import dataio, metrics
 from . import similarity as sim
-from .datatypes import Dataset, SparseModel, TrainConfig
+from .datatypes import Dataset, TrainConfig
 from .training import fit
 
 
@@ -86,12 +86,16 @@ def default_grid(n: int) -> Tuple[int, ...]:
     return tuple(values)
 
 
-def kfold_split(n: int, k: int, seed: int) -> List[np.ndarray]:
-    """Seeded partition of range(n) into k folds with sizes differing by <= 1."""
-    if k > n:
-        raise ValueError(f"cannot split {n} samples into {k} folds")
+def _check_folds(count: int, k: int, noun: str):
+    if k > count:
+        raise ValueError(f"cannot split {count} {noun} into {k} folds")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+
+
+def kfold_split(n: int, k: int, seed: int) -> List[np.ndarray]:
+    """Seeded partition of range(n) into k folds with sizes differing by <= 1."""
+    _check_folds(n, k, "samples")
     perm = np.random.default_rng(seed).permutation(n)
     return list(np.array_split(perm, k))
 
@@ -104,8 +108,7 @@ def group_kfold_split(groups, k: int, seed: int) -> List[np.ndarray]:
     """
     groups = np.ravel(np.asarray(groups))
     uniq = np.unique(groups)
-    if k > uniq.shape[0]:
-        raise ValueError(f"cannot split {uniq.shape[0]} groups into {k} folds")
+    _check_folds(uniq.shape[0], k, "groups")
     order = np.random.default_rng(seed).permutation(uniq.shape[0])
     shuffled = uniq[order]
     sizes = np.array([np.sum(groups == g) for g in shuffled])
@@ -126,21 +129,6 @@ def smallest_coefficient_positions(beta, count: int) -> Tuple[int, ...]:
     beta = np.ravel(np.asarray(beta, dtype=float))
     order = sorted(range(beta.shape[0]), key=lambda i: (abs(beta[i]), i))
     return tuple(order[:count])
-
-
-def prune(model: SparseModel, data: Dataset, target_m: int, lam: float) -> SparseModel:
-    """Keep the target_m prototypes with the largest |coefficient|.
-
-    Coefficients and bias are re-solved on the survivors before returning.
-    """
-    if not 1 <= target_m < model.m:
-        raise ValueError(f"need 1 <= target_m < m, got target_m={target_m}, m={model.m}")
-    dropped = smallest_coefficient_positions(model.beta, model.m - target_m)
-    keep = np.array(sorted(set(range(model.m)) - set(dropped)), dtype=int)
-    protos = model.prototypes[keep]
-    S = sim.sim_matrix(model.similarity, data.features, protos)
-    beta, bias = ridge.solve(ridge.assemble(S, data.weights, data.targets, lam))
-    return replace(model, prototypes=protos, beta=beta, bias=bias)
 
 
 def _validation_loss(model, data, loss_kind):
@@ -164,8 +152,8 @@ def _descend_grid(data, grid, config, spec):
     models.append(model)
     pruned.append(())
     for target in grid[1:]:
-        # The survivors go straight into fit, which re-solves their
-        # coefficients itself; prune would solve them once more.
+        # The survivors go straight into fit, which solves their
+        # coefficients itself.
         dropped = smallest_coefficient_positions(model.beta, model.m - target)
         survivors = np.delete(model.prototypes, dropped, axis=0)
         model, _ = fit(data, target, config=config, similarity=spec, init=survivors)

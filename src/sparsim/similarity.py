@@ -65,8 +65,8 @@ class SimilaritySpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown similarity kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.gamma is None or not self.gamma > 0:
-                raise ValueError(f"rbf similarity needs gamma > 0, got {self.gamma}")
+            if self.gamma is None or not 0 < self.gamma < np.inf:
+                raise ValueError(f"rbf similarity needs a finite gamma > 0, got {self.gamma}")
         if self.kind == "blackbox" and not self.blackbox_id:
             raise ValueError("blackbox similarity needs a blackbox_id")
         if self.kind != "blackbox" and self.scorer is not None:

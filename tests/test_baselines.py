@@ -253,6 +253,14 @@ class TestLasso:
         with pytest.raises(ValueError, match="lam1"):
             lasso_similarity(spread_instance(), float("nan"), RBF1)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_nonfinite_or_nonpositive_tol(self, tol):
+        # with tol=nan every residual passed the optimality check, so a
+        # path cut short after one event came back as if it were optimal
+        data = gen_synthetic("sine_regression", n=60, seed=0)
+        with pytest.raises(ValueError, match="tol"):
+            lasso_similarity(data, 1e-3, RBF1, tol=tol, max_steps=1)
+
     @pytest.mark.parametrize("lam1", [1e-1, 1e-2, 1e-3])
     def test_readme_sine_data_finishes(self, lam1):
         # the README quick-start data: nearly dependent RBF columns on which

@@ -63,6 +63,11 @@ class TestTrain:
         ["train", "--m", "2", "--epsilon", "0"],
         ["train", "--m", "2", "--gamma", "0"],
         ["train", "--m", "2", "--seed", "-1"],
+        ["train", "--m", "2", "--lambda", "inf"],
+        ["train", "--m", "2", "--gamma", "inf"],
+        ["train", "--m", "2", "--eta", "inf"],
+        ["train", "--m", "2", "--epsilon", "inf"],
+        ["train", "--m", "2", "--box", "inf,inf"],
     ])
     def test_malformed_flag_value_is_usage_error(self, tmp_path, train_csv, argv):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsim import Dataset, SparseModel, TrainConfig, objective, predict, predict_batch
+from sparsim import Dataset, SparseModel, TrainConfig, fit, objective, predict, predict_batch
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -142,10 +142,25 @@ class TestTrainConfig:
             TrainConfig(lam=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(lam=np.nan)
+        for name in ("lam", "eta", "epsilon"):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: np.inf})
         with pytest.raises(ValueError):
             TrainConfig(grad_mode="newton")
         with pytest.raises(ValueError):
             TrainConfig(seed=-1)
+
+    def test_box_needs_a_finite_point_per_row_but_may_be_half_open(self, rng):
+        # a box with no finite point once projected prototypes to infinity
+        for box in ([[np.nan, 1.0]], [[0.0, 1.0], [-1.0, np.nan]], [[np.inf, np.inf]], [[-np.inf, -np.inf]]):
+            with pytest.raises(ValueError, match="NaN"):
+                TrainConfig(box=box)
+        # infinite bounds leave a side open, and such a box trains
+        data = Dataset(features=rng.normal(0, 1, (20, 2)), targets=rng.normal(0, 1, 20))
+        config = TrainConfig(eta=0.1, max_sweeps=3, box=[[-np.inf, 0.5], [-1.0, np.inf]])
+        model, trace = fit(data, 2, config=config, similarity=RBF1)
+        assert trace.termination != "error"
+        assert np.all(model.prototypes[:, 0] <= 0.5) and np.all(model.prototypes[:, 1] >= -1.0)
 
     def test_box_validation(self):
         with pytest.raises(ValueError):

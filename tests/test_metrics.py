@@ -2,8 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sparsim import SparseModel
+from sparsim import SparseModel, load_model, save_model
 from sparsim.metrics import (
     OperatingPoint,
     error_rate,
@@ -110,3 +113,35 @@ class TestEvalCost:
         before = EVAL_COUNTER.read()
         predict_batch(model, rng.normal(0, 1, (9, 2)))
         assert EVAL_COUNTER.read() - before == 36
+
+
+FINITE = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@given(
+    kind=st.sampled_from(["rbf", "linear"]),
+    gamma=st.floats(0.01, 10.0),
+    m=st.integers(1, 8),
+    d=st.integers(1, 4),
+    k=st.integers(1, 30),
+    draw=st.data(),
+)
+def test_cost_and_round_trip_on_generated_models(tmp_path_factory, kind, gamma, m, d, k, draw):
+    """For generated rbf and linear models: one prediction costs m
+    evaluations, k rows cost k*m, and a saved-and-loaded model predicts
+    bit-identically."""
+    spec = SimilaritySpec(kind="rbf", gamma=gamma) if kind == "rbf" else SimilaritySpec(kind="linear")
+    model = SparseModel(
+        prototypes=draw.draw(arrays(float, (m, d), elements=FINITE)),
+        beta=draw.draw(arrays(float, m, elements=FINITE)),
+        bias=draw.draw(FINITE),
+        similarity=spec,
+    )
+    rows = draw.draw(arrays(float, (k, d), elements=FINITE))
+    assert eval_cost(model) == m
+    before = EVAL_COUNTER.read()
+    predicted = predict_batch(model, rows)
+    assert EVAL_COUNTER.read() - before == k * m
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    assert predict_batch(load_model(path), rows).tobytes() == predicted.tobytes()

@@ -46,7 +46,7 @@ class TestAssemble:
         np.testing.assert_allclose(diff - np.diag(np.diag(diff)), 0.0, atol=1e-15)
         np.testing.assert_array_equal(shifted.rhs, base.rhs)
 
-    @pytest.mark.parametrize("lam", [-1.0, float("nan")])
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
     def test_rejects_negative_or_nan_lambda(self, lam):
         with pytest.raises(ValueError, match="lam"):
             assemble(np.ones((2, 1)), [1.0, 1.0], [1.0, 0.0], lam)

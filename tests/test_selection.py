@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparsim import Dataset, GridConfig, TrainConfig, fit, gen_synthetic, predict_batch, prune
+from sparsim import Dataset, GridConfig, TrainConfig, fit, gen_synthetic, predict_batch
 from sparsim.metrics import mse
 from sparsim.selection import (
     default_grid,
@@ -104,6 +104,10 @@ class TestKfold:
             for i in fold:
                 assert fold_of.setdefault(groups[i], f) == f
 
+    def test_group_folds_need_positive_k(self):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            group_kfold_split(np.array(["a", "a", "b"]), 0, seed=0)
+
     def test_group_folds_need_enough_groups(self):
         with pytest.raises(ValueError):
             group_kfold_split(np.array(["a", "a", "b"]), 3, seed=0)
@@ -127,30 +131,6 @@ class TestPrune:
     def test_tie_breaks_drop_lowest_index(self):
         assert smallest_coefficient_positions([1.0, -1.0, 1.0], 2) == (0, 1)
 
-    def test_prune_keeps_top_coefficients_and_resolves(self, rng):
-        data = Dataset(features=rng.normal(0, 1, (20, 2)), targets=rng.normal(0, 1, 20))
-        model, _ = fit(data, 5, config=TrainConfig(seed=1, **FAST), similarity=RBF)
-        pruned = prune(model, data, 2, 1e-6)
-        assert pruned.m == 2
-        keep = sorted(range(5), key=lambda i: (abs(model.beta[i]), i))[3:]
-        np.testing.assert_array_equal(pruned.prototypes, model.prototypes[sorted(keep)])
-        # coefficients were re-solved: they satisfy the pruned normal equations
-        from sparsim.ridge import assemble
-        from sparsim.similarity import sim_matrix
-
-        S = sim_matrix(RBF, data.features, pruned.prototypes)
-        system = assemble(S, data.weights, data.targets, 1e-6)
-        x = np.concatenate([pruned.beta, [pruned.bias]])
-        assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-8 * np.linalg.norm(system.rhs)
-
-    def test_invalid_target(self, rng):
-        data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
-        model, _ = fit(data, 3, config=TrainConfig(seed=0, **FAST), similarity=RBF)
-        with pytest.raises(ValueError):
-            prune(model, data, 3, 1e-6)
-        with pytest.raises(ValueError):
-            prune(model, data, 0, 1e-6)
-
     def test_warm_refit_not_worse_than_cold(self):
         # statistical check against cold starts over ten seeds
         warm_losses, cold_losses = [], []
@@ -159,8 +139,8 @@ class TestPrune:
             val = gen_synthetic("three_clusters", n=45, seed=500 + seed)
             config = TrainConfig(seed=seed, **FAST)
             model, _ = fit(data, 5, config=config, similarity=RBF)
-            pruned = prune(model, data, 4, config.lam)
-            warm, _ = fit(data, 4, config=config, similarity=RBF, init=pruned.prototypes)
+            survivors = np.delete(model.prototypes, smallest_coefficient_positions(model.beta, 1), axis=0)
+            warm, _ = fit(data, 4, config=config, similarity=RBF, init=survivors)
             cold, _ = fit(data, 4, config=config, similarity=RBF)
             warm_losses.append(mse(predict_batch(warm, val.features), val.targets))
             cold_losses.append(mse(predict_batch(cold, val.features), val.targets))

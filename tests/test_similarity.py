@@ -21,6 +21,8 @@ class TestSpec:
             SimilaritySpec(kind="rbf", gamma=0.0)
         with pytest.raises(ValueError):
             SimilaritySpec(kind="rbf")
+        with pytest.raises(ValueError, match="gamma"):
+            SimilaritySpec(kind="rbf", gamma=np.inf)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from conftest import resolve_coefficients
 from sparsim import Dataset, SparseModel, TrainConfig, distill, fit, predict_batch
 from sparsim import similarity as sim
 from sparsim.datatypes import resolve_box
-from sparsim.prototype_step import STALE_TOL
 from sparsim.ridge import assemble
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec
 from sparsim.training import IterationRecord, init_prototypes
@@ -169,7 +168,7 @@ class TestFit:
         assert np.all(np.isfinite(model.prototypes))
         # the failed iteration's system rewrite must not leak into the model
         residual, rhs = normal_equation_residual(model, data, TrainConfig().lam)
-        assert np.max(np.abs(residual)) <= STALE_TOL * max(1.0, np.max(np.abs(rhs)))
+        assert np.max(np.abs(residual)) <= 1e-6 * max(1.0, np.max(np.abs(rhs)))
 
     def test_incremental_system_matches_fresh_assembly(self, rng):
         # many row-and-column rewrites of the normal equations leave the
