@@ -31,7 +31,7 @@ from .errors import (
 )
 from .metrics import OperatingPoint, error_rate, eval_cost, far_frr_curve, mae, mse
 from .selection import GridConfig, SelectionTrace, default_grid, kfold_split, select_model_size
-from .similarity import EVAL_COUNTER, SimilarityMatrix, SimilaritySpec, default_spec, grad_z, sim_matrix
+from .similarity import EVAL_COUNTER, SimilarityMatrix, SimilaritySpec, default_spec, sim_matrix
 from .training import TrainTrace, distill, fit, init_prototypes
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "default_grid",
     "kfold_split",
     "sim_matrix",
-    "grad_z",
     "default_spec",
     "ps_random",
     "ps_border",

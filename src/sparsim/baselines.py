@@ -71,7 +71,7 @@ def ps_spanning(data: Dataset, m: int) -> np.ndarray:
 
 def _lloyd(X, k, rng, iters=50):
     n = X.shape[0]
-    centers = X[rng.choice(n, size=k, replace=False)].copy()
+    centers = X[rng.choice(n, size=k, replace=False)]
     assign = np.zeros(n, dtype=int)
     for _ in range(iters):
         d2 = cdist(X, centers, "sqeuclidean")
@@ -96,6 +96,9 @@ def ps_kmedians(data: Dataset, m: int, seed: int) -> np.ndarray:
     """Cluster with seeded k-means (5 restarts), keep each cluster's set median."""
     _check_m(data, m)
     X = data.features
+    distinct = np.unique(X, axis=0).shape[0]
+    if distinct < m:
+        raise ValueError(f"cannot form m={m} clusters from {distinct} distinct rows")
     children = np.random.SeedSequence(seed).spawn(5)
     best_assign, best_inertia = None, np.inf
     for child in children:
@@ -124,7 +127,7 @@ def _ridge_model(data, protos, lam, spec, metadata=None):
 
 def kernel_ridge_full(data: Dataset, lam: float, spec: sim.SimilaritySpec) -> SparseModel:
     """Ridge regression in similarity space over all n training prototypes."""
-    return _ridge_model(data, data.features.copy(), lam, spec, {"method": "ridge", "lam": lam})
+    return _ridge_model(data, data.features, lam, spec, {"method": "ridge", "lam": lam})
 
 
 def baseline_pipeline(

@@ -63,11 +63,19 @@ def _box(text):
     return lo, hi
 
 
-def _grid(text):
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"grid must be comma-separated integers, got {text!r}")
+def _grid_field(name, convert):
+    """argparse type: ``convert(text)`` checked by :class:`selection.GridConfig`
+    as its field ``name``, so a value that GridConfig rejects is a usage error."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            selection.GridConfig(**{"grid": (1,), name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
+        return value
+
+    return parse
 
 
 def _stem(path):
@@ -77,8 +85,9 @@ def _stem(path):
 def _similarity_spec(args, dim, bridges):
     if getattr(args, "blackbox", None):
         return bridges.enter_context(dataio.blackbox_bridge(args.blackbox)).spec
-    gamma = args.gamma if args.gamma is not None else 1.0 / dim
-    return similarity.SimilaritySpec(kind="rbf", gamma=gamma)
+    if args.gamma is None:
+        return similarity.default_spec(dim)
+    return similarity.SimilaritySpec(kind="rbf", gamma=args.gamma)
 
 
 def _train_config(args, dim):
@@ -139,12 +148,10 @@ def _fit_baseline(data, method, args, spec):
 
 def _metric_rows(model, data):
     pred = predict_batch(model, data.features)
-    rows = [("mae", metrics.mae(pred, data.targets)), ("mse", metrics.mse(pred, data.targets))]
-    if set(np.unique(data.targets)) <= {-1.0, 1.0}:
-        rows.append(("error_rate", metrics.error_rate(pred, data.targets)))
-    rows.append(("m", model.m))
-    rows.append(("evals_per_prediction", metrics.eval_cost(model)))
-    return rows
+    classification = set(np.unique(data.targets)) <= {-1.0, 1.0}
+    rows = [(name, loss(pred, data.targets)) for name, loss in metrics.LOSSES.items()
+            if classification or name != "error_rate"]
+    return rows + [("m", model.m), ("evals_per_prediction", metrics.eval_cost(model))]
 
 
 def cmd_baseline(args, bridges):
@@ -171,6 +178,8 @@ def cmd_bench(args, bridges):
     config = _train_config(args, data.dim)
     methods = args.methods.split(",") if args.methods else list(BENCH_METHODS)
     classification = set(np.unique(test.targets)) <= {-1.0, 1.0}
+    loss_name = "error_rate" if classification and args.metric == "error" else "mae"
+    loss = metrics.LOSSES[loss_name]
     rows = []
     for method in methods:
         t0 = time.perf_counter()
@@ -179,13 +188,9 @@ def cmd_bench(args, bridges):
         else:
             model = _fit_baseline(data, method, args, spec)
         train_seconds = time.perf_counter() - t0
-        pred = predict_batch(model, test.features)
-        if classification and args.metric == "error":
-            value = metrics.error_rate(pred, test.targets)
-        else:
-            value = metrics.mae(pred, test.targets)
+        value = loss(predict_batch(model, test.features), test.targets)
         rows.append((method, value, model.m, metrics.eval_cost(model), f"{train_seconds:.6f}"))
-    metric_name = "error" if (classification and args.metric == "error") else "mae"
+    metric_name = "error" if loss_name == "error_rate" else "mae"
     dataio.write_table(args.out, ["method", metric_name, "m", "evals_per_prediction", "train_seconds"], rows)
     print(f"benchmarked {len(rows)} methods -> {args.out}")
     config_doc = _config_dict(config, spec, m=args.m, methods=methods, metric=args.metric, lam1=args.lam1)
@@ -244,10 +249,11 @@ def build_parser():
     p = sub.add_parser("select-m", help="choose the prototype count by incremental CV")
     _add_common(p)
     _add_train_knobs(p)
-    p.add_argument("--grid", type=_grid, default=None, help="descending sizes, e.g. 10,5,4,3,2")
+    p.add_argument("--grid", type=_grid_field("grid", lambda text: tuple(int(v) for v in text.split(","))),
+                   default=None, help="descending sizes, e.g. 10,5,4,3,2")
     p.add_argument("--rho", type=_nonneg_float, default=None, help="size penalty weight")
-    p.add_argument("--loss", choices=("mse", "mae", "error_rate"), default="mse")
-    p.add_argument("--folds", type=_positive_int, default=5)
+    p.add_argument("--loss", choices=tuple(metrics.LOSSES), default="mse")
+    p.add_argument("--folds", type=_grid_field("folds", int), default=5)
     p.add_argument("--group-column", default=None, help="subject id column for disjoint folds")
     p.set_defaults(func=cmd_select_m)
 

@@ -10,7 +10,6 @@ from typing import Optional, Union
 import numpy as np
 
 from . import similarity as sim
-from .errors import SimilarityEvalError
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -135,28 +134,14 @@ class SparseModel:
     def dim(self) -> int:
         return self.prototypes.shape[1]
 
-    def predict(self, x) -> float:
-        return predict(self, x)
-
-    def predict_batch(self, rows) -> np.ndarray:
-        return predict_batch(self, rows)
-
 
 def predict(model: SparseModel, x) -> float:
-    """Score one sample: sum_j beta_j * s(x, z_j) + bias.
-
-    Performs exactly m similarity evaluations.
-    """
+    """Score one sample: sum_j beta_j * s(x, z_j) + bias, the one-row case
+    of :func:`predict_batch` (exactly m similarity evaluations)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.dim:
+    if x.ndim != 1:
         raise ValueError(f"expected a vector of dimension {model.dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite")
-    try:
-        sims = sim.sim_matrix(model.similarity, x[None, :], model.prototypes).values[0]
-    except SimilarityEvalError as exc:
-        raise SimilarityEvalError(f"predict failed: {exc}") from exc
-    return float(sims @ model.beta + model.bias)
+    return float(predict_batch(model, x[None, :])[0])
 
 
 def predict_batch(model: SparseModel, rows) -> np.ndarray:

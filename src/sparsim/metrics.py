@@ -5,7 +5,6 @@ from typing import List
 
 import numpy as np
 
-from . import dataio
 from . import similarity as sim
 from .datatypes import SparseModel, predict
 
@@ -42,6 +41,10 @@ def error_rate(scores, labels) -> float:
     return float(np.mean(predicted != labels))
 
 
+#: The one map from a loss name to its function (model selection, CLI).
+LOSSES = {"mae": mae, "mse": mse, "error_rate": error_rate}
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     """One decision threshold with its false accept / false reject rates."""
@@ -70,10 +73,6 @@ def far_frr_curve(genuine_scores, impostor_scores) -> List[OperatingPoint]:
         frr = float(np.mean(genuine < thr))
         points.append(OperatingPoint(threshold=float(thr), far=far, frr=frr))
     return points
-
-
-def write_far_frr_csv(points: List[OperatingPoint], path):
-    dataio.write_table(path, ["threshold", "far", "frr"], [[p.threshold, p.far, p.frr] for p in points])
 
 
 def eval_cost(model: SparseModel, x=None) -> int:

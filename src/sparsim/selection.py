@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dataio, metrics
 from . import similarity as sim
-from .datatypes import Dataset, TrainConfig
+from .datatypes import Dataset, TrainConfig, predict_batch
 from .training import fit
 
 
@@ -36,7 +36,7 @@ class GridConfig:
             raise ValueError(f"grid must end at a size >= 1, got {grid}")
         if any(a <= b for a, b in zip(grid, grid[1:])):
             raise ValueError(f"grid must be strictly descending, got {grid}")
-        if self.loss_kind not in ("mse", "mae", "error_rate"):
+        if self.loss_kind not in metrics.LOSSES:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.folds < 2:
             raise ValueError(f"need at least 2 folds, got {self.folds}")
@@ -131,15 +131,6 @@ def smallest_coefficient_positions(beta, count: int) -> Tuple[int, ...]:
     return tuple(order[:count])
 
 
-def _validation_loss(model, data, loss_kind):
-    pred = model.predict_batch(data.features)
-    if loss_kind == "mse":
-        return metrics.mse(pred, data.targets)
-    if loss_kind == "mae":
-        return metrics.mae(pred, data.targets)
-    return metrics.error_rate(pred, data.targets)
-
-
 def _descend_grid(data, grid, config, spec):
     """Fit at the largest size, then drop the smallest-coefficient
     prototypes and warm-refit down the grid.
@@ -181,6 +172,7 @@ def select_model_size(
     spec = similarity or sim.default_spec(data.dim)
     grid = grid_config.grid
     rho = grid_config.resolved_rho
+    loss = metrics.LOSSES[grid_config.loss_kind]
 
     if data.groups is not None:
         folds = group_kfold_split(data.groups, grid_config.folds, train_config.seed)
@@ -201,7 +193,7 @@ def select_model_size(
         models, _ = _descend_grid(data.subset(train_idx), grid, fold_cfg, spec)
         val = data.subset(val_idx)
         for gi, model in enumerate(models):
-            fold_losses[f, gi] = _validation_loss(model, val, grid_config.loss_kind)
+            fold_losses[f, gi] = loss(predict_batch(model, val.features), val.targets)
 
     mean_loss = fold_losses.mean(axis=0)
     scores = mean_loss + rho * np.asarray(grid, dtype=float)

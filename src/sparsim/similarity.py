@@ -89,16 +89,6 @@ class SimilarityMatrix:
         return self.values.shape
 
 
-def _check_pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length vectors, got shapes {a.shape} and {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("similarity arguments must be finite")
-    return a, b
-
-
 def _raw_eval(spec: SimilaritySpec, a: np.ndarray, b: np.ndarray) -> float:
     if spec.kind == "rbf":
         diff = a - b
@@ -117,7 +107,11 @@ def _raw_eval(spec: SimilaritySpec, a: np.ndarray, b: np.ndarray) -> float:
 
 def eval(spec: SimilaritySpec, a, b) -> float:
     """Evaluate s(a, b).  Symmetric for all supported kinds."""
-    a, b = _check_pair(a, b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"expected equal-length vectors, got shapes {a.shape} and {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("similarity arguments must be finite")
     value = _raw_eval(spec, a, b)
     EVAL_COUNTER.add(1)
     if not np.isfinite(value):
@@ -173,11 +167,12 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     return SimilarityMatrix(values=values)
 
 
-def grad_z(spec: SimilaritySpec, x, z, mode: str = "analytic") -> np.ndarray:
-    """Gradient of s(x, z) with respect to the prototype z: the one-row
-    case of :func:`grad_z_matrix`, with the same modes and costs."""
-    x, z = _check_pair(x, z)
-    return grad_z_matrix(spec, x[None, :], z, mode)[0]
+def check_grad_mode(spec: SimilaritySpec, mode: str):
+    """Raise unless :func:`grad_z_matrix` can take ``mode`` gradients of ``spec``."""
+    if mode not in GRAD_MODES:
+        raise ValueError(f"unknown gradient mode {mode!r}")
+    if mode == "analytic" and spec.kind == "blackbox":
+        raise UnsupportedGradModeError(f"analytic gradient unavailable for {spec.kind!r} similarity")
 
 
 def grad_z_matrix(spec: SimilaritySpec, rows, z, mode: str = "analytic", column=None) -> np.ndarray:
@@ -197,8 +192,7 @@ def grad_z_matrix(spec: SimilaritySpec, rows, z, mode: str = "analytic", column=
     s(rows[i], z); the analytic RBF and approximate modes use it instead
     and cost no evaluations.
     """
-    if mode not in GRAD_MODES:
-        raise ValueError(f"unknown gradient mode {mode!r}")
+    check_grad_mode(spec, mode)
     rows = _as_2d(rows)
     z = np.asarray(z, dtype=float)
     if mode == "numeric":
@@ -210,10 +204,8 @@ def grad_z_matrix(spec: SimilaritySpec, rows, z, mode: str = "analytic", column=
         # non-finite gradients.
         with np.errstate(over="ignore", invalid="ignore"):
             return (S[:, : z.size] - S[:, z.size :]) / (2.0 * h)
-    if mode == "analytic" and spec.kind != "rbf":
-        if spec.kind == "linear":
-            return rows.copy()
-        raise UnsupportedGradModeError(f"analytic gradient unavailable for {spec.kind!r} similarity")
+    if mode == "analytic" and spec.kind == "linear":
+        return rows.copy()
     if column is None:
         column = sim_matrix(spec, rows, z[None, :]).values[:, 0]
     if mode == "analytic":

@@ -63,7 +63,7 @@ def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
         rng.shuffle(idx)
     else:
         idx = rng.choice(n, size=m, replace=False)
-    return data.features[idx].copy()
+    return data.features[idx]
 
 
 def _loss(S, beta, bias, data, lam):
@@ -88,14 +88,16 @@ def fit(
     Training stops once consecutive objective values have differed by
     less than ``config.epsilon`` for a full sweep (m iterations in a
     row, so a single pinned prototype cannot end the run early), or
-    after ``config.max_sweeps`` passes over the prototypes.  Module
-    errors are recorded in the trace and the current model is returned
-    with termination reason "error".
+    after ``config.max_sweeps`` passes over the prototypes.  A gradient
+    mode the similarity lacks raises before training; module errors
+    during training are recorded in the trace and the current model is
+    returned with termination reason "error".
 
     Returns (model, trace).
     """
     config = config or TrainConfig()
     spec = similarity or sim.default_spec(data.dim)
+    sim.check_grad_mode(spec, config.grad_mode)
     if init is not None:
         protos = np.array(init, dtype=float)
         if protos.shape != (m, data.dim):
@@ -106,15 +108,13 @@ def fit(
         protos = init_prototypes(data, m, config.seed)
 
     box = resolve_box(config.box, data)
-    S = sim.sim_matrix(spec, data.features, protos).values.copy()
+    S = sim.sim_matrix(spec, data.features, protos).values
     system = ridge.assemble(S, data.weights, data.targets, config.lam)
     beta, bias = ridge.solve(system)
     trace = TrainTrace()
-    omega_prev, resid = _loss(S, beta, bias, data, config.lam)
-    trace.initial_objective = omega_prev
-    trace.final_objective = omega_prev
+    trace.initial_objective, resid = _loss(S, beta, bias, data, config.lam)
+    trace.final_objective = trace.initial_objective
 
-    iterations = 0
     small_steps = 0
     for t in range(1, config.max_sweeps * m + 1):
         j = (t - 1) % m
@@ -137,17 +137,15 @@ def fit(
             break
         omega_after, resid = _loss(S, beta, bias, data, config.lam)
         trace.records.append(IterationRecord(t, j, omega_before, omega_after, step_norm))
+        small_steps = small_steps + 1 if abs(omega_after - trace.final_objective) < config.epsilon else 0
         trace.final_objective = omega_after
-        iterations = t
-        small_steps = small_steps + 1 if abs(omega_after - omega_prev) < config.epsilon else 0
         if small_steps >= m:
             trace.termination = "converged"
             break
-        omega_prev = omega_after
 
     metadata = {
         "lam": config.lam,
-        "iterations": iterations,
+        "iterations": len(trace.records),
         "seed": config.seed,
         "objective": trace.final_objective,
         "n_train": data.n,
@@ -170,9 +168,6 @@ def distill(
     scores; usually works better for classification than fitting the raw
     labels under the squared loss.
     """
-    teacher_scores = np.ravel(np.asarray(teacher_scores, dtype=float))
-    if not np.all(np.isfinite(teacher_scores)):
-        raise ValueError("teacher scores must be finite")
     data = Dataset(features=features, targets=teacher_scores)
     model, _ = fit(data, m, config=config, similarity=similarity, init=init)
     return model

@@ -8,7 +8,6 @@ synthetic generators, so every run is deterministic.
 import time
 
 import numpy as np
-import pytest
 from scipy.spatial.distance import pdist
 
 from conftest import fd_objective_grad, random_instance, resolve_coefficients

@@ -127,6 +127,17 @@ class TestPsKmedians:
         with pytest.raises(ValueError):
             ps_kmedians(data, 4, seed=0)
 
+    def test_repeated_rows(self, rng):
+        # more clusters than distinct rows cannot be formed; as many as there
+        # are distinct rows takes each once (Lloyd restarts empty clusters)
+        distinct = rng.normal(0, 1, (3, 2))
+        data = Dataset(features=np.repeat(distinct, 4, axis=0), targets=np.ones(12))
+        with pytest.raises(ValueError, match="from 3 distinct rows"):
+            ps_kmedians(data, 4, seed=0)
+        for seed in range(10):
+            picked = data.features[ps_kmedians(data, 3, seed=seed)]
+            np.testing.assert_array_equal(np.unique(picked, axis=0), np.unique(distinct, axis=0))
+
 
 class TestPipeline:
     def test_prototypes_are_bitwise_training_rows(self, rng):

@@ -14,6 +14,7 @@ import sparsim
 from sparsim import EVAL_COUNTER, SimilaritySpec, dataio, gen_synthetic, load_model, write_csv
 from sparsim.cli import build_parser, main
 from sparsim.datatypes import predict_batch
+from sparsim.metrics import error_rate, mae, mse
 from test_dataio import RBF_SCORER
 
 
@@ -58,6 +59,9 @@ class TestTrain:
     @pytest.mark.parametrize("argv", [
         ["train", "--m", "2", "--box", "1,2,3"],
         ["select-m", "--grid", "3,x"],
+        ["select-m", "--grid", "3,5"],
+        ["select-m", "--grid", "0"],
+        ["select-m", "--folds", "1"],
         ["train", "--m", "2", "--box", "2,1"],
         ["train", "--m", "2", "--eta", "0"],
         ["train", "--m", "2", "--epsilon", "0"],
@@ -198,6 +202,18 @@ class TestBlackbox:
         self.assert_closed(bridges)
         assert not (tmp_path / "model.manifest.json").exists()
 
+    def test_analytic_gradient_fails_before_training(self, tmp_path, train_csv, bridges, capsys):
+        # black-box scorers have no analytic gradient; the default --grad-mode must not
+        # leave an untrained model behind
+        out = tmp_path / "model.json"
+        code = run(["train", "--data", train_csv, "--target", "target", "--m", "2",
+                    "--blackbox", self.scorer(tmp_path, RBF_SCORER), "--out", out])
+        assert code == 1
+        assert "analytic gradient unavailable" in capsys.readouterr().err
+        self.assert_closed(bridges)
+        assert not out.exists()
+        assert not (tmp_path / "model.manifest.json").exists()
+
 
 class TestSelectM:
     def test_trace_arithmetic_and_manifest(self, tmp_path):
@@ -287,6 +303,20 @@ class TestBench:
         bench_mae = float(read_rows(bench_out)[1][1])
         base_rows = dict((r[0], r[1]) for r in read_rows(tmp_path / "base.metrics.csv")[1:])
         assert bench_mae == float(base_rows["mae"])
+
+    def test_error_metric_scores_sign_errors(self, tmp_path, train_csv):
+        bench_out = tmp_path / "bench.csv"
+        assert run(["bench", "--data", train_csv, "--target", "target", "--m", "4", "--seed", "3",
+                    "--methods", "ps-km", "--metric", "error", "--out", bench_out]) == 0
+        base_out = tmp_path / "base.json"
+        assert run(["baseline", "--data", train_csv, "--target", "target", "--method", "ps-km",
+                    "--m", "4", "--seed", "3", "--out", base_out]) == 0
+        data = gen_synthetic("two_gaussians", seed=0)
+        pred = predict_batch(load_model(base_out), data.features)
+        rows = read_rows(bench_out)
+        assert rows[0][1] == "error"
+        assert float(rows[1][1]) == error_rate(pred, data.targets)
+        assert error_rate(pred, data.targets) not in (mae(pred, data.targets), mse(pred, data.targets))
 
     def test_missing_test_file_reports_error(self, tmp_path, train_csv, capsys):
         code = run(["bench", "--data", train_csv, "--target", "target",

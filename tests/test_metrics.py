@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,15 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparsim import SparseModel, load_model, save_model
-from sparsim.metrics import (
-    OperatingPoint,
-    error_rate,
-    eval_cost,
-    far_frr_curve,
-    mae,
-    mse,
-    write_far_frr_csv,
-)
+from sparsim.metrics import error_rate, eval_cost, far_frr_curve, mae, mse
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec
 from sparsim.datatypes import predict_batch
 
@@ -83,16 +73,6 @@ class TestFarFrrCurve:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             far_frr_curve([], [1.0])
-
-    def test_csv_export(self, tmp_path, rng):
-        points = far_frr_curve(rng.normal(1, 1, 5), rng.normal(-1, 1, 5))
-        path = tmp_path / "curve.csv"
-        write_far_frr_csv(points, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["threshold", "far", "frr"]
-        assert len(rows) == len(points) + 1
-        assert float(rows[1][1]) == points[0].far
 
 
 class TestEvalCost:

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sparsim import Dataset, GridConfig, TrainConfig, fit, gen_synthetic, predict_batch
-from sparsim.metrics import mse
+from sparsim.metrics import error_rate, mae, mse
 from sparsim.selection import (
+    _descend_grid,
     default_grid,
     group_kfold_split,
     kfold_split,
@@ -208,6 +210,27 @@ class TestSelect:
         for r in rows[1:]:
             assert float(r[2]) == float(r[1]) + gc.resolved_rho * int(r[0])
 
+    @pytest.mark.parametrize("loss_kind", ["mse", "mae", "error_rate"])
+    def test_folds_are_scored_with_the_named_loss(self, loss_kind):
+        # replay the folds and score every size under each loss: the trace
+        # must hold the named loss's fold means, and only that loss's
+        data = gen_synthetic("two_gaussians", n=40, seed=6)
+        config = TrainConfig(seed=6, **FAST)
+        gc = GridConfig(grid=(4, 2), loss_kind=loss_kind, folds=2)
+        _, trace = select_model_size(data, gc, config, RBF)
+        per_fold = {loss: [] for loss in (mse, mae, error_rate)}
+        folds = kfold_split(data.n, 2, 6)
+        for val_idx, child in zip(folds, np.random.SeedSequence(6).spawn(2)):
+            train = data.subset(np.setdiff1d(np.arange(data.n), val_idx))
+            val = data.subset(val_idx)
+            fold_config = replace(config, seed=int(child.generate_state(1)[0]))
+            models, _ = _descend_grid(train, gc.grid, fold_config, RBF)
+            for loss, values in per_fold.items():
+                values.append([loss(predict_batch(m, val.features), val.targets) for m in models])
+        got = [row.loss for row in trace.rows]
+        for loss, values in per_fold.items():
+            assert (got == list(np.mean(values, axis=0))) == (loss.__name__ == loss_kind), loss.__name__
+
     def test_warm_start_dominance_over_grid(self):
         # mean validation loss of the warm-started descent at each size is
         # no worse than cold fits of the same size, up to one standard error
@@ -218,8 +241,6 @@ class TestSelect:
             train = gen_synthetic("three_clusters", n=60, seed=seed)
             val = gen_synthetic("three_clusters", n=60, seed=700 + seed)
             config = TrainConfig(seed=seed, **FAST)
-            from sparsim.selection import _descend_grid
-
             models, _ = _descend_grid(train, grid, config, RBF)
             for gi, model in enumerate(models):
                 warm[seed, gi] = mse(predict_batch(model, val.features), val.targets)

@@ -9,10 +9,15 @@ from hypothesis.extra.numpy import arrays
 
 from sparsim import similarity as sim
 from sparsim.errors import SimilarityEvalError, UnsupportedGradModeError
-from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec, grad_z, sim_matrix
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec, grad_z_matrix, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 LINEAR = SimilaritySpec(kind="linear")
+
+
+def one_row_grad(spec, x, z, mode):
+    """Gradient of s(x, z) with respect to z: the one-row case of grad_z_matrix."""
+    return grad_z_matrix(spec, np.asarray(x, dtype=float)[None, :], z, mode)[0]
 
 
 class TestSpec:
@@ -94,10 +99,10 @@ class TestGrad:
     def test_zero_at_coincidence_all_modes(self):
         x = np.array([0.3, -0.7])
         for mode in sim.GRAD_MODES:
-            np.testing.assert_array_equal(grad_z(RBF1, x, x.copy(), mode), np.zeros(2))
+            np.testing.assert_array_equal(one_row_grad(RBF1, x, x.copy(), mode), np.zeros(2))
 
     def test_rbf_closed_form(self):
-        got = grad_z(RBF1, [1.0, 0.0], [0.0, 0.0], "analytic")
+        got = one_row_grad(RBF1, [1.0, 0.0], [0.0, 0.0], "analytic")
         np.testing.assert_allclose(got, [2 * np.exp(-1.0), 0.0], rtol=1e-15)
 
     def test_numeric_matches_analytic(self, rng):
@@ -108,8 +113,8 @@ class TestGrad:
             z = rng.normal(0, 1, d)
             gamma = float(rng.uniform(0.3, 2.0))
             spec = SimilaritySpec(kind="rbf", gamma=gamma)
-            analytic = grad_z(spec, x, z, "analytic")
-            numeric = grad_z(spec, x, z, "numeric")
+            analytic = one_row_grad(spec, x, z, "analytic")
+            numeric = one_row_grad(spec, x, z, "numeric")
             np.testing.assert_allclose(numeric, analytic, rtol=1e-6, atol=1e-9)
 
     def test_approximate_is_positive_multiple_of_analytic(self, rng):
@@ -118,20 +123,20 @@ class TestGrad:
             x = rng.normal(0, 1, 3)
             z = rng.normal(0, 1, 3)
             spec = SimilaritySpec(kind="rbf", gamma=1.7)
-            approx = grad_z(spec, x, z, "approximate")
-            analytic = grad_z(spec, x, z, "analytic")
+            approx = one_row_grad(spec, x, z, "approximate")
+            analytic = one_row_grad(spec, x, z, "analytic")
             np.testing.assert_allclose(approx, analytic / (2 * 1.7), rtol=1e-12)
 
     def test_analytic_unavailable_for_blackbox(self):
         spec = SimilaritySpec(kind="blackbox", blackbox_id="id", scorer=lambda a, b: 1.0)
         with pytest.raises(UnsupportedGradModeError):
-            grad_z(spec, [0.0], [1.0], "analytic")
+            one_row_grad(spec, [0.0], [1.0], "analytic")
         # the approximate mode works from evaluations alone
-        np.testing.assert_allclose(grad_z(spec, [0.0], [1.0], "approximate"), [-1.0])
+        np.testing.assert_allclose(one_row_grad(spec, [0.0], [1.0], "approximate"), [-1.0])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            grad_z(RBF1, [0.0], [1.0], "exact")
+            one_row_grad(RBF1, [0.0], [1.0], "exact")
 
 
 class TestSimMatrix:

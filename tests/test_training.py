@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import resolve_coefficients
-
-from sparsim import Dataset, SparseModel, TrainConfig, distill, fit, predict_batch
+from sparsim import Dataset, GridConfig, SparseModel, TrainConfig, distill, fit, predict_batch, select_model_size
 from sparsim import similarity as sim
 from sparsim.datatypes import resolve_box
+from sparsim.errors import UnsupportedGradModeError
 from sparsim.ridge import assemble
-from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec
 from sparsim.training import IterationRecord, init_prototypes
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -205,6 +204,18 @@ class TestFit:
         assert model.metadata["seed"] == 4
         assert model.metadata["iterations"] == len(trace.records)
         assert model.metadata["objective"] == trace.final_objective
+
+    def test_analytic_gradient_of_blackbox_raises_before_training(self, rng):
+        # black-box scorers have no analytic gradient: fit and model selection
+        # must refuse before any evaluation, not return the untrained model
+        data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="no-grad", scorer=lambda a, b: 1.0)
+        before = EVAL_COUNTER.read()
+        with pytest.raises(UnsupportedGradModeError, match="analytic gradient unavailable"):
+            fit(data, 2, config=TrainConfig(), similarity=spec)
+        with pytest.raises(UnsupportedGradModeError):
+            select_model_size(data, GridConfig(grid=(2,), folds=2), TrainConfig(), spec)
+        assert EVAL_COUNTER.read() == before
 
     def test_default_similarity_is_rbf_inverse_dim(self, rng):
         data = Dataset(features=rng.normal(0, 1, (10, 4)), targets=rng.normal(0, 1, 10))
