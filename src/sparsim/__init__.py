@@ -31,7 +31,7 @@ from .errors import (
 )
 from .metrics import OperatingPoint, error_rate, eval_cost, far_frr_curve, mae, mse
 from .selection import GridConfig, SelectionTrace, default_grid, kfold_split, select_model_size
-from .similarity import EVAL_COUNTER, SimilarityMatrix, SimilaritySpec, default_spec, sim_matrix
+from .similarity import EVAL_COUNTER, SimilarityMatrix, SimilaritySpec, default_spec, pairwise, sim_matrix
 from .training import TrainTrace, distill, fit, init_prototypes
 
 __version__ = "0.1.0"
@@ -60,6 +60,7 @@ __all__ = [
     "kfold_split",
     "sim_matrix",
     "default_spec",
+    "pairwise",
     "ps_random",
     "ps_border",
     "ps_spanning",

@@ -254,12 +254,16 @@ class BlackboxBridge:
     """Similarity scorer backed by a line-protocol subprocess.
 
     Requests are single lines ``d a_1 .. a_d b_1 .. b_d``; the scorer
-    answers one decimal value per line.  The process is spawned once, and
-    a per-bridge lock serializes its requests, so threads may share one
-    bridge.  ``spec`` carries the bridge's scorer; close the bridge (or use
-    it as a context manager) to release the process.  The scorer id,
-    ``bridge-<n>`` with n counted per process, is saved in model files,
-    so it carries no process id: identical runs write identical files.
+    answers one decimal value per line, in order.  A block is pipelined:
+    a writer thread streams its k*m requests row by row while the caller
+    reads the answers, so no full pipe can deadlock them.  A per-bridge
+    lock serializes whole blocks, so threads may share one bridge.  A
+    block that fails part-way kills the scorer, and later blocks raise an
+    error naming that first failure.  ``spec`` carries the bridge's block
+    scorer; close the bridge (or use it as a context manager) to release
+    the process.  The scorer id, ``bridge-<n>`` with n counted per
+    process, is saved in model files, so it carries no process id:
+    identical runs write identical files.
     """
 
     _counter = 0
@@ -267,37 +271,56 @@ class BlackboxBridge:
     def __init__(self, command):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
-            self._proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
-            )
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         except OSError as exc:
             raise BlackboxError(f"could not start scorer {argv!r}: {exc}") from exc
         BlackboxBridge._counter += 1
         self._lines_read = 0
+        self._failure = None
         self._lock = threading.Lock()
         scorer_id = f"bridge-{BlackboxBridge._counter}"
-        self.spec = sim.SimilaritySpec(kind="blackbox", blackbox_id=scorer_id, scorer=self._score)
+        self.spec = sim.SimilaritySpec(kind="blackbox", blackbox_id=scorer_id, scorer=self._evaluate)
 
-    def _score(self, a, b):
-        tokens = [str(a.shape[0])] + [repr(float(v)) for v in a] + [repr(float(v)) for v in b]
+    def _write_requests(self, rows, protos):
+        """Writer thread: one request per (row, prototype) pair; a broken pipe kills the scorer."""
+        prefix = f"{rows.shape[1]} "
+        suffixes = [" " + " ".join(map(repr, b)) + "\n" for b in protos.tolist()]
+        try:
+            for a in rows.tolist():
+                head = prefix + " ".join(map(repr, a))
+                self._proc.stdin.write("".join([head + tail for tail in suffixes]))
+            self._proc.stdin.flush()
+        except OSError:
+            self._proc.kill()
+
+    def _evaluate(self, rows, protos):
         with self._lock:
-            if self._proc.poll() is not None:
-                raise BlackboxError(f"scorer process exited with code {self._proc.returncode}")
+            if self._failure is not None:
+                raise BlackboxError(f"scorer was stopped after an earlier failure: {self._failure}")
+            writer = threading.Thread(target=self._write_requests, args=(rows, protos))
+            writer.start()
+            values = np.empty(rows.shape[0] * protos.shape[0])
             try:
-                self._proc.stdin.write(" ".join(tokens) + "\n")
-                self._proc.stdin.flush()
-                line = self._proc.stdout.readline()
-            except (BrokenPipeError, OSError) as exc:
-                raise BlackboxError(f"scorer process pipe failed: {exc}") from exc
-            self._lines_read += 1
-            if line == "":
-                raise BlackboxError(f"scorer closed its output before response line {self._lines_read}")
-            try:
-                return float(line.strip())
-            except ValueError:
-                raise BlackboxError(
-                    f"malformed scorer response at line {self._lines_read}: {line.strip()!r}"
-                ) from None
+                for idx in range(values.size):
+                    line = self._proc.stdout.readline()
+                    self._lines_read += 1
+                    if line == "":
+                        raise BlackboxError(f"scorer closed its output before response line {self._lines_read}")
+                    try:
+                        values[idx] = float(line)
+                    except ValueError:
+                        raise BlackboxError(
+                            f"malformed scorer response at line {self._lines_read}: {line.strip()!r}"
+                        ) from None
+            except BaseException as exc:
+                self._failure = str(exc) or type(exc).__name__
+                self._proc.kill()
+                raise
+            finally:
+                writer.join()
+                if self._failure is not None:
+                    self._proc.wait()
+            return values.reshape(rows.shape[0], protos.shape[0])
 
     def close(self):
         with contextlib.suppress(OSError):  # a dead scorer cannot take unsent input

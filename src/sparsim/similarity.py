@@ -2,14 +2,15 @@
 
 Three kinds of similarity are supported: an RBF kernel
 ``s(a, b) = exp(-gamma * ||a - b||^2)``, a plain dot product, and opaque
-black-box scorers: a pair function carried by the spec itself (e.g. a
-matcher wrapped in a subprocess, see :mod:`sparsim.dataio`), called from
-the caller's thread.  Every evaluation is tallied in a global counter so
-that test-time cost can be measured exactly.
+black-box scorers: a block function carried by the spec itself (see
+:func:`pairwise` and :mod:`sparsim.dataio`), called from the caller's
+thread once per block.  Every evaluation is tallied in a global counter
+so that test-time cost can be measured exactly.
 
 Similarity values are computed in two places only: :func:`eval`, the
 per-pair reference, and :func:`sim_matrix`, the block evaluator behind
-everything else, prototype gradients included (:func:`grad_z_matrix`).
+everything else, prototype gradients included (:func:`grad_z_matrix`),
+and the only caller of black-box scorers.
 """
 
 import threading
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import SimilarityEvalError, UnsupportedGradModeError
+from .errors import BlackboxError, SimilarityEvalError, UnsupportedGradModeError
 
 KINDS = ("rbf", "linear", "blackbox")
 GRAD_MODES = ("analytic", "approximate", "numeric")
@@ -50,16 +51,17 @@ class SimilaritySpec:
 
     For ``kind="rbf"`` a positive ``gamma`` is required.  ``kind="blackbox"``
     needs a ``blackbox_id`` and evaluates through ``scorer``, a symmetric
-    pair function ``(a, b) -> float`` called unsynchronized from the
-    caller's thread.  The scorer is not part of the spec's identity
-    (equality, hash, ``repr``, saved form), so a loaded black-box spec
-    needs one attached again with :func:`dataclasses.replace`.
+    block function ``(rows (k, d), protos (m, d)) -> (k, m)`` (see
+    :func:`pairwise`) called unsynchronized from the caller's thread.  The
+    scorer is not part of the spec's identity (equality, hash, ``repr``,
+    saved form), so a loaded black-box spec needs one attached again with
+    :func:`dataclasses.replace`.
     """
 
     kind: str = "rbf"
     gamma: Optional[float] = None
     blackbox_id: Optional[str] = None
-    scorer: Optional[Callable[[np.ndarray, np.ndarray], float]] = field(default=None, compare=False, repr=False)
+    scorer: Optional[Callable[..., np.ndarray]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -89,30 +91,32 @@ class SimilarityMatrix:
         return self.values.shape
 
 
-def _raw_eval(spec: SimilaritySpec, a: np.ndarray, b: np.ndarray) -> float:
-    if spec.kind == "rbf":
-        diff = a - b
-        return float(np.exp(-spec.gamma * np.dot(diff, diff)))
-    if spec.kind == "linear":
-        return float(np.dot(a, b))
-    if spec.scorer is None:
-        raise SimilarityEvalError(f"black-box similarity {spec.blackbox_id!r} has no scorer attached")
-    try:
-        return float(spec.scorer(a, b))
-    except SimilarityEvalError:
-        raise
-    except Exception as exc:
-        raise SimilarityEvalError(f"black-box scorer {spec.blackbox_id!r} failed: {exc}") from exc
+def pairwise(fn: Callable[[np.ndarray, np.ndarray], float]):
+    """Block scorer that calls ``fn(a, b)`` per (row, prototype) pair; a failure names both."""
+
+    def block(rows, protos):
+        values = np.empty((len(rows), len(protos)))
+        for i, j in np.ndindex(values.shape):
+            try:
+                values[i, j] = fn(rows[i], protos[j])
+            except Exception as exc:
+                raise SimilarityEvalError(f"evaluation failed at row {i}, column {j}: {exc}") from exc
+        return values
+
+    return block
 
 
 def eval(spec: SimilaritySpec, a, b) -> float:
-    """Evaluate s(a, b).  Symmetric for all supported kinds."""
+    """Evaluate s(a, b), for a black-box spec as the 1x1 block.  Symmetric for all supported kinds."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"expected equal-length vectors, got shapes {a.shape} and {b.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("similarity arguments must be finite")
-    value = _raw_eval(spec, a, b)
+    if spec.kind == "blackbox":
+        return float(sim_matrix(spec, a, b).values[0, 0])
+    diff = a - b
+    value = float(np.exp(-spec.gamma * np.dot(diff, diff)) if spec.kind == "rbf" else np.dot(a, b))
     EVAL_COUNTER.add(1)
     if not np.isfinite(value):
         raise SimilarityEvalError(f"similarity returned non-finite value {value}")
@@ -129,8 +133,8 @@ def _as_2d(x) -> np.ndarray:
 def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     """Matrix of similarities s(rows[i], protos[j]).
 
-    Adds k*m to the evaluation counter.  Evaluation failures are re-raised
-    with the offending (row, column) location.
+    Adds k*m to the evaluation counter.  A black-box scorer is called once
+    per block.  A non-finite value is reported with its (row, column).
 
     The RBF block sums the exact squared differences (a_p - b_p)^2 in
     ``cdist`` and exponentiates in place, so its only (k, m) array is the
@@ -152,14 +156,19 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
         np.exp(values, out=values)
     elif spec.kind == "linear":
         values = rows @ protos.T
+    elif spec.scorer is None:
+        raise SimilarityEvalError(f"black-box similarity {spec.blackbox_id!r} has no scorer attached")
     else:
-        values = np.empty((k, m))
-        for i in range(k):
-            for j in range(m):
-                try:
-                    values[i, j] = _raw_eval(spec, rows[i], protos[j])
-                except SimilarityEvalError as exc:
-                    raise SimilarityEvalError(f"evaluation failed at row {i}, column {j}: {exc}") from exc
+        try:
+            values = np.asarray(spec.scorer(rows, protos), dtype=float)
+        except BlackboxError:
+            raise
+        except Exception as exc:
+            raise SimilarityEvalError(f"black-box scorer {spec.blackbox_id!r} failed: {exc}") from exc
+        if values.shape != (k, m):
+            raise SimilarityEvalError(
+                f"black-box scorer {spec.blackbox_id!r} returned shape {values.shape}, expected {(k, m)}"
+            )
     EVAL_COUNTER.add(k * m)
     if not np.isfinite(values).all():
         i, j = np.argwhere(~np.isfinite(values))[0]

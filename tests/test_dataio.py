@@ -214,6 +214,21 @@ for line in sys.stdin:
     sys.stdout.flush()
 """
 
+# answers the first three requests, then exits with the rest unanswered
+EXIT_AFTER_THREE = """\
+import sys
+for count, line in enumerate(sys.stdin, start=1):
+    print("0.5", flush=True)
+    if count == 3:
+        sys.exit(0)
+"""
+
+MALFORMED_FOURTH = """\
+import sys
+for count, line in enumerate(sys.stdin, start=1):
+    print("0.5" if count != 4 else "not-a-number", flush=True)
+"""
+
 
 class TestBlackboxBridge:
     def test_agrees_with_native_rbf(self, tmp_path, rng):
@@ -246,6 +261,42 @@ class TestBlackboxBridge:
             sim.eval(bridge.spec, [0.0], [2.0])
             with pytest.raises(BlackboxError, match="line 3"):
                 sim.eval(bridge.spec, [0.0], [3.0])
+
+    def test_block_beyond_pipe_buffer_does_not_deadlock(self, tmp_path, rng):
+        # 12,000 requests of 33 numbers, several MB: far more than a pipe
+        # holds, so requests and answers must flow at the same time
+        script = tmp_path / "scorer.py"
+        script.write_text(RBF_SCORER)
+        rows = rng.normal(0, 0.15, (3000, 16))
+        protos = rng.normal(0, 0.15, (4, 16))
+        result = []
+        with blackbox_bridge([sys.executable, str(script)]) as bridge:
+            worker = threading.Thread(
+                target=lambda: result.append(sim_matrix(bridge.spec, rows, protos).values), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=120)
+            if worker.is_alive():
+                bridge._proc.kill()  # unblocks both pipes, so the test fails instead of hanging
+                worker.join()
+                pytest.fail("a block larger than the pipe buffer deadlocked the bridge")
+        np.testing.assert_allclose(result[0], sim_matrix(RBF1, rows, protos).values, atol=1e-12)
+
+    @pytest.mark.parametrize("source, failure", [(EXIT_AFTER_THREE, "closed its output"),
+                                                 (MALFORMED_FOURTH, "malformed")], ids=["exits", "malformed"])
+    def test_failed_block_poisons_the_bridge(self, tmp_path, source, failure):
+        script = tmp_path / "scorer.py"
+        script.write_text(source)
+        bridge = blackbox_bridge([sys.executable, str(script)])
+        with pytest.raises(BlackboxError, match=f"{failure}.* line 4"):
+            sim_matrix(bridge.spec, np.zeros((2, 1)), np.ones((3, 1)))
+        assert bridge._proc.returncode is not None  # killed and reaped at once
+        # answers still in flight must not be read as the next block's
+        with pytest.raises(BlackboxError, match=f"earlier failure: .*{failure}.* line 4"):
+            sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1)))
+        bridge.close()
+        bridge.close()
+        assert bridge._proc.stdin.closed and bridge._proc.stdout.closed
 
     @pytest.mark.parametrize("exited", [False, True], ids=["live", "exited"])
     def test_close_releases_both_pipes(self, tmp_path, exited):
@@ -318,5 +369,8 @@ class TestBlackboxBridge:
         finally:
             sys.setswitchinterval(switch_interval)
         assert all(got is not None for got in results), "a thread failed on the shared bridge"
+        # interleaved blocks would hand one thread another's answers
+        for got, block in zip(results, blocks):
+            np.testing.assert_allclose(got, sim_matrix(RBF1, *block).values, atol=1e-12)
         for (rows, protos), got in zip(blocks, results):
             np.testing.assert_allclose(got, sim_matrix(RBF1, rows, protos).values, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsim import Dataset, SparseModel, TrainConfig, fit, objective, predict, predict_batch
-from sparsim.similarity import EVAL_COUNTER, SimilaritySpec
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 
@@ -78,7 +78,7 @@ class TestPredict:
 
     def test_nonfinite_similarity_names_prototype(self):
         spec = SimilaritySpec(
-            kind="blackbox", blackbox_id="nan2", scorer=lambda a, b: np.nan if b[0] > 0.5 else 1.0
+            kind="blackbox", blackbox_id="nan2", scorer=pairwise(lambda a, b: np.nan if b[0] > 0.5 else 1.0)
         )
         model = toy_model(np.array([[0.0], [1.0]]), [1.0, 1.0], spec=spec)
         with pytest.raises(Exception, match=r"column 1"):

@@ -7,7 +7,7 @@ from sparsim import Dataset, SparseModel, TrainConfig, predict_batch
 from sparsim.datatypes import resolve_box
 from sparsim.errors import NonFiniteUpdateError
 from sparsim.prototype_step import _data_gradient, _penalty, _update_prototype
-from sparsim.similarity import SimilaritySpec, sim_matrix
+from sparsim.similarity import SimilaritySpec, pairwise, sim_matrix
 from sparsim.training import _loss
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -184,7 +184,7 @@ class TestStep:
         # must surface as a similarity-gradient failure
         spec = SimilaritySpec(
             kind="blackbox", blackbox_id="steep",
-            scorer=lambda a, b: np.sign(b[0] - 0.5) * 1e308 if b[0] != 0.5 else 1.0,
+            scorer=pairwise(lambda a, b: np.sign(b[0] - 0.5) * 1e308 if b[0] != 0.5 else 1.0),
         )
         config = TrainConfig(lam=1e-6, grad_mode="numeric", penalty_enabled=False)
         with pytest.raises(SimilarityEvalError):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparsim import Dataset, SparseModel, objective
 from sparsim.errors import SingularSystemError
@@ -227,3 +229,39 @@ class TestOracleEquivalence:
             oracle = np.linalg.solve(M, rhs)
             got = np.concatenate([beta, [bias]])
             np.testing.assert_allclose(got, oracle, rtol=1e-8, atol=1e-12)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 40),
+    d=st.integers(1, 4),
+    m=st.integers(1, 6),
+    lam=st.sampled_from([1e-6, 1e-3, 0.1]),
+    gamma=st.floats(0.2, 3.0),
+    scale=st.floats(1e-4, 1.0),
+)
+def test_no_perturbation_lowers_the_solved_objective(seed, n, d, m, lam, gamma, scale):
+    """Perturbing (beta, b) after ``solve`` never lowers the objective on
+    generated problems.  The objective is quadratic with Hessian 2M, so
+    Omega(x + delta) - Omega(x) = 2 delta'(Mx - rhs) + delta'M delta: a
+    perturbation of norm ``scale`` may gain at most 2 * scale * ||Mx - rhs||
+    <= 2 * scale * RESIDUAL_RTOL * ||rhs|| (the residual ``solve``
+    accepts), plus rounding."""
+    rng = np.random.default_rng(seed)
+    m = min(m, n)
+    data = Dataset(features=rng.normal(0, 1, (n, d)), targets=rng.normal(0, 1, n), weights=rng.uniform(0.5, 2, n))
+    spec = SimilaritySpec(kind="rbf", gamma=gamma)
+    protos = rng.normal(0, 1, (m, d))
+    system = assemble(sim_matrix(spec, data.features, protos), data.weights, data.targets, lam)
+    x = np.append(*solve(system))
+
+    def omega(coef):
+        model = SparseModel(prototypes=protos, beta=coef[:m], bias=coef[m], similarity=spec)
+        return objective(model, data, lam).total
+
+    best = omega(x)
+    tol = 2.0 * scale * RESIDUAL_RTOL * np.linalg.norm(system.rhs) + 1e-12 * (1.0 + best)
+    # random directions, and the one along which the objective curves least
+    directions = [*rng.normal(0, 1, (20, m + 1)), np.linalg.eigh(system.matrix)[1][:, 0]]
+    for direction in directions:
+        assert omega(x + scale * direction / np.linalg.norm(direction)) >= best - tol

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from sparsim import similarity as sim
 from sparsim.errors import SimilarityEvalError, UnsupportedGradModeError
-from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec, grad_z_matrix, sim_matrix
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec, grad_z_matrix, pairwise, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 LINEAR = SimilaritySpec(kind="linear")
@@ -42,11 +42,11 @@ class TestSpec:
 
     def test_scorer_only_for_blackbox(self):
         with pytest.raises(ValueError, match="takes no scorer"):
-            SimilaritySpec(kind="rbf", gamma=1.0, scorer=lambda a, b: 1.0)
+            SimilaritySpec(kind="rbf", gamma=1.0, scorer=pairwise(lambda a, b: 1.0))
 
     def test_scorer_is_not_identity(self):
         bare = SimilaritySpec(kind="blackbox", blackbox_id="m")
-        carried = SimilaritySpec(kind="blackbox", blackbox_id="m", scorer=lambda a, b: 1.0)
+        carried = SimilaritySpec(kind="blackbox", blackbox_id="m", scorer=pairwise(lambda a, b: 1.0))
         assert carried == bare and hash(carried) == hash(bare) and repr(carried) == repr(bare)
 
 
@@ -86,7 +86,7 @@ class TestEval:
             sim.eval(RBF1, [np.nan, 0.0], [0.0, 0.0])
 
     def test_blackbox_scorer_failure_surfaces(self):
-        spec = SimilaritySpec(kind="blackbox", blackbox_id="boom", scorer=lambda a, b: 1 / 0)
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="boom", scorer=pairwise(lambda a, b: 1 / 0))
         with pytest.raises(SimilarityEvalError, match="'boom' failed"):
             sim.eval(spec, [0.0], [0.0])
 
@@ -128,7 +128,7 @@ class TestGrad:
             np.testing.assert_allclose(approx, analytic / (2 * 1.7), rtol=1e-12)
 
     def test_analytic_unavailable_for_blackbox(self):
-        spec = SimilaritySpec(kind="blackbox", blackbox_id="id", scorer=lambda a, b: 1.0)
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="id", scorer=pairwise(lambda a, b: 1.0))
         with pytest.raises(UnsupportedGradModeError):
             one_row_grad(spec, [0.0], [1.0], "analytic")
         # the approximate mode works from evaluations alone
@@ -209,13 +209,44 @@ class TestSimMatrix:
                 raise RuntimeError("matcher offline")
             return 1.0
 
-        spec = SimilaritySpec(kind="blackbox", blackbox_id="flaky", scorer=flaky)
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="flaky", scorer=pairwise(flaky))
         with pytest.raises(SimilarityEvalError, match=r"row 1, column 1"):
             sim_matrix(spec, np.zeros((2, 2)), np.zeros((3, 2)))
 
+    def test_block_scorer_called_once_per_block(self, rng):
+        calls = []
+
+        def dot_block(rows, protos):
+            calls.append((rows.shape, protos.shape))
+            return rows @ protos.T
+
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="dot", scorer=dot_block)
+        rows, protos = rng.normal(0, 1, (7, 2)), rng.normal(0, 1, (3, 2))
+        before = EVAL_COUNTER.read()
+        expected = sim_matrix(LINEAR, rows, protos).values
+        np.testing.assert_array_equal(sim_matrix(spec, rows, protos).values, expected)
+        assert sim.eval(spec, rows[0], protos[0]) == sim.eval(LINEAR, rows[0], protos[0])
+        assert calls == [((7, 2), (3, 2)), ((1, 2), (1, 2))]
+        assert EVAL_COUNTER.read() - before == 2 * (21 + 1)
+
+    def test_wrong_block_shape_names_scorer_and_expected_shape(self):
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="flat", scorer=lambda rows, protos: np.ones(6))
+        with pytest.raises(SimilarityEvalError, match=r"'flat' returned shape \(6,\), expected \(2, 3\)"):
+            sim_matrix(spec, np.zeros((2, 1)), np.zeros((3, 1)))
+
+    def test_nonfinite_block_value_located(self):
+        def block(rows, protos):
+            values = np.ones((len(rows), len(protos)))
+            values[1, 2] = np.inf
+            return values
+
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="inf", scorer=block)
+        with pytest.raises(SimilarityEvalError, match=r"row 1, column 2"):
+            sim_matrix(spec, np.zeros((2, 1)), np.zeros((3, 1)))
+
     def test_nonfinite_value_located(self):
         spec = SimilaritySpec(
-            kind="blackbox", blackbox_id="nan", scorer=lambda a, b: np.nan if a[0] > 1.5 else 1.0
+            kind="blackbox", blackbox_id="nan", scorer=pairwise(lambda a, b: np.nan if a[0] > 1.5 else 1.0)
         )
         rows = np.array([[0.0], [2.0]])
         with pytest.raises(SimilarityEvalError, match=r"row 1"):
@@ -284,7 +315,8 @@ def test_grad_z_matrix_modes_and_costs(data, gamma):
     np.testing.assert_allclose(numeric, analytic, rtol=1e-6, atol=1e-8)
 
     blackbox = SimilaritySpec(
-        kind="blackbox", blackbox_id="py-rbf", scorer=lambda a, b: float(np.exp(-gamma * np.dot(a - b, a - b)))
+        kind="blackbox", blackbox_id="py-rbf",
+        scorer=pairwise(lambda a, b: float(np.exp(-gamma * np.dot(a - b, a - b)))),
     )
     scored, cost = counted(blackbox, rows, z, "numeric")
     assert cost == 2 * d * n

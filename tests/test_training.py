@@ -10,7 +10,7 @@ from sparsim import similarity as sim
 from sparsim.datatypes import resolve_box
 from sparsim.errors import UnsupportedGradModeError
 from sparsim.ridge import assemble
-from sparsim.similarity import EVAL_COUNTER, SimilaritySpec
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise
 from sparsim.training import IterationRecord, init_prototypes
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -209,7 +209,7 @@ class TestFit:
         # black-box scorers have no analytic gradient: fit and model selection
         # must refuse before any evaluation, not return the untrained model
         data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
-        spec = SimilaritySpec(kind="blackbox", blackbox_id="no-grad", scorer=lambda a, b: 1.0)
+        spec = SimilaritySpec(kind="blackbox", blackbox_id="no-grad", scorer=pairwise(lambda a, b: 1.0))
         before = EVAL_COUNTER.read()
         with pytest.raises(UnsupportedGradModeError, match="analytic gradient unavailable"):
             fit(data, 2, config=TrainConfig(), similarity=spec)
@@ -247,7 +247,8 @@ class TestEvaluationBudget:
         data = Dataset(features=rng.normal(0, 1, (15, 2)), targets=rng.normal(0, 1, 15))
         n, m = 15, 3
         spec = SimilaritySpec(
-            kind="blackbox", blackbox_id="budget-rbf", scorer=lambda a, b: float(np.exp(-np.sum((a - b) ** 2)))
+            kind="blackbox", blackbox_id="budget-rbf",
+            scorer=pairwise(lambda a, b: float(np.exp(-np.sum((a - b) ** 2)))),
         )
         config = TrainConfig(seed=0, eta=0.1, max_sweeps=3, epsilon=1e-300, penalty_enabled=False,
                              grad_mode="approximate")
