@@ -18,7 +18,7 @@ from .baselines import (
     ps_spanning,
 )
 from .dataio import blackbox_bridge, gen_synthetic, load_csv, load_model, save_model, write_csv
-from .datatypes import Dataset, ObjectiveValue, SparseModel, TrainConfig, objective, predict, predict_batch
+from .datatypes import Dataset, SparseModel, TrainConfig, predict, predict_batch
 from .errors import (
     BlackboxError,
     ConvergenceError,
@@ -40,7 +40,6 @@ __all__ = [
     "Dataset",
     "SparseModel",
     "TrainConfig",
-    "ObjectiveValue",
     "SimilaritySpec",
     "SimilarityMatrix",
     "GridConfig",
@@ -54,7 +53,6 @@ __all__ = [
     "init_prototypes",
     "predict",
     "predict_batch",
-    "objective",
     "select_model_size",
     "default_grid",
     "kfold_split",

@@ -1,4 +1,4 @@
-"""Core domain types: datasets, sparse models, objectives, training config.
+"""Core domain types: datasets, sparse models, predictions, training config.
 
 Datasets and models are immutable after construction (their arrays are
 frozen) and therefore safe to share across threads.
@@ -153,27 +153,6 @@ def predict_batch(model: SparseModel, rows) -> np.ndarray:
         raise ValueError("inputs must be finite")
     values = sim.sim_matrix(model.similarity, rows, model.prototypes).values
     return values @ model.beta + model.bias
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Weighted squared-error loss, ridge penalty, and their sum."""
-
-    loss: float
-    reg: float
-
-    @property
-    def total(self) -> float:
-        return self.loss + self.reg
-
-
-def objective(model: SparseModel, data: Dataset, lam: float) -> ObjectiveValue:
-    """Training objective: sum_i u_i (g(x_i) - y_i)^2 + lam * beta'beta."""
-    g = predict_batch(model, data.features)
-    resid = g - data.targets
-    loss = float(np.dot(data.weights * resid, resid))
-    reg = float(lam * np.dot(model.beta, model.beta))
-    return ObjectiveValue(loss=loss, reg=reg)
 
 
 @dataclass(frozen=True)

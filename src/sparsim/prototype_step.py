@@ -7,6 +7,11 @@ with it.  At an exact coefficient solve the objective is stationary in
 total derivative equals the direct partial derivative; that is what the
 step uses.  A decaying repulsion term keeps prototypes from collapsing
 onto each other.
+
+Both parts are weighted sums of similarity gradients,
+sum_i w_i ds(x_i, z_j)/dz_j: the data term weighs training row i by
+u_i r_i (sample weight times residual), the penalty weighs every other
+prototype by 1.  Each is one :func:`similarity.grad_z_sum` call.
 """
 
 import math
@@ -22,12 +27,13 @@ PENALTY_DECAY_POWER = 2.0
 
 def _data_gradient(S, data, spec, protos, beta, resid, j, grad_mode):
     """Direct partial derivative of the data term with respect to prototype
-    j, given the current similarity matrix (column j is reused as the
-    similarities to prototype j) and its residual ``S @ beta + bias - y``."""
-    D = sim.grad_z_matrix(spec, data.features, protos[j], grad_mode, column=S[:, j])
-    if not np.isfinite(D).all():
+    j, 2 beta_j sum_i u_i r_i ds(x_i, z_j)/dz_j, given the current
+    similarity matrix (column j is reused as the similarities to
+    prototype j) and its residual r = ``S @ beta + bias - y``."""
+    grad = sim.grad_z_sum(spec, data.features, protos[j], data.weights * resid, grad_mode, column=S[:, j])
+    if not np.isfinite(grad).all():
         raise SimilarityEvalError(f"non-finite similarity gradient for prototype {j}")
-    return 2.0 * beta[j] * ((data.weights * resid) @ D)
+    return 2.0 * beta[j] * grad
 
 
 def _penalty(protos, spec, j, t, grad_mode, others):
@@ -41,8 +47,8 @@ def _penalty(protos, spec, j, t, grad_mode, others):
     """
     if not others.size:
         return np.zeros(protos.shape[1])
-    grads = sim.grad_z_matrix(spec, others, protos[j], grad_mode)
-    return float(t) ** (-PENALTY_DECAY_POWER) * grads.sum(axis=0)
+    grad = sim.grad_z_sum(spec, others, protos[j], np.ones(len(others)), grad_mode)
+    return float(t) ** (-PENALTY_DECAY_POWER) * grad
 
 
 def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):

@@ -47,7 +47,9 @@ def assemble(S, weights, targets, lam: float) -> RidgeSystem:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     uS = u[:, None] * S
     matrix = np.empty((m + 1, m + 1))
-    matrix[:m, :m] = S.T @ uS + lam * np.eye(m)
+    matrix[:m, :m] = S.T @ uS
+    diag = np.arange(m)
+    matrix[diag, diag] += lam
     matrix[:m, m] = uS.sum(axis=0)
     matrix[m, :m] = matrix[:m, m]
     matrix[m, m] = u.sum()

@@ -9,8 +9,10 @@ so that test-time cost can be measured exactly.
 
 Similarity values are computed in two places only: :func:`eval`, the
 per-pair reference, and :func:`sim_matrix`, the block evaluator behind
-everything else, prototype gradients included (:func:`grad_z_matrix`),
-and the only caller of black-box scorers.
+everything else and the only caller of black-box scorers.  Prototype
+gradients are only ever needed summed over rows with weights, so
+:func:`grad_z_sum` returns that d-vector directly, from one
+:func:`sim_matrix` call, without stacking the n per-row gradients.
 """
 
 import threading
@@ -177,29 +179,33 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
 
 
 def check_grad_mode(spec: SimilaritySpec, mode: str):
-    """Raise unless :func:`grad_z_matrix` can take ``mode`` gradients of ``spec``."""
+    """Raise unless :func:`grad_z_sum` can take ``mode`` gradients of ``spec``."""
     if mode not in GRAD_MODES:
         raise ValueError(f"unknown gradient mode {mode!r}")
     if mode == "analytic" and spec.kind == "blackbox":
         raise UnsupportedGradModeError(f"analytic gradient unavailable for {spec.kind!r} similarity")
 
 
-def grad_z_matrix(spec: SimilaritySpec, rows, z, mode: str = "analytic", column=None) -> np.ndarray:
-    """Stacked gradients d s(rows[i], z) / dz, one row per sample.
+def grad_z_sum(spec: SimilaritySpec, rows, z, weights, mode: str = "analytic", column=None) -> np.ndarray:
+    """Weighted sum of gradients sum_i weights[i] * d s(rows[i], z) / dz, a d-vector.
 
     Modes, with their cost in similarity evaluations for n rows in d
     dimensions:
-      analytic     closed form; RBF gives 2*gamma*s(x,z)*(x-z) (n
-                   evaluations), the dot product gives x (none).
-                   Unavailable for black-box scorers.
-      approximate  the shift heuristic s(x,z)*(x-z); n evaluations.
+      analytic     closed form; RBF gives X'c - z*sum(c) with
+                   c = 2*gamma*weights*s(x,z) (n evaluations), the dot
+                   product gives weights'X (none).  Unavailable for
+                   black-box scorers.
+      approximate  the shift heuristic s(x,z)*(x-z), summed the same way
+                   with c = weights*s(x,z); n evaluations.
       numeric      central finite differences against the 2*d shifted
-                   prototypes z +- h*e_p; 2*d*n evaluations.
+                   prototypes z +- h*e_p, contracted with the weights;
+                   2*d*n evaluations.
 
-    Every similarity value comes from one :func:`sim_matrix` call.
-    ``column``, when given, holds the already evaluated similarities
-    s(rows[i], z); the analytic RBF and approximate modes use it instead
-    and cost no evaluations.
+    Only the numeric mode builds an (n, d) array, its inherent block of
+    differences.  Every similarity value comes from one :func:`sim_matrix`
+    call.  ``column``, when given, holds the already evaluated
+    similarities s(rows[i], z); the analytic RBF and approximate modes use
+    it instead and cost no evaluations.
     """
     check_grad_mode(spec, mode)
     rows = _as_2d(rows)
@@ -209,14 +215,18 @@ def grad_z_matrix(spec: SimilaritySpec, rows, z, mode: str = "analytic", column=
         h = 1e-6 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
         shift = h * np.eye(z.size)
         S = sim_matrix(spec, rows, np.vstack([z + shift, z - shift])).values
-        # Finite values can still difference to inf; callers reject
-        # non-finite gradients.
+        # Finite values can still difference to inf; reject those before
+        # the contraction turns them into nan.
         with np.errstate(over="ignore", invalid="ignore"):
-            return (S[:, : z.size] - S[:, z.size :]) / (2.0 * h)
+            D = (S[:, : z.size] - S[:, z.size :]) / (2.0 * h)
+        if not np.isfinite(D).all():
+            raise SimilarityEvalError("non-finite finite-difference similarity gradient")
+        return weights @ D
     if mode == "analytic" and spec.kind == "linear":
-        return rows.copy()
+        return weights @ rows
     if column is None:
         column = sim_matrix(spec, rows, z[None, :]).values[:, 0]
+    c = weights * column
     if mode == "analytic":
-        return 2.0 * spec.gamma * column[:, None] * (rows - z)
-    return column[:, None] * (rows - z)
+        c *= 2.0 * spec.gamma
+    return c @ rows - z * c.sum()

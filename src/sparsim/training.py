@@ -66,9 +66,11 @@ def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
     return data.features[idx]
 
 
-def _loss(S, beta, bias, data, lam):
-    """Objective value and the residual ``S @ beta + bias - y`` it was taken from."""
-    resid = S @ beta + bias - data.targets
+def _loss(S, beta, bias, data, lam, resid=None):
+    """Objective value and the residual ``S @ beta + bias - y`` it was taken
+    from; a ``resid`` already known is used as given, in O(n)."""
+    if resid is None:
+        resid = S @ beta + bias - data.targets
     return float((data.weights * resid).dot(resid) + lam * beta.dot(beta)), resid
 
 
@@ -125,7 +127,8 @@ def fit(
             step_norm = math.sqrt(step.dot(step))
             protos[j] = z_new
             S[:, j] = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
-            omega_before, _ = _loss(S, beta, bias, data, config.lam)
+            # Only column j moved: its old residual plus beta_j times the column's change.
+            omega_before, _ = _loss(S, beta, bias, data, config.lam, resid + beta[j] * (S[:, j] - col_prev))
             ridge.update_column(system, S, data.weights, data.targets, j, config.lam)
             beta, bias = ridge.solve(system)
         except SparsimError as exc:

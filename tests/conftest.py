@@ -1,17 +1,40 @@
 """Shared oracle helpers for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from sparsim import Dataset, SparseModel, objective
+from sparsim import Dataset, SparseModel, predict_batch
 from sparsim.ridge import assemble, solve
-from sparsim.similarity import grad_z_matrix, sim_matrix
+from sparsim.similarity import grad_z_sum, sim_matrix
 
 # Property tests run a fixed, small set of examples so that tier-1 stays
 # reproducible and fast; no example database is written.
 settings.register_profile("sparsim", derandomize=True, max_examples=25, deadline=None, database=None)
 settings.load_profile("sparsim")
+
+
+@dataclass(frozen=True)
+class ObjectiveValue:
+    """Weighted squared-error loss, ridge penalty, and their sum."""
+
+    loss: float
+    reg: float
+
+    @property
+    def total(self) -> float:
+        return self.loss + self.reg
+
+
+def objective(model, data, lam) -> ObjectiveValue:
+    """Training objective sum_i u_i (g(x_i) - y_i)^2 + lam * beta'beta,
+    from ``predict_batch``: an oracle independent of the training loop."""
+    resid = predict_batch(model, data.features) - data.targets
+    loss = float(np.dot(data.weights * resid, resid))
+    reg = float(lam * np.dot(model.beta, model.beta))
+    return ObjectiveValue(loss=loss, reg=reg)
 
 
 def einsum_rbf_matrix(spec, rows, protos):
@@ -61,14 +84,17 @@ def coefficient_response(data, model, j, lam):
     m, d = model.prototypes.shape
     beta_j = model.beta[j]
     w = data.weights * (S @ model.beta + model.bias - data.targets)
-    D = grad_z_matrix(model.similarity, data.features, model.prototypes[j])
+
+    def dsum(weights):
+        # sum_i weights[i] ds(x_i, z_j)/dz_j, from the cached column j
+        return grad_z_sum(model.similarity, data.features, model.prototypes[j], weights, column=S[:, j])
+
     # Sensitivity of (coefficients, bias) to the prototype:
-    # -M^{-1} (beta_j [S'; 1'] + [V'; 0']) U D.
-    UD = data.weights[:, None] * D
+    # -M^{-1} (beta_j [S'; 1'] + [V'; 0']) U D, with D the stacked gradients.
     T = np.empty((m + 1, d))
-    T[:m] = beta_j * (S.T @ UD)
-    T[j] += w @ D
-    T[m] = beta_j * UD.sum(axis=0)
+    T[:m] = beta_j * np.array([dsum(data.weights * S[:, k]) for k in range(m)])
+    T[j] += dsum(w)
+    T[m] = beta_j * dsum(data.weights)
     sens = -np.linalg.solve(assemble(S, data.weights, data.targets, lam).matrix, T)
     dcoef, dbias = sens[:m], sens[m]
     return 2.0 * (w @ S) @ dcoef + 2.0 * w.sum() * dbias + 2.0 * lam * (model.beta @ dcoef)

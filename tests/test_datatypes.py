@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from conftest import objective
 
-from sparsim import Dataset, SparseModel, TrainConfig, fit, objective, predict, predict_batch
+from sparsim import Dataset, SparseModel, TrainConfig, fit, predict, predict_batch
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -92,6 +93,8 @@ class TestPredict:
 
 
 class TestObjective:
+    """The objective oracle that the tests share (conftest) against direct formulas."""
+
     def test_perfect_fit_is_zero(self):
         protos = np.array([[0.0, 0.0], [2.0, 0.0]])
         model = toy_model(protos, [1.0, -0.5], bias=0.2)

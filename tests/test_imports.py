@@ -37,3 +37,14 @@ def test_no_unused_imports(path):
 def test_checker_flags_unused_and_honours_all():
     source = "import os\nimport sys as system\nfrom a import b, c\n__all__ = ['c']\nprint(os.sep)\n"
     assert unused_imports(source) == [(2, "system"), (3, "b")]
+
+
+def test_public_names_resolve_once():
+    import sparsim
+
+    assert len(set(sparsim.__all__)) == len(sparsim.__all__)
+    missing = [name for name in sparsim.__all__ if not hasattr(sparsim, name)]
+    assert missing == []
+    namespace = {}
+    exec("from sparsim import *", namespace)
+    assert set(sparsim.__all__) <= set(namespace)

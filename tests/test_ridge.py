@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import objective
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparsim import Dataset, SparseModel, objective
+from sparsim import Dataset, SparseModel
 from sparsim.errors import SingularSystemError
 from sparsim.ridge import RESIDUAL_RTOL, RidgeSystem, assemble, solve, update_column
 from sparsim.similarity import SimilaritySpec, sim_matrix

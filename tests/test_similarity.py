@@ -9,15 +9,15 @@ from hypothesis.extra.numpy import arrays
 
 from sparsim import similarity as sim
 from sparsim.errors import SimilarityEvalError, UnsupportedGradModeError
-from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec, grad_z_matrix, pairwise, sim_matrix
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec, grad_z_sum, pairwise, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 LINEAR = SimilaritySpec(kind="linear")
 
 
 def one_row_grad(spec, x, z, mode):
-    """Gradient of s(x, z) with respect to z: the one-row case of grad_z_matrix."""
-    return grad_z_matrix(spec, np.asarray(x, dtype=float)[None, :], z, mode)[0]
+    """Gradient of s(x, z) with respect to z: grad_z_sum over the single row x, weighted 1."""
+    return grad_z_sum(spec, np.asarray(x, dtype=float)[None, :], z, np.ones(1), mode)
 
 
 class TestSpec:
@@ -126,6 +126,21 @@ class TestGrad:
             approx = one_row_grad(spec, x, z, "approximate")
             analytic = one_row_grad(spec, x, z, "analytic")
             np.testing.assert_allclose(approx, analytic / (2 * 1.7), rtol=1e-12)
+
+    def test_rbf_sum_builds_no_per_row_stack(self, rng):
+        n, d = 20000, 20
+        rows = rng.normal(0, 1, (n, d))
+        z = rng.normal(0, 1, d)
+        weights = rng.normal(0, 1, n)
+        tracemalloc.start()
+        try:
+            grad = grad_z_sum(default_spec(d), rows, z, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grad.shape == (d,)
+        # below one (n, d) float64 array: only n-vectors are allocated
+        assert peak < rows.nbytes
 
     def test_analytic_unavailable_for_blackbox(self):
         spec = SimilaritySpec(kind="blackbox", blackbox_id="id", scorer=pairwise(lambda a, b: 1.0))
@@ -272,52 +287,63 @@ def test_rbf_kernel_invariants(X, scale):
 
 
 @given(
-    data=st.integers(1, 5).flatmap(
-        lambda d: st.tuples(
-            arrays(np.float64, st.tuples(st.integers(1, 10), st.just(d)), elements=st.floats(-2.0, 2.0)),
-            arrays(np.float64, st.just(d), elements=st.floats(-2.0, 2.0)),
+    data=st.tuples(st.integers(1, 10), st.integers(1, 5)).flatmap(
+        lambda nd: st.tuples(
+            arrays(np.float64, nd, elements=st.floats(-2.0, 2.0)),
+            arrays(np.float64, nd[1], elements=st.floats(-2.0, 2.0)),
+            arrays(np.float64, nd[0], elements=st.floats(-3.0, 3.0)),
         )
     ),
     gamma=st.floats(0.05, 5.0),
 )
-def test_grad_z_matrix_modes_and_costs(data, gamma):
-    """Every gradient mode of ``grad_z_matrix`` against its closed form or
-    finite-difference oracle, with its exact evaluation cost: n without a
-    column, none with ``column=``, 2*d*n in numeric mode."""
-    rows, z = data
+def test_grad_z_sum_modes_and_costs(data, gamma):
+    """Every gradient mode of ``grad_z_sum`` against the stacked per-row
+    closed form, or finite-difference oracle, contracted with random
+    weights; with its exact evaluation cost: n without a column, none with
+    ``column=``, 2*d*n in numeric mode, none for the dot product."""
+    rows, z, w = data
     n, d = rows.shape
     spec = SimilaritySpec(kind="rbf", gamma=gamma)
-    s = np.array([sim.eval(spec, x, z) for x in rows])
+    s = sim_matrix(spec, rows, z[None, :]).values[:, 0]
+    c = 2.0 * gamma * s
+    stacked = c[:, None] * (rows - z)
+    # X'c - z*sum(c) can cancel where the stacked sum does not; both
+    # round within a few (n+2) eps of the magnitudes they add.  The
+    # 1e-300 absorbs subnormal products (coordinates near 5e-324).
+    scale = np.abs(w * c) @ (np.abs(rows).max(axis=1) + np.abs(z).max())
+    tol = 4 * (n + 2) * np.finfo(float).eps * scale + 1e-300
 
     def counted(*args, **kwargs):
         before = EVAL_COUNTER.read()
-        out = sim.grad_z_matrix(*args, **kwargs)
+        out = sim.grad_z_sum(*args, **kwargs)
         return out, EVAL_COUNTER.read() - before
 
-    analytic, cost = counted(spec, rows, z, "analytic")
+    analytic, cost = counted(spec, rows, z, w, "analytic")
     assert cost == n
-    # atol absorbs subnormal products (coordinates near 5e-324).
-    np.testing.assert_allclose(analytic, 2.0 * gamma * s[:, None] * (rows - z), rtol=1e-13, atol=1e-300)
-    cached, cost = counted(spec, rows, z, "analytic", column=s)
+    np.testing.assert_allclose(analytic, w @ stacked, rtol=0, atol=tol)
+    cached, cost = counted(spec, rows, z, w, "analytic", column=s)
     assert cost == 0
-    np.testing.assert_array_equal(cached, 2.0 * gamma * s[:, None] * (rows - z))
-    linear, cost = counted(LINEAR, rows, z, "analytic")
+    np.testing.assert_array_equal(cached, analytic)
+    linear, cost = counted(LINEAR, rows, z, w, "analytic")
     assert cost == 0
-    np.testing.assert_array_equal(linear, rows)
+    np.testing.assert_array_equal(linear, w @ rows)
 
-    approx, cost = counted(spec, rows, z, "approximate")
+    approx, cost = counted(spec, rows, z, w, "approximate")
     assert cost == n
-    np.testing.assert_allclose(approx, analytic / (2.0 * gamma), rtol=1e-12, atol=1e-300)
-    assert counted(spec, rows, z, "approximate", column=s)[1] == 0
+    np.testing.assert_allclose(approx, w @ (s[:, None] * (rows - z)), rtol=0, atol=tol / (2.0 * gamma))
+    assert counted(spec, rows, z, w, "approximate", column=s)[1] == 0
 
-    numeric, cost = counted(spec, rows, z, "numeric")
+    # finite differences are accurate per row, so their (per-coordinate)
+    # tolerance scales with the summed row magnitudes, not the cancelling sum
+    row_scale = np.abs(w) @ np.abs(stacked)
+    numeric, cost = counted(spec, rows, z, w, "numeric")
     assert cost == 2 * d * n
-    np.testing.assert_allclose(numeric, analytic, rtol=1e-6, atol=1e-8)
+    assert np.all(np.abs(numeric - analytic) <= 1e-6 * row_scale + 1e-8 * (1 + np.abs(w).sum()))
 
     blackbox = SimilaritySpec(
         kind="blackbox", blackbox_id="py-rbf",
         scorer=pairwise(lambda a, b: float(np.exp(-gamma * np.dot(a - b, a - b)))),
     )
-    scored, cost = counted(blackbox, rows, z, "numeric")
+    scored, cost = counted(blackbox, rows, z, w, "numeric")
     assert cost == 2 * d * n
-    np.testing.assert_allclose(scored, numeric, rtol=1e-7, atol=1e-9)
+    assert np.all(np.abs(scored - numeric) <= 1e-7 * row_scale + 1e-9 * (1 + np.abs(w).sum()))

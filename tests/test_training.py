@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sparsim import Dataset, GridConfig, SparseModel, TrainConfig, distill, fit, predict_batch, select_model_size
 from sparsim import similarity as sim
+from sparsim import training
 from sparsim.datatypes import resolve_box
 from sparsim.errors import UnsupportedGradModeError
 from sparsim.ridge import assemble
@@ -302,6 +303,38 @@ def test_fit_invariants_on_generated_problems(seed, n, d, m, eta, gamma, penalty
     assert again.bias == model.bias
     # n*m initially, then n per moved column and m-1 per repulsion penalty
     assert evals == n * m + iterations * (n + (m - 1) * penalty)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(6, 40),
+    d=st.integers(1, 3),
+    m=st.integers(1, 6),
+    eta=st.floats(0.01, 1.0),
+    gamma=st.floats(0.2, 3.0),
+    lam=st.floats(1e-4, 1.0),
+)
+def test_pre_solve_objective_equals_full_recomputation(seed, n, d, m, eta, gamma, lam):
+    """``omega_before`` updates the previous residual along the moved
+    column alone, in O(n); it equals the objective recomputed from the
+    whole similarity matrix (moved column, old coefficients)."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(features=rng.normal(0, 1, (n, d)), targets=rng.normal(0, 1, n), weights=rng.uniform(0.5, 2, n))
+    config = TrainConfig(seed=seed, lam=lam, eta=eta, box="data", max_sweeps=3, epsilon=1e-300)
+    loss = training._loss
+    full = []
+
+    def recomputing_loss(S, beta, bias, data, lam, resid=None):
+        if resid is not None:
+            full.append(loss(S, beta, bias, data, lam)[0])
+        return loss(S, beta, bias, data, lam, resid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_loss", recomputing_loss)
+        _, trace = fit(data, m, config=config, similarity=SimilaritySpec(kind="rbf", gamma=gamma))
+    assert len(full) == len(trace.records) >= m
+    for rec, omega in zip(trace.records, full):
+        assert rec.omega_before == pytest.approx(omega, rel=1e-12, abs=0)
 
 
 class TestDistill:
