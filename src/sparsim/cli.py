@@ -5,16 +5,18 @@ does its own work and returns the manifest's config, seed, inputs and
 outputs; :func:`main`, the only run path, times the run, counts its
 similarity evaluations, closes every black-box bridge and writes the JSON
 manifest ``<out stem>.manifest.json``.  Exit codes: 0 on success, 2 on
-usage errors (malformed flag values included), 1 on runtime errors.
+usage errors (malformed flag values included), 1 on runtime errors.  A
+flag value's range is checked only by the type that owns it (see
+:func:`_checked`).
 """
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 import time
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,59 +25,34 @@ from .datatypes import TrainConfig, predict_batch
 from .errors import SparsimError
 
 
-def _bounded(convert, positive):
-    """argparse type: a finite value of type ``convert`` that is > 0
-    (``positive``) or >= 0, so an out-of-range flag value is a usage error."""
-    noun = "integer" if convert is int else "number"
+def _checked(owner, field, convert=float):
+    """argparse type: ``convert(text)``, checked by building ``owner`` with
+    that one field, so a value the owning type rejects is a usage error
+    carrying the owner's own message."""
 
     def parse(text):
         try:
             value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not {'an' if convert is int else 'a'} {noun}")
-        if not (value > 0 if positive else value >= 0) or math.isinf(value):
-            raise argparse.ArgumentTypeError(
-                f"expected a finite {'positive' if positive else 'non-negative'} {noun}, got {value}"
-            )
+            owner(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
         return value
 
     return parse
-
-
-_positive_int = _bounded(int, positive=True)
-_nonneg_int = _bounded(int, positive=False)
-_positive_float = _bounded(float, positive=True)
-_nonneg_float = _bounded(float, positive=False)
 
 
 def _box(text):
-    """'data', or a (lo, hi) pair that :func:`_train_config` tiles to every dimension."""
-    if text == "data":
-        return "data"
-    try:
-        lo, hi = (float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"box must be 'data' or 'lo,hi', got {text!r}")
-    if not lo <= hi:
-        raise argparse.ArgumentTypeError(f"box lower bound {lo} exceeds upper bound {hi}")
-    if lo == math.inf or hi == -math.inf:
-        raise argparse.ArgumentTypeError(f"box {text!r} admits no finite value")
-    return lo, hi
+    """'data', or one (lo, hi) row that :func:`_train_config` tiles to every dimension."""
+    return text if text == "data" else np.array([text.split(",")], dtype=float)
 
 
-def _grid_field(name, convert):
-    """argparse type: ``convert(text)`` checked by :class:`selection.GridConfig`
-    as its field ``name``, so a value that GridConfig rejects is a usage error."""
+def _grid(text):
+    return tuple(int(v) for v in text.split(","))
 
-    def parse(text):
-        try:
-            value = convert(text)
-            selection.GridConfig(**{"grid": (1,), name: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
-        return value
 
-    return parse
+_grid_config = partial(selection.GridConfig, grid=(1,))
+_lam = _checked(TrainConfig, "lam")  # --lambda and --lambda1
+_m = _checked(partial(baselines.SelectionMethod, kind="random"), "m", int)
 
 
 def _stem(path):
@@ -97,7 +74,7 @@ def _train_config(args, dim):
         epsilon=args.epsilon,
         max_sweeps=args.max_sweeps,
         penalty_enabled=args.penalty,
-        box=np.tile(args.box, (dim, 1)) if isinstance(args.box, tuple) else args.box,
+        box=np.tile(args.box, (dim, 1)) if isinstance(args.box, np.ndarray) else args.box,
         seed=args.seed,
         grad_mode=args.grad_mode,
     )
@@ -212,25 +189,26 @@ def cmd_predict(args, bridges):
 def _add_common(parser, out_help="output model path (JSON)"):
     parser.add_argument("--data", required=True, help="training CSV with a header row")
     parser.add_argument("--target", required=True, help="name of the target column")
-    parser.add_argument("--seed", type=_nonneg_int, default=0)
-    parser.add_argument("--lambda", dest="lam", type=_nonneg_float, default=1e-6,
+    parser.add_argument("--seed", type=_checked(TrainConfig, "seed", int), default=0)
+    parser.add_argument("--lambda", dest="lam", type=_lam, default=1e-6,
                         help="ridge regularization (default 1e-6)")
-    parser.add_argument("--gamma", type=_positive_float, default=None,
+    parser.add_argument("--gamma", type=_checked(similarity.SimilaritySpec, "gamma"), default=None,
                         help="RBF bandwidth (default 1/d)")
     parser.add_argument("--out", required=True, help=out_help)
 
 
 def _add_train_knobs(parser):
-    parser.add_argument("--eta", type=_positive_float, default=0.5, help="gradient step size")
-    parser.add_argument("--epsilon", type=_positive_float, default=1e-6, help="convergence tolerance")
-    parser.add_argument("--max-sweeps", type=_positive_int, default=50)
+    parser.add_argument("--eta", type=_checked(TrainConfig, "eta"), default=0.5, help="gradient step size")
+    parser.add_argument("--epsilon", type=_checked(TrainConfig, "epsilon"), default=1e-6,
+                        help="convergence tolerance")
+    parser.add_argument("--max-sweeps", type=_checked(TrainConfig, "max_sweeps", int), default=50)
     parser.add_argument("--grad-mode", choices=similarity.GRAD_MODES, default="analytic")
     penalty = parser.add_mutually_exclusive_group()
     penalty.add_argument("--penalty", dest="penalty", action="store_true", default=True,
                          help="repel nearby prototypes (default)")
     penalty.add_argument("--no-penalty", dest="penalty", action="store_false")
-    parser.add_argument("--box", nargs="?", type=_box, const="data", default=None,
-                        help="projection bounds: 'data' for the feature hull or 'lo,hi'")
+    parser.add_argument("--box", nargs="?", type=_checked(TrainConfig, "box", _box), const="data",
+                        default=None, help="projection bounds: 'data' for the feature hull or 'lo,hi'")
     parser.add_argument("--blackbox", default=None,
                         help="command of a line-protocol similarity scorer")
 
@@ -243,25 +221,25 @@ def build_parser():
     p = sub.add_parser("train", help="jointly optimize prototypes and coefficients")
     _add_common(p)
     _add_train_knobs(p)
-    p.add_argument("--m", type=_positive_int, required=True, help="number of prototypes")
+    p.add_argument("--m", type=_m, required=True, help="number of prototypes")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("select-m", help="choose the prototype count by incremental CV")
     _add_common(p)
     _add_train_knobs(p)
-    p.add_argument("--grid", type=_grid_field("grid", lambda text: tuple(int(v) for v in text.split(","))),
+    p.add_argument("--grid", type=_checked(selection.GridConfig, "grid", _grid),
                    default=None, help="descending sizes, e.g. 10,5,4,3,2")
-    p.add_argument("--rho", type=_nonneg_float, default=None, help="size penalty weight")
+    p.add_argument("--rho", type=_checked(_grid_config, "rho"), default=None, help="size penalty weight")
     p.add_argument("--loss", choices=tuple(metrics.LOSSES), default="mse")
-    p.add_argument("--folds", type=_grid_field("folds", int), default=5)
+    p.add_argument("--folds", type=_checked(_grid_config, "folds", int), default=5)
     p.add_argument("--group-column", default=None, help="subject id column for disjoint folds")
     p.set_defaults(func=cmd_select_m)
 
     p = sub.add_parser("baseline", help="prototype-selection and linear baselines")
     _add_common(p)
     p.add_argument("--method", required=True, choices=("ps-r", "ps-b", "ps-s", "ps-km", "ridge", "lasso"))
-    p.add_argument("--m", type=_positive_int, default=5)
-    p.add_argument("--lambda1", dest="lam1", type=_nonneg_float, default=1e-3,
+    p.add_argument("--m", type=_m, default=5)
+    p.add_argument("--lambda1", dest="lam1", type=_lam, default=1e-3,
                    help="L1 penalty for the lasso baseline")
     p.add_argument("--test", default=None, help="held-out CSV for the metrics file")
     p.set_defaults(func=cmd_baseline)
@@ -269,10 +247,10 @@ def build_parser():
     p = sub.add_parser("bench", help="compare methods in one table")
     _add_common(p, out_help="comparison table CSV path")
     _add_train_knobs(p)
-    p.add_argument("--m", type=_positive_int, default=5)
+    p.add_argument("--m", type=_m, default=5)
     p.add_argument("--methods", default=None, help=f"comma list among {','.join(BENCH_METHODS)}")
     p.add_argument("--metric", choices=("mae", "error"), default="mae")
-    p.add_argument("--lambda1", dest="lam1", type=_nonneg_float, default=1e-3)
+    p.add_argument("--lambda1", dest="lam1", type=_lam, default=1e-3)
     p.add_argument("--test", default=None, help="held-out CSV (cross-dataset evaluation)")
     p.set_defaults(func=cmd_bench)
 

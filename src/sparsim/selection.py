@@ -40,8 +40,8 @@ class GridConfig:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.folds < 2:
             raise ValueError(f"need at least 2 folds, got {self.folds}")
-        if self.rho is not None and not self.rho >= 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
+        if self.rho is not None and not 0 <= self.rho < np.inf:
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         object.__setattr__(self, "grid", grid)
 
     @property

@@ -7,9 +7,9 @@ black-box scorers: a block function carried by the spec itself (see
 thread once per block.  Every evaluation is tallied in a global counter
 so that test-time cost can be measured exactly.
 
-Similarity values are computed in two places only: :func:`eval`, the
-per-pair reference, and :func:`sim_matrix`, the block evaluator behind
-everything else and the only caller of black-box scorers.  Prototype
+Similarity values are computed, and counted, in one place only:
+:func:`sim_matrix`, the block evaluator and the only caller of black-box
+scorers; :func:`eval` is its 1x1 block.  Prototype
 gradients are only ever needed summed over rows with weights, so
 :func:`grad_z_sum` returns that d-vector directly, from one
 :func:`sim_matrix` call, without stacking the n per-row gradients.
@@ -88,10 +88,6 @@ class SimilarityMatrix:
 
     values: np.ndarray  # (k, m)
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 def pairwise(fn: Callable[[np.ndarray, np.ndarray], float]):
     """Block scorer that calls ``fn(a, b)`` per (row, prototype) pair; a failure names both."""
@@ -109,20 +105,13 @@ def pairwise(fn: Callable[[np.ndarray, np.ndarray], float]):
 
 
 def eval(spec: SimilaritySpec, a, b) -> float:
-    """Evaluate s(a, b), for a black-box spec as the 1x1 block.  Symmetric for all supported kinds."""
+    """Evaluate s(a, b) as the 1x1 :func:`sim_matrix` block.  Symmetric for all supported kinds."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"expected equal-length vectors, got shapes {a.shape} and {b.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("similarity arguments must be finite")
-    if spec.kind == "blackbox":
-        return float(sim_matrix(spec, a, b).values[0, 0])
-    diff = a - b
-    value = float(np.exp(-spec.gamma * np.dot(diff, diff)) if spec.kind == "rbf" else np.dot(a, b))
-    EVAL_COUNTER.add(1)
-    if not np.isfinite(value):
-        raise SimilarityEvalError(f"similarity returned non-finite value {value}")
-    return value
+    return float(sim_matrix(spec, a, b).values[0, 0])
 
 
 def _as_2d(x) -> np.ndarray:
@@ -135,15 +124,14 @@ def _as_2d(x) -> np.ndarray:
 def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     """Matrix of similarities s(rows[i], protos[j]).
 
-    Adds k*m to the evaluation counter.  A black-box scorer is called once
+    Every similarity value is computed here, and only here added to the
+    evaluation counter (k*m per block).  A black-box scorer is called once
     per block.  A non-finite value is reported with its (row, column).
 
     The RBF block sums the exact squared differences (a_p - b_p)^2 in
     ``cdist`` and exponentiates in place, so its only (k, m) array is the
     result: peak memory is about one output-sized array, whatever d is.
-    No ||a||^2 + ||b||^2 - 2 a.b expansion is used, so nothing cancels;
-    only the rounding of the d-term sum can differ from :func:`eval`
-    (for d >= 2, relative differences near 1e-15).
+    No ||a||^2 + ||b||^2 - 2 a.b expansion is used, so nothing cancels.
     """
     rows = _as_2d(rows)
     protos = _as_2d(protos)

@@ -13,7 +13,7 @@ import pytest
 import sparsim
 from sparsim import EVAL_COUNTER, SimilaritySpec, dataio, gen_synthetic, load_model, write_csv
 from sparsim.cli import build_parser, main
-from sparsim.datatypes import predict_batch
+from sparsim.datatypes import TrainConfig, predict_batch
 from sparsim.metrics import error_rate, mae, mse
 from test_dataio import RBF_SCORER
 
@@ -72,11 +72,34 @@ class TestTrain:
         ["train", "--m", "2", "--eta", "inf"],
         ["train", "--m", "2", "--epsilon", "inf"],
         ["train", "--m", "2", "--box", "inf,inf"],
+        ["train", "--m", "2", "--lambda", "-1"],
+        ["train", "--m", "2", "--max-sweeps", "0"],
+        ["select-m", "--rho", "inf"],
+        ["select-m", "--rho", "-1"],
+        ["baseline", "--method", "lasso", "--lambda1", "-1"],
+        ["baseline", "--method", "ps-r", "--m", "0"],
     ])
     def test_malformed_flag_value_is_usage_error(self, tmp_path, train_csv, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--data", train_csv, "--target", "target", "--out", tmp_path / "m.json"])
         assert exc.value.code == 2
+
+    def test_usage_error_carries_owner_message(self, tmp_path, train_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--m", "2", "--eta", "0", "--data", train_csv, "--target", "target",
+                 "--out", tmp_path / "m.json"])
+        assert exc.value.code == 2
+        with pytest.raises(ValueError) as owner:
+            TrainConfig(eta=0.0)
+        assert f"argument --eta: {owner.value}" in capsys.readouterr().err
+
+    def test_explicit_box_tiles_to_every_dimension(self, tmp_path, train_csv):
+        out = tmp_path / "model.json"
+        assert run(["train", "--data", train_csv, "--target", "target", "--m", "2",
+                    "--max-sweeps", "2", "--box=-0.5,0.5", "--out", out]) == 0
+        manifest = json.loads((tmp_path / "model.manifest.json").read_text())
+        assert manifest["config"]["box"] == [[-0.5, 0.5]] * load_model(out).dim
+        assert np.all(np.abs(load_model(out).prototypes) <= 0.5)
 
     def test_identical_invocations_identical_files(self, tmp_path, train_csv):
         args = ["train", "--data", train_csv, "--target", "target", "--m", "2",

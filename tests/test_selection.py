@@ -41,6 +41,10 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(grid=(3, 2), loss_kind="rmse")
 
+    def test_rho_must_be_finite(self):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            GridConfig(grid=(3, 2), rho=np.inf)
+
     def test_rho_defaults_follow_loss(self):
         assert GridConfig(grid=(3, 2), loss_kind="mae").resolved_rho == 0.1
         assert GridConfig(grid=(3, 2), loss_kind="mse").resolved_rho == 1e-3

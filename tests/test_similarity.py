@@ -166,15 +166,16 @@ class TestSimMatrix:
         b = rng.normal(0, 1, 4)
         S = sim_matrix(RBF1, a[None, :], b[None, :]).values
         assert S.shape == (1, 1)
-        assert S[0, 0] == pytest.approx(sim.eval(RBF1, a, b), rel=1e-15)
+        assert S[0, 0] == sim.eval(RBF1, a, b)
+        np.testing.assert_allclose(S, einsum_rbf_matrix(RBF1, a[None, :], b[None, :]), rtol=1e-14)
 
     def test_matches_double_loop_oracle(self, rng):
         rows = rng.normal(0, 1, (5, 3))
         protos = rng.normal(0, 1, (4, 3))
-        for spec in (RBF1, LINEAR):
-            S = sim_matrix(spec, rows, protos).values
-            oracle = np.array([[sim.eval(spec, r, p) for p in protos] for r in rows])
-            np.testing.assert_allclose(S, oracle, rtol=1e-14)
+        oracles = {RBF1: einsum_rbf_matrix(RBF1, rows, protos),
+                   LINEAR: np.array([[r @ p for p in protos] for r in rows])}
+        for spec, oracle in oracles.items():
+            np.testing.assert_allclose(sim_matrix(spec, rows, protos).values, oracle, rtol=1e-14)
 
     @pytest.mark.parametrize("k, m, d", [(1, 1, 1), (1, 6, 2), (9, 1, 1), (7, 1, 50), (30, 12, 50)])
     def test_rbf_matches_eval_across_shapes(self, rng, k, m, d):
@@ -182,8 +183,8 @@ class TestSimMatrix:
         protos = rng.normal(0, 1, (m, d))
         spec = default_spec(d)
         S = sim_matrix(spec, rows, protos).values
-        oracle = np.array([[sim.eval(spec, r, p) for p in protos] for r in rows])
-        np.testing.assert_allclose(S, oracle, rtol=1e-14)
+        np.testing.assert_allclose(S, einsum_rbf_matrix(spec, rows, protos), rtol=1e-14)
+        assert S[k - 1, m - 1] == sim.eval(spec, rows[-1], protos[-1])
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_rbf_bit_identical_to_einsum_oracle_in_low_dimension(self, rng, d):
@@ -276,14 +277,13 @@ class TestSimMatrix:
 )
 def test_rbf_kernel_invariants(X, scale):
     """Unit diagonal, exact symmetry, values in (0, 1] and agreement with
-    ``eval`` for any rows and any bandwidth up to 1/d."""
+    the einsum oracle for any rows and any bandwidth up to 1/d."""
     spec = SimilaritySpec(kind="rbf", gamma=scale / X.shape[1])
     S = sim_matrix(spec, X, X).values
     np.testing.assert_array_equal(np.diag(S), np.ones(X.shape[0]))
     np.testing.assert_array_equal(S, S.T)
     assert np.all((S > 0.0) & (S <= 1.0))
-    oracle = np.array([[sim.eval(spec, a, b) for b in X] for a in X])
-    np.testing.assert_allclose(S, oracle, rtol=1e-14)
+    np.testing.assert_allclose(S, einsum_rbf_matrix(spec, X, X), rtol=1e-14)
 
 
 @given(
