@@ -169,19 +169,20 @@ def lasso_similarity(
 ) -> SparseModel:
     """L1-penalized least squares over all training prototypes.
 
-    One exact LARS-lasso homotopy (Osborne, Presnell & Turlach 2000; Efron
-    et al. 2004).  The unpenalized, weighted intercept is eliminated by
-    weighted centering, so the path runs on G = Sc'U Sc and c = Sc'U(y - ybar),
-    computed once; the similarity features are not standardized.  From
-    lambda_max = max|2c| down to lam1 the active coefficients move along
-    w = G_AA^-1 s / 2 until the next event: an inactive correlation
-    2(c - G beta) reaching +-lambda (entry), an active coefficient reaching
-    zero (drop), or lam1 (stop).  The active block's Cholesky factor grows
-    by one triangular solve per entry and is re-factored after a drop, so
-    with k active columns an event costs O(n k), plus O(k^3) for a drop.
-    A column dependent on the active ones is not admitted, and a newcomer
-    whose direction opposes its sign (a tie) is dropped again at once; they
-    and a dropped column are barred on that side until the next event.
+    One exact LARS-lasso homotopy (Osborne, Presnell & Turlach 2000; Efron et
+    al. 2004).  The unpenalized, weighted intercept is eliminated by weighted
+    centering, so the path runs on G = A'A and c = A'(sqrt(u)*(y - ybar)) for
+    A = sqrt(u)*(S - sbar), computed once; the similarity features are not
+    standardized.  From lambda_max = max|2c| down to lam1 the active
+    coefficients move along w = G_AA^-1 s / 2 until the next event: an
+    inactive correlation 2(c - G beta) reaching +-lambda (entry), an active
+    coefficient reaching zero (drop), or lam1 (stop).  The active block's
+    Cholesky factor grows by one triangular solve per entry and is re-factored
+    after a drop, so with k active columns an event costs O(n k), plus O(k^3)
+    for a drop.  A column dependent on the active ones is not admitted, and a
+    newcomer whose direction opposes its sign (a tie) is dropped again at
+    once; they and a dropped column are barred on that side until the next
+    event.
 
     ``max_steps`` bounds the number of path events.  The result is checked
     once against the optimality conditions and a ConvergenceError naming
@@ -198,9 +199,11 @@ def lasso_similarity(
     u, y, n = data.weights, data.targets, data.n
     ybar = float(u @ y / np.sum(u))
     sbar = u @ S / np.sum(u)
-    Sc = S - sbar
-    G = Sc.T @ (u[:, None] * Sc)
-    c = (u * (y - ybar)) @ Sc
+    root_u = np.sqrt(u)
+    A = S - sbar
+    A *= root_u[:, None]
+    G, c = A.T @ A, A.T @ (root_u * (y - ybar))
+    del A
     # rows holds G's rows of the active set in active order; chol is the
     # lower Cholesky factor of G_AA in that order
     beta, rows, chol = np.zeros(n), np.empty((n, n)), np.empty((0, 0), order="F")

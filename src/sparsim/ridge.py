@@ -2,15 +2,16 @@
 
 For fixed prototypes the objective is an ordinary weighted ridge
 regression in the similarity features, so the coefficients and bias come
-from one symmetric linear solve.  When a single prototype moves, only its
-row and column of the system change, and :func:`update_column` rewrites
-just those.
+from one symmetric positive-definite system: the Gram matrix of
+sqrt(u) * [S, 1], solved by Cholesky.  When a single prototype moves, only
+its row and column change, and :func:`update_column` rewrites just those.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import SingularSystemError
 
@@ -23,7 +24,7 @@ RESIDUAL_RTOL = 1e-9
 class RidgeSystem:
     """Normal equations M [coef; bias] = rhs for the similarity features."""
 
-    matrix: np.ndarray  # (m+1, m+1), symmetric
+    matrix: np.ndarray  # (m+1, m+1), exactly symmetric
     rhs: np.ndarray  # (m+1,)
 
     @property
@@ -34,8 +35,9 @@ class RidgeSystem:
 def assemble(S, weights, targets, lam: float) -> RidgeSystem:
     """Build the system from similarities S (n x m), weights and targets.
 
-    Block structure: [[S'US + lam*I, S'u], [u'S, sum(u)]] with right-hand
-    side [S'(u*y); sum(u*y)].
+    M = A'A + lam * diag(1, ..., 1, 0) for A = sqrt(u) * [S, 1], that is
+    [[S'US + lam*I, S'u], [u'S, sum(u)]], one symmetric (SYRK) product and
+    so exactly symmetric; rhs = [S'(u*y); sum(u*y)] = A'(sqrt(u)*y).
     """
     S = np.asarray(getattr(S, "values", S), dtype=float)
     u = np.ravel(np.asarray(weights, dtype=float))
@@ -45,18 +47,14 @@ def assemble(S, weights, targets, lam: float) -> RidgeSystem:
         raise ValueError(f"similarities have {n} rows but {u.shape[0]} weights / {y.shape[0]} targets")
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    uS = u[:, None] * S
-    matrix = np.empty((m + 1, m + 1))
-    matrix[:m, :m] = S.T @ uS
+    rhs = np.append(S.T @ (u * y), u @ y)  # before A, so u * y is freed first
+    # A' row by row: numpy then scales S into it without iteration buffers.
+    At = np.empty((m + 1, n))
+    np.sqrt(u, out=At[m])
+    np.multiply(S.T, At[m], out=At[:m])
+    matrix = At @ At.T
     diag = np.arange(m)
     matrix[diag, diag] += lam
-    matrix[:m, m] = uS.sum(axis=0)
-    matrix[m, :m] = matrix[:m, m]
-    matrix[m, m] = u.sum()
-    uy = u * y
-    rhs = np.empty(m + 1)
-    rhs[:m] = S.T @ uy
-    rhs[m] = uy.sum()
     return RidgeSystem(matrix=matrix, rhs=rhs)
 
 
@@ -65,7 +63,8 @@ def update_column(system: RidgeSystem, S, weights, targets, j: int, lam: float):
     of S, after that column changed.
 
     One O(nm) product instead of the O(nm^2) of :func:`assemble`.  The
-    row is recomputed from S, so no rounding accumulates over updates.
+    row is recomputed from S, so no rounding accumulates over updates, and
+    written to row and column j alike, so the matrix stays exactly symmetric.
     """
     M, m = system.matrix, system.m
     uc = weights * S[:, j]
@@ -78,22 +77,20 @@ def update_column(system: RidgeSystem, S, weights, targets, j: int, lam: float):
 def solve(system: RidgeSystem):
     """Exact minimizer (coefficients, bias) of the ridge objective.
 
-    A solution only counts if its residual against the original matrix
-    satisfies ||M x - rhs|| <= RESIDUAL_RTOL ||rhs||; otherwise the system
-    is treated as numerically singular (condition number beyond roughly
-    1/RESIDUAL_RTOL) and gets one diagonal-jitter retry before raising
-    SingularSystemError.
+    One Cholesky factorization and solve (LAPACK ``dposv``).  A solution
+    only counts if the factorization succeeds and its residual against the
+    original matrix satisfies ||M x - rhs|| <= RESIDUAL_RTOL ||rhs||;
+    otherwise the system is treated as numerically singular (not positive
+    definite, or condition number beyond roughly 1/RESIDUAL_RTOL) and gets
+    one diagonal-jitter retry before raising SingularSystemError.
     """
     M, rhs = system.matrix, system.rhs
     # sqrt(v.v) is what np.linalg.norm computes for a vector, minus its dispatch.
     tol = RESIDUAL_RTOL * max(math.sqrt(rhs.dot(rhs)), 1e-300)
 
     def attempt(mat):
-        try:
-            x = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(x).all():
+        _, x, info = lapack.dposv(mat, rhs)
+        if info != 0 or not np.isfinite(x).all():
             return None
         # Residual measured against the original, unjittered matrix.
         r = M @ x - rhs

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,3 +310,29 @@ def test_lasso_optimal_anywhere_on_the_path(n, d, seed, fraction):
     assert lasso_kkt_residuals(S, data.weights, data.targets, beta, model.bias, lam1).max() <= 1e-6
     if lam1 >= lam_max * (1 + 1e-12):  # beyond the rounding of lambda_max
         np.testing.assert_array_equal(beta, 0.0)
+
+
+@pytest.mark.parametrize(
+    "baseline, bound",
+    [
+        (lambda data, spec: kernel_ridge_full(data, 1e-2, spec), 3.2),
+        (lambda data, spec: lasso_similarity(data, 1e-2, spec), 5.6),
+    ],
+    ids=["kernel_ridge_full", "lasso_similarity"],
+)
+def test_full_baselines_peak_memory_in_units_of_n_squared(baseline, bound):
+    # the n x n similarities, the Gram of their sqrt(u)-scaled copy and the
+    # system (plus the lasso path's active rows) bound the peak; a general
+    # product with its n x n temporaries exceeds these bounds
+    n, d = 300, 20
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-1, 1, (n, d))
+    data = Dataset(features=X, targets=np.sin(X.sum(axis=1)) + rng.normal(0, 0.1, n))
+    spec = SimilaritySpec(kind="rbf", gamma=1.0 / d)
+    tracemalloc.start()
+    try:
+        baseline(data, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n

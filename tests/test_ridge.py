@@ -5,6 +5,7 @@ import pytest
 from conftest import objective
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from sparsim import Dataset, SparseModel
 from sparsim.errors import SingularSystemError
@@ -160,6 +161,34 @@ class TestSolve:
         assert np.all(np.isfinite(x))
         assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-9 * np.linalg.norm(system.rhs)
 
+    def test_failed_factorization_takes_the_jittered_retry(self, monkeypatch):
+        # two identical prototypes at lam=0: M is singular, the Cholesky
+        # factorization reports a non-positive pivot, and the retry on the
+        # jittered matrix either yields a solution that passes the residual
+        # check against M or the error names the condition number
+        S = sim_matrix(RBF1, np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([[0.5], [0.5]]))
+        system = assemble(S, np.ones(4), [0.0, 1.0, 0.0, -1.0], 0.0)
+        calls, factor = [], lapack.dposv
+
+        def spy(a, b):
+            out = factor(a, b)
+            calls.append((a.copy(), out[2]))
+            return out
+
+        monkeypatch.setattr(lapack, "dposv", spy)
+        try:
+            x = np.append(*solve(system))
+        except SingularSystemError as exc:
+            assert "cond" in str(exc)
+        else:
+            residual = np.linalg.norm(system.matrix @ x - system.rhs)
+            assert residual <= RESIDUAL_RTOL * np.linalg.norm(system.rhs)
+        assert calls[0][1] != 0
+        assert len(calls) == 2
+        jittered = calls[1][0] - system.matrix
+        assert np.all(np.diag(jittered) > 0)
+        np.testing.assert_array_equal(jittered - np.diag(np.diag(jittered)), 0.0)
+
     def test_singular_system_error(self):
         # inconsistent singular system cannot be rescued by jitter
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -174,7 +203,7 @@ class TestSolve:
             r = np.random.default_rng(seed)
             S = r.uniform(0, 1, (12, 4))
             system = assemble(S, r.uniform(0.5, 2, 12), r.normal(0, 1, 12), 1e-4)
-            expected = np.linalg.solve(system.matrix, system.rhs)
+            expected = lapack.dposv(system.matrix, system.rhs)[1]
             beta, bias = solve(system)
             np.testing.assert_array_equal(beta, expected[:-1])
             assert bias == expected[-1]
@@ -186,9 +215,9 @@ class TestSolve:
 
         def inf_solve(a, b):
             attempts.append(a.copy())
-            return np.full(b.shape, np.inf)
+            return a, np.full(b.shape, np.inf), 0
 
-        monkeypatch.setattr(np.linalg, "solve", inf_solve)
+        monkeypatch.setattr(lapack, "dposv", inf_solve)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SingularSystemError, match="singular"):
@@ -202,7 +231,7 @@ class TestSolve:
         # counts while ||e|| <= RESIDUAL_RTOL * ||rhs||
         rhs = np.array([3.0, 4.0])  # norm 5
         error = np.array([ratio * RESIDUAL_RTOL * 5.0, 0.0])
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: b + error)
+        monkeypatch.setattr(lapack, "dposv", lambda a, b: (a, b + error, 0))
         system = RidgeSystem(matrix=np.eye(2), rhs=rhs)
         if accepted:
             beta, bias = solve(system)
@@ -266,3 +295,26 @@ def test_no_perturbation_lowers_the_solved_objective(seed, n, d, m, lam, gamma, 
     directions = [*rng.normal(0, 1, (20, m + 1)), np.linalg.eigh(system.matrix)[1][:, 0]]
     for direction in directions:
         assert omega(x + scale * direction / np.linalg.norm(direction)) >= best - tol
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 30),
+    m=st.integers(1, 6),
+    lam=st.sampled_from([0.0, 1e-6, 0.1]),
+    updates=st.lists(st.integers(0, 5), max_size=8),
+)
+def test_systems_stay_exactly_symmetric(seed, n, m, lam, updates):
+    """``assemble`` and any sequence of ``update_column`` calls, as ``fit``
+    makes them, leave the matrix exactly symmetric: the Cholesky solve
+    reads only one triangle."""
+    rng = np.random.default_rng(seed)
+    S = rng.uniform(0, 1, (n, m))
+    u, y = rng.uniform(0.5, 2, n), rng.normal(0, 1, n)
+    system = assemble(S, u, y, lam)
+    assert np.array_equal(system.matrix, system.matrix.T)
+    for j in updates:
+        j %= m
+        S[:, j] = rng.uniform(0, 1, n)
+        update_column(system, S, u, y, j, lam)
+        assert np.array_equal(system.matrix, system.matrix.T)
