@@ -60,19 +60,19 @@ def far_frr_curve(genuine_scores, impostor_scores) -> List[OperatingPoint]:
     Higher scores mean "more genuine"; a claim is accepted when its score
     is >= the threshold.  FAR is the fraction of impostor scores accepted,
     FRR the fraction of genuine scores rejected.  FAR is non-increasing
-    and FRR non-decreasing in the threshold.  Both come from one sort per
-    class: the scores below a threshold are its left insertion position.
+    and FRR non-decreasing in the threshold.
     """
     genuine = np.ravel(np.asarray(genuine_scores, dtype=float))
     impostor = np.ravel(np.asarray(impostor_scores, dtype=float))
     if genuine.size == 0 or impostor.size == 0:
         raise ValueError("both score lists must be non-empty")
     thresholds = np.concatenate(([-np.inf], np.unique(np.concatenate([genuine, impostor])), [np.inf]))
-    if np.isnan(thresholds[-2]):  # np.unique sorts NaN last
-        raise ValueError("scores must not be NaN")
-    far = (impostor.size - np.searchsorted(np.sort(impostor), thresholds, "left")) / impostor.size
-    frr = np.searchsorted(np.sort(genuine), thresholds, "left") / genuine.size
-    return [OperatingPoint(*point) for point in zip(thresholds.tolist(), far.tolist(), frr.tolist())]
+    points = []
+    for thr in thresholds:
+        far = float(np.mean(impostor >= thr))
+        frr = float(np.mean(genuine < thr))
+        points.append(OperatingPoint(threshold=float(thr), far=far, frr=frr))
+    return points
 
 
 def eval_cost(model: SparseModel, x=None) -> int:

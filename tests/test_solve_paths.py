@@ -1,8 +1,11 @@
-"""Dense linear systems are solved in one place: ``ridge.solve``.
+"""No general ``linalg.solve`` in the package, and one ``dposv`` caller.
 
-Nothing in the package calls ``np.linalg.solve`` (or any ``linalg.solve``),
-and every ``lapack.dposv`` call is located by the module-level function
-that encloses it, so a second dense solve path cannot appear unnoticed.
+Nothing in ``src/sparsim`` calls ``np.linalg.solve`` or
+``scipy.linalg.solve`` (any ``linalg.solve``), and ``ridge.solve`` is the
+only function that calls ``lapack.dposv``, so the ridge systems keep one
+Cholesky solve path.  Other factorizations are not looked for: the lasso
+baseline's active-set Cholesky solves (``cholesky``, ``cho_solve``) are
+separate by design.
 """
 
 import ast
@@ -51,7 +54,7 @@ def solve_calls(source: str, module: str):
     return calls
 
 
-def test_ridge_solve_is_the_only_dense_solve():
+def test_no_linalg_solve_and_ridge_solve_is_the_only_dposv_caller():
     calls = [c for path in SOURCES for c in solve_calls(path.read_text(), path.stem)]
     assert calls == [("lapack.dposv", "ridge.solve")]
 
