@@ -10,9 +10,10 @@ Model files are versioned JSON with decimal float text that round-trips
 exactly, so saving and loading reproduces predictions bit for bit.
 """
 
-import contextlib
 import csv
 import json
+import os
+import selectors
 import shlex
 import subprocess
 import threading
@@ -254,26 +255,30 @@ class BlackboxBridge:
     """Similarity scorer backed by a line-protocol subprocess.
 
     Requests are single lines ``d a_1 .. a_d b_1 .. b_d``; the scorer
-    answers one decimal value per line, in order.  A block is pipelined:
-    a writer thread streams its k*m requests row by row while the caller
-    reads the answers, so no full pipe can deadlock them.  A per-bridge
-    lock serializes whole blocks, so threads may share one bridge.  A
-    block that fails part-way kills the scorer, and later blocks raise an
-    error naming that first failure.  ``spec`` carries the bridge's block
-    scorer; close the bridge (or use it as a context manager) to release
-    the process.  The scorer id, ``bridge-<n>`` with n counted per
-    process, is saved in model files, so it carries no process id:
-    identical runs write identical files.
+    answers one decimal value per line, in order.  One selector loop in the
+    caller's thread writes a block's requests, a few rows at a time, as the
+    non-blocking pipe takes them and reads the answers as they come, so no
+    full pipe can deadlock it and memory stays bounded.  A per-bridge lock
+    serializes whole blocks, so threads may share one bridge.  A block that
+    fails part-way kills the scorer, and later blocks raise an error naming
+    that first failure.  ``spec`` carries the block scorer; close the
+    bridge (or use it as a context manager) to release the process, its
+    pipes and its selector.  The id ``bridge-<n>``, counted per process, is
+    saved in model files, so identical runs write identical files.
     """
 
     _counter = 0
+    _CHUNK = 1 << 15  # bytes of request text encoded, and of answers read, at a time
 
     def __init__(self, command):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
-            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
         except OSError as exc:
             raise BlackboxError(f"could not start scorer {argv!r}: {exc}") from exc
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._proc.stdout, selectors.EVENT_READ)
         BlackboxBridge._counter += 1
         self._lines_read = 0
         self._failure = None
@@ -281,50 +286,67 @@ class BlackboxBridge:
         scorer_id = f"bridge-{BlackboxBridge._counter}"
         self.spec = sim.SimilaritySpec(kind="blackbox", blackbox_id=scorer_id, scorer=self._evaluate)
 
-    def _write_requests(self, rows, protos):
-        """Writer thread: one request per (row, prototype) pair; a broken pipe kills the scorer."""
-        prefix = f"{rows.shape[1]} "
+    def _requests(self, rows, protos):
+        """The request text in pieces of at most ``_CHUNK`` bytes or one row (a float's text is <= 25)."""
         suffixes = [" " + " ".join(map(repr, b)) + "\n" for b in protos.tolist()]
-        try:
-            for a in rows.tolist():
-                head = prefix + " ".join(map(repr, a))
-                self._proc.stdin.write("".join([head + tail for tail in suffixes]))
-            self._proc.stdin.flush()
-        except OSError:
-            self._proc.kill()
+        step = max(1, self._CHUNK // (25 * (2 * rows.shape[1] + 1) * len(suffixes) + 1))
+        for start in range(0, len(rows), step):
+            heads = [f"{len(a)} " + " ".join(map(repr, a)) for a in rows[start : start + step].tolist()]
+            yield "".join([head + tail for head in heads for tail in suffixes]).encode()
+
+    def _exchange(self, rows, protos, values):
+        """Write the block's requests and read its answers into ``values``."""
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        expected = 0 if self._selector.select(0) else values.size  # output already waiting is surplus
+        self._selector.register(stdin, selectors.EVENT_WRITE)
+        requests, pending, partial, filled = self._requests(rows, protos), b"", b"", 0
+        while filled < values.size or pending is not None:
+            for key, _ in self._selector.select():
+                if key.fd == stdin:
+                    try:
+                        pending = pending or memoryview(next(requests, b""))
+                        pending = pending[os.write(stdin, pending) :] if pending else None
+                    except BrokenPipeError:  # read on: the error names the first missing answer
+                        pending = None
+                    if pending is None:
+                        self._selector.unregister(stdin)
+                    continue
+                chunk = os.read(stdout, self._CHUNK)
+                if not chunk and filled < values.size:
+                    raise BlackboxError(f"scorer closed its output before response line {self._lines_read + 1}")
+                *lines, partial = (partial + chunk).split(b"\n")
+                if partial and filled + len(lines) == expected:  # a fragment after the last answer
+                    lines.append(partial)
+                for line in lines:
+                    self._lines_read += 1
+                    if filled == expected:
+                        raise BlackboxError(f"surplus scorer response at line {self._lines_read}")
+                    try:
+                        values[filled] = float(line)
+                    except ValueError:
+                        text = line.decode(errors="replace").strip()
+                        raise BlackboxError(
+                            f"malformed scorer response at line {self._lines_read}: {text!r}"
+                        ) from None
+                    filled += 1
 
     def _evaluate(self, rows, protos):
         with self._lock:
             if self._failure is not None:
                 raise BlackboxError(f"scorer was stopped after an earlier failure: {self._failure}")
-            writer = threading.Thread(target=self._write_requests, args=(rows, protos))
-            writer.start()
             values = np.empty(rows.shape[0] * protos.shape[0])
             try:
-                for idx in range(values.size):
-                    line = self._proc.stdout.readline()
-                    self._lines_read += 1
-                    if line == "":
-                        raise BlackboxError(f"scorer closed its output before response line {self._lines_read}")
-                    try:
-                        values[idx] = float(line)
-                    except ValueError:
-                        raise BlackboxError(
-                            f"malformed scorer response at line {self._lines_read}: {line.strip()!r}"
-                        ) from None
+                self._exchange(rows, protos, values)
             except BaseException as exc:
                 self._failure = str(exc) or type(exc).__name__
                 self._proc.kill()
+                self._proc.wait()
                 raise
-            finally:
-                writer.join()
-                if self._failure is not None:
-                    self._proc.wait()
             return values.reshape(rows.shape[0], protos.shape[0])
 
     def close(self):
-        with contextlib.suppress(OSError):  # a dead scorer cannot take unsent input
-            self._proc.stdin.close()
+        self._selector.close()
+        self._proc.stdin.close()
         if self._proc.poll() is None:
             self._proc.terminate()
             try:

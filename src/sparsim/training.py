@@ -51,11 +51,8 @@ def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     labels = data.targets
-    classes = set(np.unique(labels))
-    if classes == {-1.0, 1.0} and m >= 2:
-        pos = np.flatnonzero(labels > 0)
-        neg = np.flatnonzero(labels < 0)
-        picked = [rng.choice(pos), rng.choice(neg)]
+    if m >= 2 and np.array_equal(np.unique(labels), (-1.0, 1.0)):
+        picked = [rng.choice(np.flatnonzero(labels > 0)), rng.choice(np.flatnonzero(labels < 0))]
         rest = np.setdiff1d(np.arange(n), picked)
         if m > 2:
             picked.extend(rng.choice(rest, size=m - 2, replace=False))

@@ -1,5 +1,7 @@
+import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +207,57 @@ for line in sys.stdin:
     sys.stdout.flush()
 """
 
+# the RBF scorer, answering each request in two flushes split mid-line; the
+# second answer waits between its halves, so the bridge reads the first alone
+SPLIT_SCORER = """\
+import sys, math, time
+for count, line in enumerate(sys.stdin, start=1):
+    parts = line.split()
+    d = int(parts[0])
+    a = [float(v) for v in parts[1:1+d]]
+    b = [float(v) for v in parts[1+d:1+2*d]]
+    text = repr(math.exp(-sum((x - y) ** 2 for x, y in zip(a, b)))) + "\\n"
+    sys.stdout.write(text[:3])
+    sys.stdout.flush()
+    if count == 2:
+        time.sleep(0.05)
+    sys.stdout.write(text[3:])
+    sys.stdout.flush()
+"""
+
+# the RBF scorer, reading a whole 20-request block before it answers all of
+# it in one write
+BURST_SCORER = """\
+import sys, math
+while True:
+    lines = [sys.stdin.readline() for _ in range(20)]
+    if not lines[-1]:
+        break
+    out = []
+    for line in lines:
+        parts = line.split()
+        d = int(parts[0])
+        a = [float(v) for v in parts[1:1+d]]
+        b = [float(v) for v in parts[1+d:1+2*d]]
+        out.append(repr(math.exp(-sum((x - y) ** 2 for x, y in zip(a, b)))) + "\\n")
+    sys.stdout.write("".join(out))
+    sys.stdout.flush()
+"""
+
+# answers every request twice, in one flush
+TWO_ANSWERS = """\
+import sys
+for line in sys.stdin:
+    print("0.5\\n0.5", flush=True)
+"""
+
+# reads one buffered chunk of requests, answers one and exits
+ANSWER_ONE_AND_EXIT = """\
+import sys
+sys.stdin.readline()
+print("0.5", flush=True)
+"""
+
 MALFORMED_SCORER = """\
 import sys
 count = 0
@@ -231,15 +284,17 @@ for count, line in enumerate(sys.stdin, start=1):
 
 
 class TestBlackboxBridge:
-    def test_agrees_with_native_rbf(self, tmp_path, rng):
+    @pytest.mark.parametrize("source", [RBF_SCORER, SPLIT_SCORER, BURST_SCORER], ids=["lines", "split", "burst"])
+    def test_agrees_with_native_rbf(self, tmp_path, rng, source):
         script = tmp_path / "scorer.py"
-        script.write_text(RBF_SCORER)
+        script.write_text(source)
         with blackbox_bridge([sys.executable, str(script)]) as bridge:
             rows = rng.normal(0, 1, (5, 3))
             protos = rng.normal(0, 1, (4, 3))
             native = sim_matrix(RBF1, rows, protos).values
-            bridged = sim_matrix(bridge.spec, rows, protos).values
-            np.testing.assert_allclose(bridged, native, atol=1e-12)
+            for _ in range(2):  # a second block after the first
+                bridged = sim_matrix(bridge.spec, rows, protos).values
+                np.testing.assert_allclose(bridged, native, atol=1e-12)
 
     def test_symmetric_queries_match(self, tmp_path, rng):
         script = tmp_path / "scorer.py"
@@ -262,7 +317,7 @@ class TestBlackboxBridge:
             with pytest.raises(BlackboxError, match="line 3"):
                 sim.eval(bridge.spec, [0.0], [3.0])
 
-    def test_block_beyond_pipe_buffer_does_not_deadlock(self, tmp_path, rng):
+    def test_block_beyond_pipe_buffer_does_not_deadlock(self, tmp_path, rng, monkeypatch):
         # 12,000 requests of 33 numbers, several MB: far more than a pipe
         # holds, so requests and answers must flow at the same time
         script = tmp_path / "scorer.py"
@@ -270,17 +325,56 @@ class TestBlackboxBridge:
         rows = rng.normal(0, 0.15, (3000, 16))
         protos = rng.normal(0, 0.15, (4, 16))
         result = []
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("the bridge started a thread")
+
         with blackbox_bridge([sys.executable, str(script)]) as bridge:
             worker = threading.Thread(
                 target=lambda: result.append(sim_matrix(bridge.spec, rows, protos).values), daemon=True
             )
-            worker.start()
-            worker.join(timeout=120)
+            # the block itself runs in the caller's thread and starts none
+            monkeypatch.setattr(threading, "Thread", no_thread)
+            tracemalloc.start()
+            try:
+                worker.start()
+                worker.join(timeout=120)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             if worker.is_alive():
                 bridge._proc.kill()  # unblocks both pipes, so the test fails instead of hanging
                 worker.join()
                 pytest.fail("a block larger than the pipe buffer deadlocked the bridge")
         np.testing.assert_allclose(result[0], sim_matrix(RBF1, rows, protos).values, atol=1e-12)
+        # the request text (several MB) is encoded a few rows at a time, not
+        # held whole: the block peaks at a few output-sized arrays
+        assert peak <= 4 * result[0].nbytes
+
+    def test_surplus_answer_poisons_the_bridge(self, tmp_path):
+        script = tmp_path / "scorer.py"
+        script.write_text(TWO_ANSWERS)
+        bridge = blackbox_bridge([sys.executable, str(script)])
+        with pytest.raises(BlackboxError, match="surplus scorer response at line 2"):
+            sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1)))
+        assert bridge._proc.returncode is not None
+        # the surplus line is not read as the next block's first answer
+        with pytest.raises(BlackboxError, match="earlier failure: surplus .* line 2"):
+            sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1)))
+        bridge.close()
+
+    def test_blocks_and_close_leave_no_descriptor_open(self, tmp_path, rng):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/self/fd")
+        script = tmp_path / "scorer.py"
+        script.write_text(RBF_SCORER)
+        before = len(os.listdir("/proc/self/fd"))
+        bridge = blackbox_bridge([sys.executable, str(script)])
+        rows, protos = rng.normal(0, 1, (2, 3)), rng.normal(0, 1, (1, 3))
+        for _ in range(200):
+            sim_matrix(bridge.spec, rows, protos)
+        bridge.close()
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize("source, failure", [(EXIT_AFTER_THREE, "closed its output"),
                                                  (MALFORMED_FOURTH, "malformed")], ids=["exits", "malformed"])
@@ -310,14 +404,16 @@ class TestBlackboxBridge:
         assert bridge._proc.stdout.closed
         assert bridge._proc.returncode is not None
 
-    def test_dead_process_reported(self, tmp_path):
+    @pytest.mark.parametrize("source, k, line", [("import sys; sys.exit(3)\n", 1, 1), (ANSWER_ONE_AND_EXIT, 3000, 2)],
+                             ids=["at-start", "mid-block"])
+    def test_dead_process_reported(self, tmp_path, source, k, line):
+        # mid-block, the scorer exits with most of the block (several MB)
+        # unread, so writing it breaks the pipe; the answers still decide
         script = tmp_path / "quit.py"
-        script.write_text("import sys; sys.exit(3)\n")
+        script.write_text(source)
         with blackbox_bridge([sys.executable, str(script)]) as bridge:
-            from sparsim import similarity as sim
-
-            with pytest.raises(BlackboxError):
-                sim.eval(bridge.spec, [0.0], [1.0])
+            with pytest.raises(BlackboxError, match=f"closed its output before response line {line}$"):
+                sim_matrix(bridge.spec, np.zeros((k, 16)), np.ones((4, 16)))
 
     def test_model_predicts_through_bridge(self, tmp_path, rng):
         script = tmp_path / "scorer.py"

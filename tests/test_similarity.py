@@ -287,6 +287,29 @@ def test_rbf_kernel_invariants(X, scale):
 
 
 @given(
+    k=st.integers(1, 400),
+    d=st.integers(1, 130),
+    m=st.integers(2, 5),
+    scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    bandwidth=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_prototype_block_is_a_column_of_the_full_block(k, d, m, scale, bandwidth, seed):
+    """A one-prototype RBF block (a training column) equals that
+    prototype's column of the full block (a prediction batch) bit for bit,
+    and is a contiguous (k, 1) array, at any size and coordinate scale."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(0.0, scale, (k, d))
+    protos = rng.normal(0.0, scale, (m, d))
+    spec = SimilaritySpec(kind="rbf", gamma=bandwidth / (d * scale**2))
+    full = sim_matrix(spec, rows, protos).values
+    for j in range(m):
+        column = sim_matrix(spec, rows, protos[j : j + 1]).values
+        assert column.shape == (k, 1) and column.flags.c_contiguous
+        np.testing.assert_array_equal(column[:, 0], full[:, j])
+
+
+@given(
     data=st.tuples(st.integers(1, 10), st.integers(1, 5)).flatmap(
         lambda nd: st.tuples(
             arrays(np.float64, nd, elements=st.floats(-2.0, 2.0)),
