@@ -7,16 +7,7 @@ prototype-selection baselines, teacher distillation, and evaluation
 metrics.
 """
 
-from .baselines import (
-    SelectionMethod,
-    baseline_pipeline,
-    kernel_ridge_full,
-    lasso_similarity,
-    ps_border,
-    ps_kmedians,
-    ps_random,
-    ps_spanning,
-)
+from .baselines import SelectionMethod, baseline_pipeline, kernel_ridge_full, lasso_similarity
 from .dataio import blackbox_bridge, gen_synthetic, load_csv, load_model, save_model, write_csv
 from .datatypes import Dataset, SparseModel, TrainConfig, predict, predict_batch
 from .errors import (
@@ -29,7 +20,7 @@ from .errors import (
     SparsimError,
     UnsupportedGradModeError,
 )
-from .metrics import OperatingPoint, error_rate, eval_cost, far_frr_curve, mae, mse
+from .metrics import error_rate, eval_cost, mae, mse
 from .selection import GridConfig, SelectionTrace, default_grid, kfold_split, select_model_size
 from .similarity import EVAL_COUNTER, SimilarityMatrix, SimilaritySpec, default_spec, pairwise, sim_matrix
 from .training import TrainTrace, distill, fit, init_prototypes
@@ -46,7 +37,6 @@ __all__ = [
     "SelectionTrace",
     "SelectionMethod",
     "TrainTrace",
-    "OperatingPoint",
     "EVAL_COUNTER",
     "fit",
     "distill",
@@ -59,17 +49,12 @@ __all__ = [
     "sim_matrix",
     "default_spec",
     "pairwise",
-    "ps_random",
-    "ps_border",
-    "ps_spanning",
-    "ps_kmedians",
     "kernel_ridge_full",
     "lasso_similarity",
     "baseline_pipeline",
     "mae",
     "mse",
     "error_rate",
-    "far_frr_curve",
     "eval_cost",
     "gen_synthetic",
     "load_csv",

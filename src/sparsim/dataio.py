@@ -193,7 +193,7 @@ def load_model(path) -> SparseModel:
             similarity=spec,
             metadata=doc.get("metadata", {}),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed model file: {exc!r}") from exc
 
 

@@ -34,6 +34,8 @@ class Dataset:
 
     def __post_init__(self):
         features = _frozen_array(np.atleast_2d(self.features))
+        if features.ndim != 2:
+            raise ValueError(f"features must be a 2-D array, got shape {features.shape}")
         targets = _frozen_array(np.ravel(self.targets))
         n = features.shape[0]
         if n < 1 or features.shape[1] < 1:
@@ -69,21 +71,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @classmethod
-    def class_balanced(cls, features, labels, groups=None) -> "Dataset":
-        """Dataset for +-1 labels with weights equalizing total class mass.
-
-        Each sample of class c gets weight n / (2 * n_c), so both classes
-        contribute the same total weight regardless of imbalance.
-        """
-        labels = np.ravel(np.asarray(labels, dtype=float))
-        classes = set(np.unique(labels))
-        if not classes <= {-1.0, 1.0} or len(classes) != 2:
-            raise ValueError("class_balanced needs both -1 and +1 labels")
-        n = labels.shape[0]
-        weights = np.where(labels > 0, n / (2.0 * np.sum(labels > 0)), n / (2.0 * np.sum(labels < 0)))
-        return cls(features=features, targets=labels, weights=weights, groups=groups)
-
     def subset(self, idx) -> "Dataset":
         """New dataset restricted to the given sample indices."""
         idx = np.asarray(idx, dtype=int)
@@ -111,6 +98,8 @@ class SparseModel:
 
     def __post_init__(self):
         prototypes = _frozen_array(np.atleast_2d(self.prototypes))
+        if prototypes.ndim != 2:
+            raise ValueError(f"prototypes must be a 2-D array, got shape {prototypes.shape}")
         beta = _frozen_array(np.ravel(self.beta))
         if prototypes.shape[0] < 1:
             raise ValueError("a model needs at least one prototype")

@@ -1,8 +1,5 @@
 """Evaluation measures and similarity-evaluation cost accounting."""
 
-from dataclasses import dataclass
-from typing import List
-
 import numpy as np
 
 from . import similarity as sim
@@ -43,36 +40,6 @@ def error_rate(scores, labels) -> float:
 
 #: The one map from a loss name to its function (model selection, CLI).
 LOSSES = {"mae": mae, "mse": mse, "error_rate": error_rate}
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """One decision threshold with its false accept / false reject rates."""
-
-    threshold: float
-    far: float
-    frr: float
-
-
-def far_frr_curve(genuine_scores, impostor_scores) -> List[OperatingPoint]:
-    """Operating curve over all distinct score thresholds plus +-inf.
-
-    Higher scores mean "more genuine"; a claim is accepted when its score
-    is >= the threshold.  FAR is the fraction of impostor scores accepted,
-    FRR the fraction of genuine scores rejected.  FAR is non-increasing
-    and FRR non-decreasing in the threshold.
-    """
-    genuine = np.ravel(np.asarray(genuine_scores, dtype=float))
-    impostor = np.ravel(np.asarray(impostor_scores, dtype=float))
-    if genuine.size == 0 or impostor.size == 0:
-        raise ValueError("both score lists must be non-empty")
-    thresholds = np.concatenate(([-np.inf], np.unique(np.concatenate([genuine, impostor])), [np.inf]))
-    points = []
-    for thr in thresholds:
-        far = float(np.mean(impostor >= thr))
-        frr = float(np.mean(genuine < thr))
-        points.append(OperatingPoint(threshold=float(thr), far=far, frr=frr))
-    return points
 
 
 def eval_cost(model: SparseModel, x=None) -> int:

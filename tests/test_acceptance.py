@@ -26,11 +26,10 @@ from sparsim import (
 )
 from sparsim.baselines import SelectionMethod, baseline_pipeline, lasso_kkt_residuals
 from sparsim.metrics import eval_cost, mae
-from sparsim.prototype_step import _data_gradient
 from sparsim.ridge import assemble, solve
 from sparsim.similarity import SimilaritySpec, sim_matrix
 from sparsim.datatypes import SparseModel
-from sparsim.training import _loss, init_prototypes
+from sparsim.training import _data_gradient, _loss, init_prototypes
 
 
 def report(name, ok):

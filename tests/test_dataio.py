@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 import threading
@@ -120,6 +121,18 @@ class TestModelFile:
         save_model(model, path)
         path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 2'))
         with pytest.raises(DataFormatError, match="format_version"):
+            load_model(path)
+
+    def test_three_dimensional_prototypes_rejected(self, tmp_path, rng):
+        model = SparseModel(
+            prototypes=rng.normal(0, 1, (2, 3)), beta=[1.0, 2.0], bias=0.0, similarity=RBF1
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["prototypes"] = [[[x] for x in row] for row in doc["prototypes"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=r"\(2, 3, 1\)"):
             load_model(path)
 
     def test_byte_determinism(self, tmp_path, rng):

@@ -31,22 +31,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(features=[[1.0], [2.0]], targets=[1.0])
 
+    def test_rejects_more_than_two_dimensions(self):
+        with pytest.raises(ValueError, match=r"\(4, 2, 2\)"):
+            Dataset(features=np.zeros((4, 2, 2)), targets=np.zeros(4))
+
     def test_immutable_arrays(self):
         data = Dataset(features=[[1.0]], targets=[1.0])
         with pytest.raises(ValueError):
             data.features[0, 0] = 2.0
-
-    def test_class_balanced_equalizes_mass(self):
-        labels = [1.0, 1.0, 1.0, -1.0]
-        data = Dataset.class_balanced([[0.0]] * 4, labels)
-        pos_mass = data.weights[np.array(labels) > 0].sum()
-        neg_mass = data.weights[np.array(labels) < 0].sum()
-        assert pos_mass == pytest.approx(neg_mass)
-        assert pos_mass == pytest.approx(2.0)
-
-    def test_class_balanced_needs_both_classes(self):
-        with pytest.raises(ValueError):
-            Dataset.class_balanced([[0.0]] * 2, [1.0, 1.0])
 
 
 class TestPredict:
@@ -185,3 +177,7 @@ class TestModelInvariants:
     def test_coefficient_count_must_match(self):
         with pytest.raises(ValueError):
             toy_model(np.zeros((2, 1)), [1.0])
+
+    def test_prototypes_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match=r"\(2, 3, 1\)"):
+            toy_model(np.zeros((2, 3, 1)), [1.0, 1.0])

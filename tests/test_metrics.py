@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparsim import SparseModel, load_model, save_model
-from sparsim.metrics import error_rate, eval_cost, far_frr_curve, mae, mse
+from sparsim.metrics import error_rate, eval_cost, mae, mse
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec
 from sparsim.datatypes import predict_batch
 
@@ -35,44 +35,6 @@ class TestPointwise:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mae([1.0], [1.0, 2.0])
-
-
-class TestFarFrrCurve:
-    def test_endpoints(self, rng):
-        points = far_frr_curve(rng.normal(1, 1, 10), rng.normal(-1, 1, 10))
-        assert points[0].threshold == -np.inf
-        assert points[0].far == 1.0 and points[0].frr == 0.0
-        assert points[-1].threshold == np.inf
-        assert points[-1].far == 0.0 and points[-1].frr == 1.0
-
-    def test_monotonicity(self, rng):
-        for _ in range(10):
-            genuine = rng.normal(0.5, 1, int(rng.integers(3, 30)))
-            impostor = rng.normal(-0.5, 1, int(rng.integers(3, 30)))
-            points = far_frr_curve(genuine, impostor)
-            fars = [p.far for p in points]
-            frrs = [p.frr for p in points]
-            assert all(a >= b for a, b in zip(fars, fars[1:]))
-            assert all(a <= b for a, b in zip(frrs, frrs[1:]))
-            assert all(0 <= p.far <= 1 and 0 <= p.frr <= 1 for p in points)
-
-    def test_separated_scores_reach_zero_zero(self):
-        points = far_frr_curve([2.0, 3.0, 4.0], [-1.0, 0.0, 1.0])
-        assert any(p.far == 0.0 and p.frr == 0.0 for p in points)
-
-    def test_identical_distributions_sum_to_one(self, rng):
-        scores = rng.normal(0, 1, 20)
-        for p in far_frr_curve(scores, scores.copy()):
-            assert p.far + p.frr == 1.0
-
-    def test_one_point_per_distinct_score_plus_endpoints(self):
-        points = far_frr_curve([1.0, 1.0, 2.0], [0.0, 2.0])
-        # distinct scores {0, 1, 2} plus two infinite endpoints
-        assert len(points) == 5
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            far_frr_curve([], [1.0])
 
 
 class TestEvalCost:

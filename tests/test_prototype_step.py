@@ -6,9 +6,8 @@ from conftest import coefficient_response, fd_objective_grad, random_instance, r
 from sparsim import Dataset, SparseModel, TrainConfig, predict_batch
 from sparsim.datatypes import resolve_box
 from sparsim.errors import NonFiniteUpdateError
-from sparsim.prototype_step import _data_gradient, _penalty, _update_prototype
 from sparsim.similarity import SimilaritySpec, pairwise, sim_matrix
-from sparsim.training import _loss
+from sparsim.training import _data_gradient, _loss, _penalty, _update_prototype
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 
@@ -37,7 +36,7 @@ def step(data, protos, config, t, spec=RBF1, j=0):
     S, beta, resid = solved_state(data, protos, spec, config.lam)
     box = resolve_box(config.box, data)
     stepped = protos.copy()
-    stepped[j] = _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box)
+    stepped[j], _ = _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box)
     return stepped
 
 
@@ -191,21 +190,21 @@ class TestStep:
             step(data, np.array([[0.5]]), config, 1, spec)
 
     def test_overflowing_update_halved_once_then_error(self, monkeypatch, rng):
-        import sparsim.prototype_step as ps
+        import sparsim.training as training
 
         data, protos, _ = random_instance(13)
         d = protos.shape[1]
 
         # finite gradient whose full step overflows but whose half step fits
         big = np.full(d, 1.2e308)
-        monkeypatch.setattr(ps, "_data_gradient", lambda *a, **k: big)
+        monkeypatch.setattr(training, "_data_gradient", lambda *a, **k: big)
         config = TrainConfig(lam=1e-3, eta=2.0, penalty_enabled=False)
         with np.errstate(over="ignore"):
             stepped = step(data, protos, config, 1)
         assert np.all(np.isfinite(stepped))
 
         # an infinite gradient survives the halving and must raise
-        monkeypatch.setattr(ps, "_data_gradient", lambda *a, **k: np.full(d, np.inf))
+        monkeypatch.setattr(training, "_data_gradient", lambda *a, **k: np.full(d, np.inf))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteUpdateError):
             step(data, protos, config, 1)
 

@@ -103,6 +103,15 @@ class TestFit:
                 for rec in trace.records:
                     assert rec.omega_after <= rec.omega_before + 1e-12
 
+    def test_step_norm_is_the_distance_moved(self, rng):
+        data = Dataset(features=rng.normal(0, 1, (12, 2)), targets=rng.normal(0, 1, 12))
+        init = data.features[:1].copy()
+        config = TrainConfig(seed=0, eta=0.1, max_sweeps=1)
+        model, trace = fit(data, 1, config=config, similarity=RBF1, init=init)
+        (rec,) = trace.records
+        assert rec.step_norm > 0
+        assert rec.step_norm == np.linalg.norm(model.prototypes[0] - init[0])
+
     def test_round_robin_fairness(self, rng):
         data = Dataset(features=rng.normal(0, 1, (15, 2)), targets=rng.normal(0, 1, 15))
         config = TrainConfig(seed=0, eta=0.05, max_sweeps=4, epsilon=1e-15)
