@@ -27,8 +27,8 @@ class SelectionMethod:
     def __post_init__(self):
         if self.kind not in SELECTION_KINDS:
             raise ValueError(f"unknown selection kind {self.kind!r}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
 
 
 def set_median_index(X) -> int:
@@ -69,11 +69,11 @@ def ps_spanning(data: Dataset, m: int) -> np.ndarray:
     return np.array(selected)
 
 
-def _lloyd(X, k, rng, iters=50):
+def _lloyd(X, k, rng):
     n = X.shape[0]
     centers = X[rng.choice(n, size=k, replace=False)]
     assign = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for _ in range(50):
         d2 = cdist(X, centers, "sqeuclidean")
         assign = d2.argmin(axis=1)
         for c in range(k):  # empty cluster: restart it at the worst-served point
@@ -117,12 +117,10 @@ def _check_m(data, m):
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={data.n}")
 
 
-def _ridge_model(data, protos, lam, spec, metadata=None):
-    S = sim.sim_matrix(spec, data.features, protos)
-    beta, bias = ridge.solve(ridge.assemble(S, data.weights, data.targets, lam))
-    return SparseModel(
-        prototypes=protos, beta=beta, bias=bias, similarity=spec, metadata=metadata or {}
-    )
+def _ridge_model(data, protos, lam, spec, metadata):
+    S = sim.sim_matrix(spec, data.features, protos).values
+    beta, bias = ridge.solve(*ridge.assemble(S, data.weights, data.targets, lam))
+    return SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=spec, metadata=metadata)
 
 
 def kernel_ridge_full(data: Dataset, lam: float, spec: sim.SimilaritySpec) -> SparseModel:

@@ -154,9 +154,6 @@ def cmd_bench(args, bridges):
     spec = _similarity_spec(args, data.dim, bridges)
     config = _train_config(args, data.dim)
     methods = args.methods.split(",") if args.methods else list(BENCH_METHODS)
-    classification = set(np.unique(test.targets)) <= {-1.0, 1.0}
-    loss_name = "error_rate" if classification and args.metric == "error" else "mae"
-    loss = metrics.LOSSES[loss_name]
     rows = []
     for method in methods:
         t0 = time.perf_counter()
@@ -165,12 +162,12 @@ def cmd_bench(args, bridges):
         else:
             model = _fit_baseline(data, method, args, spec)
         train_seconds = time.perf_counter() - t0
-        value = loss(predict_batch(model, test.features), test.targets)
-        rows.append((method, value, model.m, metrics.eval_cost(model), f"{train_seconds:.6f}"))
-    metric_name = "error" if loss_name == "error_rate" else "mae"
-    dataio.write_table(args.out, ["method", metric_name, "m", "evals_per_prediction", "train_seconds"], rows)
+        scores = _metric_rows(model, test)
+        rows.append([method, *(value for _, value in scores), f"{train_seconds:.6f}"])
+    header = ["method", *(name for name, _ in scores), "train_seconds"]
+    dataio.write_table(args.out, header, rows)
     print(f"benchmarked {len(rows)} methods -> {args.out}")
-    config_doc = _config_dict(config, spec, m=args.m, methods=methods, metric=args.metric, lam1=args.lam1)
+    config_doc = _config_dict(config, spec, m=args.m, methods=methods, lam1=args.lam1)
     return config_doc, args.seed, [p for p in [args.data, args.test] if p], [args.out]
 
 
@@ -203,10 +200,8 @@ def _add_train_knobs(parser):
                         help="convergence tolerance")
     parser.add_argument("--max-sweeps", type=_checked(TrainConfig, "max_sweeps", int), default=50)
     parser.add_argument("--grad-mode", choices=similarity.GRAD_MODES, default="analytic")
-    penalty = parser.add_mutually_exclusive_group()
-    penalty.add_argument("--penalty", dest="penalty", action="store_true", default=True,
-                         help="repel nearby prototypes (default)")
-    penalty.add_argument("--no-penalty", dest="penalty", action="store_false")
+    parser.add_argument("--no-penalty", dest="penalty", action="store_false",
+                        help="do not repel nearby prototypes")
     parser.add_argument("--box", nargs="?", type=_checked(TrainConfig, "box", _box), const="data",
                         default=None, help="projection bounds: 'data' for the feature hull or 'lo,hi'")
     parser.add_argument("--blackbox", default=None,
@@ -249,7 +244,6 @@ def build_parser():
     _add_train_knobs(p)
     p.add_argument("--m", type=_m, default=5)
     p.add_argument("--methods", default=None, help=f"comma list among {','.join(BENCH_METHODS)}")
-    p.add_argument("--metric", choices=("mae", "error"), default="mae")
     p.add_argument("--lambda1", dest="lam1", type=_lam, default=1e-3)
     p.add_argument("--test", default=None, help="held-out CSV (cross-dataset evaluation)")
     p.set_defaults(func=cmd_bench)

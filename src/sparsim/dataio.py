@@ -125,12 +125,12 @@ def write_table(path, header, rows):
         )
 
 
-def write_csv(data: Dataset, path, target_column: str = "target", group_column: str = "group"):
+def write_csv(data: Dataset, path):
     """Write a dataset as CSV (features f0..fD-1, then target, then group)."""
-    header = [f"f{i}" for i in range(data.dim)] + [target_column]
+    header = [f"f{i}" for i in range(data.dim)] + ["target"]
     rows = np.column_stack([data.features, data.targets]).tolist()
     if data.groups is not None:
-        header.append(group_column)
+        header.append("group")
         rows = [row + [str(g)] for row, g in zip(rows, data.groups)]
     write_table(path, header, rows)
 

@@ -12,8 +12,8 @@ import numpy as np
 from . import similarity as sim
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -169,8 +169,8 @@ class TrainConfig:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        if not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
         if self.grad_mode not in sim.GRAD_MODES:
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:

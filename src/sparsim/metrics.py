@@ -42,10 +42,8 @@ def error_rate(scores, labels) -> float:
 LOSSES = {"mae": mae, "mse": mse, "error_rate": error_rate}
 
 
-def eval_cost(model: SparseModel, x=None) -> int:
+def eval_cost(model: SparseModel) -> int:
     """Similarity evaluations consumed by a single prediction (equals m)."""
-    if x is None:
-        x = np.zeros(model.dim)
     before = sim.EVAL_COUNTER.read()
-    predict(model, x)
+    predict(model, np.zeros(model.dim))
     return sim.EVAL_COUNTER.read() - before

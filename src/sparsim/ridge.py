@@ -8,7 +8,6 @@ its row and column change, and :func:`update_column` rewrites just those.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -20,26 +19,15 @@ from .errors import SingularSystemError
 RESIDUAL_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RidgeSystem:
-    """Normal equations M [coef; bias] = rhs for the similarity features."""
-
-    matrix: np.ndarray  # (m+1, m+1), exactly symmetric
-    rhs: np.ndarray  # (m+1,)
-
-    @property
-    def m(self) -> int:
-        return self.rhs.shape[0] - 1
-
-
-def assemble(S, weights, targets, lam: float) -> RidgeSystem:
-    """Build the system from similarities S (n x m), weights and targets.
+def assemble(S, weights, targets, lam: float):
+    """Normal equations ``(M, rhs)``, M [coef; bias] = rhs, from the
+    similarity array S (n x m), weights and targets.
 
     M = A'A + lam * diag(1, ..., 1, 0) for A = sqrt(u) * [S, 1], that is
     [[S'US + lam*I, S'u], [u'S, sum(u)]], one symmetric (SYRK) product and
     so exactly symmetric; rhs = [S'(u*y); sum(u*y)] = A'(sqrt(u)*y).
     """
-    S = np.asarray(getattr(S, "values", S), dtype=float)
+    S = np.asarray(S, dtype=float)
     u = np.ravel(np.asarray(weights, dtype=float))
     y = np.ravel(np.asarray(targets, dtype=float))
     n, m = S.shape
@@ -55,26 +43,26 @@ def assemble(S, weights, targets, lam: float) -> RidgeSystem:
     matrix = At @ At.T
     diag = np.arange(m)
     matrix[diag, diag] += lam
-    return RidgeSystem(matrix=matrix, rhs=rhs)
+    return matrix, rhs
 
 
-def update_column(system: RidgeSystem, S, weights, targets, j: int, lam: float):
-    """Rewrite, in place, the parts of ``system`` that depend on column j
-    of S, after that column changed.
+def update_column(M, rhs, S, weights, targets, j: int, lam: float):
+    """Rewrite, in place, the parts of ``M`` and ``rhs`` that depend on
+    column j of S, after that column changed.
 
     One O(nm) product instead of the O(nm^2) of :func:`assemble`.  The
     row is recomputed from S, so no rounding accumulates over updates, and
     written to row and column j alike, so the matrix stays exactly symmetric.
     """
-    M, m = system.matrix, system.m
+    m = rhs.shape[0] - 1
     uc = weights * S[:, j]
     M[j, :m] = M[:m, j] = S.T @ uc
     M[j, j] += lam
     M[j, m] = M[m, j] = uc.sum()
-    system.rhs[j] = uc @ targets
+    rhs[j] = uc @ targets
 
 
-def solve(system: RidgeSystem):
+def solve(M, rhs):
     """Exact minimizer (coefficients, bias) of the ridge objective.
 
     One Cholesky factorization and solve (LAPACK ``dposv``).  A solution
@@ -84,7 +72,6 @@ def solve(system: RidgeSystem):
     definite, or condition number beyond roughly 1/RESIDUAL_RTOL) and gets
     one diagonal-jitter retry before raising SingularSystemError.
     """
-    M, rhs = system.matrix, system.rhs
     # sqrt(v.v) is what np.linalg.norm computes for a vector, minus its dispatch.
     tol = RESIDUAL_RTOL * max(math.sqrt(rhs.dot(rhs)), 1e-300)
 

@@ -31,6 +31,8 @@ class GridConfig:
     folds: int = 5
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) for v in self.grid):
+            raise ValueError(f"grid sizes must be integers, got {self.grid!r}")
         grid = tuple(int(v) for v in self.grid)
         if not grid or grid[-1] < 1:
             raise ValueError(f"grid must end at a size >= 1, got {grid}")
@@ -38,8 +40,8 @@ class GridConfig:
             raise ValueError(f"grid must be strictly descending, got {grid}")
         if self.loss_kind not in metrics.LOSSES:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if self.folds < 2:
-            raise ValueError(f"need at least 2 folds, got {self.folds}")
+        if not isinstance(self.folds, (int, np.integer)) or self.folds < 2:
+            raise ValueError(f"folds must be an integer >= 2, got {self.folds!r}")
         if self.rho is not None and not 0 <= self.rho < np.inf:
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         object.__setattr__(self, "grid", grid)
@@ -56,7 +58,6 @@ class SelectionRecord:
     m: int
     loss: float  # mean validation loss at this size
     objective: float  # loss + rho * m
-    pruned: Tuple[int, ...]  # prototype positions dropped to reach this size
 
 
 @dataclass
@@ -135,13 +136,10 @@ def _descend_grid(data, grid, config, spec):
     """Fit at the largest size, then drop the smallest-coefficient
     prototypes and warm-refit down the grid.
 
-    Returns the models at every grid size and the positions pruned at
-    each step.
+    Returns the models at every grid size.
     """
-    models, pruned = [], []
     model, _ = fit(data, grid[0], config=config, similarity=spec)
-    models.append(model)
-    pruned.append(())
+    models = [model]
     for target in grid[1:]:
         # The survivors go straight into fit, which solves their
         # coefficients itself.
@@ -149,8 +147,7 @@ def _descend_grid(data, grid, config, spec):
         survivors = np.delete(model.prototypes, dropped, axis=0)
         model, _ = fit(data, target, config=config, similarity=spec, init=survivors)
         models.append(model)
-        pruned.append(dropped)
-    return models, pruned
+    return models
 
 
 def select_model_size(
@@ -190,7 +187,7 @@ def select_model_size(
     for f, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, val_idx)
         fold_cfg = replace(train_config, seed=int(children[f].generate_state(1)[0]))
-        models, _ = _descend_grid(data.subset(train_idx), grid, fold_cfg, spec)
+        models = _descend_grid(data.subset(train_idx), grid, fold_cfg, spec)
         val = data.subset(val_idx)
         for gi, model in enumerate(models):
             fold_losses[f, gi] = loss(predict_batch(model, val.features), val.targets)
@@ -200,13 +197,6 @@ def select_model_size(
     best = scores.min()
     chosen = min(m for m, score in zip(grid, scores) if score == best)
 
-    full_models, full_pruned = _descend_grid(data, grid, train_config, spec)
-    trace = SelectionTrace(chosen_m=chosen)
-    final = None
-    for gi, m in enumerate(grid):
-        trace.rows.append(
-            SelectionRecord(m=m, loss=float(mean_loss[gi]), objective=float(scores[gi]), pruned=full_pruned[gi])
-        )
-        if m == chosen:
-            final = full_models[gi]
-    return final, trace
+    final = _descend_grid(data, grid[: grid.index(chosen) + 1], train_config, spec)[-1]
+    rows = [SelectionRecord(m, float(mean_loss[gi]), float(scores[gi])) for gi, m in enumerate(grid)]
+    return final, SelectionTrace(rows=rows, chosen_m=chosen)

@@ -115,10 +115,14 @@ def eval(spec: SimilaritySpec, a, b) -> float:
 
 
 def _as_2d(x) -> np.ndarray:
-    """``x`` as a float array of at least two dimensions, skipping the costly
-    ``np.atleast_2d`` call when it already has two."""
+    """``x`` as a two-dimensional float array, skipping the costly
+    ``np.atleast_2d`` call when it already has two dimensions."""
     x = np.asarray(x, dtype=float)
-    return x if x.ndim == 2 else np.atleast_2d(x)
+    if x.ndim == 2:
+        return x
+    if x.ndim > 2:
+        raise ValueError(f"expected at most two dimensions, got shape {x.shape}")
+    return np.atleast_2d(x)
 
 
 def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:

@@ -194,8 +194,8 @@ def fit(
 
     box = resolve_box(config.box, data)
     S = sim.sim_matrix(spec, data.features, protos).values
-    system = ridge.assemble(S, data.weights, data.targets, config.lam)
-    beta, bias = ridge.solve(system)
+    M, rhs = ridge.assemble(S, data.weights, data.targets, config.lam)
+    beta, bias = ridge.solve(M, rhs)
     trace = TrainTrace()
     trace.initial_objective, resid = _loss(S, beta, bias, data, config.lam)
     trace.final_objective = trace.initial_objective
@@ -210,8 +210,8 @@ def fit(
             S[:, j] = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
             # Only column j moved: its old residual plus beta_j times the column's change.
             omega_before, _ = _loss(S, beta, bias, data, config.lam, resid + beta[j] * (S[:, j] - col_prev))
-            ridge.update_column(system, S, data.weights, data.targets, j, config.lam)
-            beta, bias = ridge.solve(system)
+            ridge.update_column(M, rhs, S, data.weights, data.targets, j, config.lam)
+            beta, bias = ridge.solve(M, rhs)
         except SparsimError as exc:
             # Roll back to the last consistent prototype/coefficient pair;
             # the system is not read again, so a rewritten row can stay.

@@ -47,8 +47,8 @@ def einsum_rbf_matrix(spec, rows, protos):
 
 def resolve_coefficients(data, protos, spec, lam):
     """Exact coefficient solve for fixed prototypes (the inner problem)."""
-    S = sim_matrix(spec, data.features, protos)
-    beta, bias = solve(assemble(S, data.weights, data.targets, lam))
+    S = sim_matrix(spec, data.features, protos).values
+    beta, bias = solve(*assemble(S, data.weights, data.targets, lam))
     return beta, bias
 
 
@@ -95,7 +95,7 @@ def coefficient_response(data, model, j, lam):
     T[:m] = beta_j * np.array([dsum(data.weights * S[:, k]) for k in range(m)])
     T[j] += dsum(w)
     T[m] = beta_j * dsum(data.weights)
-    sens = -np.linalg.solve(assemble(S, data.weights, data.targets, lam).matrix, T)
+    sens = -np.linalg.solve(assemble(S, data.weights, data.targets, lam)[0], T)
     dcoef, dbias = sens[:m], sens[m]
     return 2.0 * (w @ S) @ dcoef + 2.0 * w.sum() * dbias + 2.0 * lam * (model.beta @ dcoef)
 

@@ -78,7 +78,7 @@ def test_c01_coefficient_solver_matches_normal_equations_oracle():
         u = r.uniform(0.5, 2.0, n)
         y = r.normal(0, 1, n)
         lam = float(r.choice([1e-6, 1e-3, 0.1]))
-        beta, bias = solve(assemble(S, u, y, lam))
+        beta, bias = solve(*assemble(S, u, y, lam))
         M = np.zeros((m + 1, m + 1))
         rhs = np.zeros(m + 1)
         for a in range(m):

@@ -141,6 +141,11 @@ class TestPsKmedians:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("kind, m", [("spanning", 0), ("random", 2.5), ("median", 2)])
+    def test_selection_method_rejects_invalid_values(self, kind, m):
+        with pytest.raises(ValueError):
+            SelectionMethod(kind=kind, m=m)
+
     def test_prototypes_are_bitwise_training_rows(self, rng):
         data = Dataset(features=rng.normal(0, 1, (15, 3)), targets=rng.normal(0, 1, 15))
         for kind in ("random", "border", "spanning", "kmedians"):
@@ -180,8 +185,8 @@ class TestKernelRidgeFull:
 
         data = Dataset(features=rng.normal(0, 1, (12, 2)), targets=rng.normal(0, 1, 12))
         model = kernel_ridge_full(data, 1e-3, RBF1)
-        S = sim_matrix(RBF1, data.features, data.features)
-        beta, bias = solve(assemble(S, data.weights, data.targets, 1e-3))
+        S = sim_matrix(RBF1, data.features, data.features).values
+        beta, bias = solve(*assemble(S, data.weights, data.targets, 1e-3))
         np.testing.assert_allclose(model.beta, beta, rtol=1e-12)
         assert model.bias == pytest.approx(bias, rel=1e-12)
 

@@ -125,7 +125,7 @@ MANIFEST_CASES = {
                  TRAIN_CONFIG_KEYS | {"grid", "rho", "loss", "folds", "chosen_m"}),
     "baseline": (["--method", "ps-km", "--m", "3"], {"method", "m", "lam", "lam1", "seed", "similarity"}),
     "bench": (["--m", "2", "--max-sweeps", "3", "--methods", "sparse,ps-r"],
-              TRAIN_CONFIG_KEYS | {"m", "methods", "metric", "lam1"}),
+              TRAIN_CONFIG_KEYS | {"m", "methods", "lam1"}),
     "predict": ([], {"model", "target"}),
 }
 
@@ -308,13 +308,13 @@ class TestBench:
                     "--methods", "sparse,ps-r,ridge", "--out", out])
         assert code == 0
         rows = read_rows(out)
-        assert rows[0] == ["method", "mae", "m", "evals_per_prediction", "train_seconds"]
+        assert rows[0] == ["method", "mae", "mse", "error_rate", "m", "evals_per_prediction", "train_seconds"]
         table = {r[0]: r for r in rows[1:]}
         assert set(table) == {"sparse", "ps-r", "ridge"}
         for name, row in table.items():
-            assert row[2] == row[3]  # cost per prediction equals m
-        assert table["sparse"][2] == "3"
-        assert table["ridge"][2] == "25"
+            assert row[4] == row[5]  # cost per prediction equals m
+        assert table["sparse"][4] == "3"
+        assert table["ridge"][4] == "25"
 
     def test_single_method_matches_baseline_metrics(self, tmp_path, train_csv):
         bench_out = tmp_path / "bench.csv"
@@ -330,16 +330,22 @@ class TestBench:
     def test_error_metric_scores_sign_errors(self, tmp_path, train_csv):
         bench_out = tmp_path / "bench.csv"
         assert run(["bench", "--data", train_csv, "--target", "target", "--m", "4", "--seed", "3",
-                    "--methods", "ps-km", "--metric", "error", "--out", bench_out]) == 0
+                    "--methods", "ps-km", "--out", bench_out]) == 0
         base_out = tmp_path / "base.json"
         assert run(["baseline", "--data", train_csv, "--target", "target", "--method", "ps-km",
                     "--m", "4", "--seed", "3", "--out", base_out]) == 0
         data = gen_synthetic("two_gaussians", seed=0)
         pred = predict_batch(load_model(base_out), data.features)
         rows = read_rows(bench_out)
-        assert rows[0][1] == "error"
-        assert float(rows[1][1]) == error_rate(pred, data.targets)
+        assert rows[0][3] == "error_rate"
+        assert float(rows[1][3]) == error_rate(pred, data.targets)
         assert error_rate(pred, data.targets) not in (mae(pred, data.targets), mse(pred, data.targets))
+
+    @pytest.mark.parametrize("flags", [["--metric", "error"], ["--penalty"]])
+    def test_removed_flags_are_usage_errors(self, tmp_path, train_csv, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--data", train_csv, "--target", "target", *flags, "--out", tmp_path / "b.csv"])
+        assert exc.value.code == 2
 
     def test_missing_test_file_reports_error(self, tmp_path, train_csv, capsys):
         code = run(["bench", "--data", train_csv, "--target", "target",

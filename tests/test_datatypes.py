@@ -133,6 +133,8 @@ class TestTrainConfig:
             TrainConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             TrainConfig(max_sweeps=0)
+        with pytest.raises(ValueError, match="max_sweeps"):
+            TrainConfig(max_sweeps=2.5)
         with pytest.raises(ValueError):
             TrainConfig(lam=-1.0)
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
-"""README's Layout block names exactly the package's modules."""
+"""README's Layout block names exactly the package's modules, and its CLI
+section exactly the command-line flags."""
 
+import argparse
 import re
 from pathlib import Path
+
+from sparsim.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sparsim"
@@ -18,3 +22,15 @@ def test_layout_names_every_module_and_nothing_else():
     assert sorted(name for name in named if not (PACKAGE / name).is_file()) == []
     modules = {path.name for path in PACKAGE.glob("*.py")} - {"__init__.py", "errors.py"}
     assert sorted(modules - named) == []
+
+
+def parser_flags():
+    """Every option string of every subcommand, less -h/--help."""
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for sub in subcommands.choices.values() for action in sub._actions
+            for flag in action.option_strings} - {"-h", "--help"}
+
+
+def test_cli_section_names_every_flag_and_nothing_else():
+    section = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == parser_flags()

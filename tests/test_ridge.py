@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 
 from sparsim import Dataset, SparseModel
 from sparsim.errors import SingularSystemError
-from sparsim.ridge import RESIDUAL_RTOL, RidgeSystem, assemble, solve, update_column
+from sparsim.ridge import RESIDUAL_RTOL, assemble, solve, update_column
 from sparsim.similarity import SimilaritySpec, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -35,20 +35,20 @@ def oracle_system(S, u, y, lam):
 class TestAssemble:
     def test_two_by_two_hand_example(self):
         S = np.array([[1.0], [0.0]])
-        system = assemble(S, [1.0, 1.0], [1.0, 0.0], 0.0)
-        np.testing.assert_allclose(system.matrix, [[1.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(system.rhs, [1.0, 1.0])
+        matrix, rhs = assemble(S, [1.0, 1.0], [1.0, 0.0], 0.0)
+        np.testing.assert_allclose(matrix, [[1.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose(rhs, [1.0, 1.0])
 
     def test_lambda_only_shifts_top_diagonal(self, rng):
         S = rng.uniform(0, 1, (6, 3))
         u = rng.uniform(0.5, 2, 6)
         y = rng.normal(0, 1, 6)
-        base = assemble(S, u, y, 0.0)
-        shifted = assemble(S, u, y, 0.7)
-        diff = shifted.matrix - base.matrix
+        base, base_rhs = assemble(S, u, y, 0.0)
+        shifted, shifted_rhs = assemble(S, u, y, 0.7)
+        diff = shifted - base
         np.testing.assert_allclose(np.diag(diff)[:3], 0.7)
         np.testing.assert_allclose(diff - np.diag(np.diag(diff)), 0.0, atol=1e-15)
-        np.testing.assert_array_equal(shifted.rhs, base.rhs)
+        np.testing.assert_array_equal(shifted_rhs, base_rhs)
 
     @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
     def test_rejects_negative_or_nan_lambda(self, lam):
@@ -57,17 +57,17 @@ class TestAssemble:
 
     def test_symmetry(self, rng):
         S = rng.uniform(0, 1, (10, 4))
-        system = assemble(S, rng.uniform(0.1, 2, 10), rng.normal(0, 1, 10), 0.1)
-        np.testing.assert_allclose(system.matrix, system.matrix.T, atol=1e-12)
+        matrix, _ = assemble(S, rng.uniform(0.1, 2, 10), rng.normal(0, 1, 10), 0.1)
+        np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
 
     def test_matches_loop_oracle(self, rng):
         S = rng.uniform(0, 1, (7, 3))
         u = rng.uniform(0.5, 2, 7)
         y = rng.normal(0, 1, 7)
-        system = assemble(S, u, y, 0.05)
-        M, rhs = oracle_system(S, u, y, 0.05)
-        np.testing.assert_allclose(system.matrix, M, rtol=1e-12)
-        np.testing.assert_allclose(system.rhs, rhs, rtol=1e-12)
+        matrix, rhs = assemble(S, u, y, 0.05)
+        M, oracle_rhs = oracle_system(S, u, y, 0.05)
+        np.testing.assert_allclose(matrix, M, rtol=1e-12)
+        np.testing.assert_allclose(rhs, oracle_rhs, rtol=1e-12)
 
     def test_update_column_matches_loop_oracle(self, rng):
         # every column in turn replaced, each update checked against a
@@ -75,26 +75,25 @@ class TestAssemble:
         S = rng.uniform(0, 1, (9, 4))
         u = rng.uniform(0.5, 2, 9)
         y = rng.normal(0, 1, 9)
-        system = assemble(S, u, y, 0.05)
+        matrix, rhs = assemble(S, u, y, 0.05)
         for j in (0, 3, 1, 2, 3):
             S[:, j] = rng.uniform(0, 1, 9)
-            update_column(system, S, u, y, j, 0.05)
-            M, rhs = oracle_system(S, u, y, 0.05)
-            np.testing.assert_allclose(system.matrix, M, rtol=1e-12)
-            np.testing.assert_allclose(system.rhs, rhs, rtol=1e-12)
+            update_column(matrix, rhs, S, u, y, j, 0.05)
+            M, oracle_rhs = oracle_system(S, u, y, 0.05)
+            np.testing.assert_allclose(matrix, M, rtol=1e-12)
+            np.testing.assert_allclose(rhs, oracle_rhs, rtol=1e-12)
 
 
 class TestSolve:
     def test_hand_solved_interpolation(self):
-        system = assemble(np.array([[1.0], [0.0]]), [1.0, 1.0], [1.0, 0.0], 0.0)
-        beta, bias = solve(system)
+        beta, bias = solve(*assemble(np.array([[1.0], [0.0]]), [1.0, 1.0], [1.0, 0.0], 0.0))
         assert beta[0] == pytest.approx(1.0, abs=1e-12)
         assert bias == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_targets_go_to_bias(self, rng):
         X = rng.normal(0, 1, (8, 2))
         S = sim_matrix(RBF1, X, X[:3]).values
-        beta, bias = solve(assemble(S, np.ones(8), np.full(8, 2.5), 0.3))
+        beta, bias = solve(*assemble(S, np.ones(8), np.full(8, 2.5), 0.3))
         np.testing.assert_allclose(beta, 0.0, atol=1e-10)
         assert bias == pytest.approx(2.5, rel=1e-12)
 
@@ -102,10 +101,10 @@ class TestSolve:
         for seed in range(20):
             r = np.random.default_rng(seed)
             S = r.uniform(0, 1, (15, 4))
-            system = assemble(S, r.uniform(0.5, 2, 15), r.normal(0, 1, 15), 1e-6)
-            beta, bias = solve(system)
+            matrix, rhs = assemble(S, r.uniform(0.5, 2, 15), r.normal(0, 1, 15), 1e-6)
+            beta, bias = solve(matrix, rhs)
             x = np.concatenate([beta, [bias]])
-            assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-9 * np.linalg.norm(system.rhs)
+            assert np.linalg.norm(matrix @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_random_probe_minimality(self, rng):
         # solution beats 1000 random perturbations of (coefficients, bias)
@@ -114,8 +113,8 @@ class TestSolve:
         u = rng.uniform(0.5, 2, 20)
         data = Dataset(features=X, targets=y, weights=u)
         protos = X[:5]
-        S = sim_matrix(RBF1, X, protos)
-        beta, bias = solve(assemble(S, u, y, 0.01))
+        S = sim_matrix(RBF1, X, protos).values
+        beta, bias = solve(*assemble(S, u, y, 0.01))
         model = SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=RBF1)
         best = objective(model, data, 0.01).total
         for _ in range(1000):
@@ -137,7 +136,7 @@ class TestSolve:
             data = Dataset(features=X, targets=y, weights=u)
             protos = X[r.choice(n, m, replace=False)]
             lam = float(r.choice([1e-6, 1e-2]))
-            beta, bias = solve(assemble(sim_matrix(RBF1, X, protos), u, y, lam))
+            beta, bias = solve(*assemble(sim_matrix(RBF1, X, protos).values, u, y, lam))
             model = SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=RBF1)
             best = objective(model, data, lam).total
             for _ in range(40):
@@ -153,21 +152,21 @@ class TestSolve:
         # jittered retry must still return a valid minimizer
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         protos = np.array([[1.0], [1.0]])
-        S = sim_matrix(RBF1, X, protos)
+        S = sim_matrix(RBF1, X, protos).values
         y = np.array([0.0, 1.0, 0.0, -1.0])
-        beta, bias = solve(assemble(S, np.ones(4), y, 0.0))
+        beta, bias = solve(*assemble(S, np.ones(4), y, 0.0))
         x = np.concatenate([beta, [bias]])
-        system = assemble(S, np.ones(4), y, 0.0)
+        matrix, rhs = assemble(S, np.ones(4), y, 0.0)
         assert np.all(np.isfinite(x))
-        assert np.linalg.norm(system.matrix @ x - system.rhs) <= 1e-9 * np.linalg.norm(system.rhs)
+        assert np.linalg.norm(matrix @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_failed_factorization_takes_the_jittered_retry(self, monkeypatch):
         # two identical prototypes at lam=0: M is singular, the Cholesky
         # factorization reports a non-positive pivot, and the retry on the
         # jittered matrix either yields a solution that passes the residual
         # check against M or the error names the condition number
-        S = sim_matrix(RBF1, np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([[0.5], [0.5]]))
-        system = assemble(S, np.ones(4), [0.0, 1.0, 0.0, -1.0], 0.0)
+        S = sim_matrix(RBF1, np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([[0.5], [0.5]])).values
+        matrix, rhs = assemble(S, np.ones(4), [0.0, 1.0, 0.0, -1.0], 0.0)
         calls, factor = [], lapack.dposv
 
         def spy(a, b):
@@ -177,15 +176,15 @@ class TestSolve:
 
         monkeypatch.setattr(lapack, "dposv", spy)
         try:
-            x = np.append(*solve(system))
+            x = np.append(*solve(matrix, rhs))
         except SingularSystemError as exc:
             assert "cond" in str(exc)
         else:
-            residual = np.linalg.norm(system.matrix @ x - system.rhs)
-            assert residual <= RESIDUAL_RTOL * np.linalg.norm(system.rhs)
+            residual = np.linalg.norm(matrix @ x - rhs)
+            assert residual <= RESIDUAL_RTOL * np.linalg.norm(rhs)
         assert calls[0][1] != 0
         assert len(calls) == 2
-        jittered = calls[1][0] - system.matrix
+        jittered = calls[1][0] - matrix
         assert np.all(np.diag(jittered) > 0)
         np.testing.assert_array_equal(jittered - np.diag(np.diag(jittered)), 0.0)
 
@@ -194,7 +193,7 @@ class TestSolve:
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
         rhs = np.array([1.0, 1.0])
         with pytest.raises(SingularSystemError):
-            solve(RidgeSystem(matrix=M, rhs=rhs))
+            solve(M, rhs)
 
     def test_returns_the_lapack_solution_bit_for_bit(self):
         # the residual and finiteness checks accept and pass through the
@@ -202,9 +201,9 @@ class TestSolve:
         for seed in range(20):
             r = np.random.default_rng(seed)
             S = r.uniform(0, 1, (12, 4))
-            system = assemble(S, r.uniform(0.5, 2, 12), r.normal(0, 1, 12), 1e-4)
-            expected = lapack.dposv(system.matrix, system.rhs)[1]
-            beta, bias = solve(system)
+            matrix, rhs = assemble(S, r.uniform(0.5, 2, 12), r.normal(0, 1, 12), 1e-4)
+            expected = lapack.dposv(matrix, rhs)[1]
+            beta, bias = solve(matrix, rhs)
             np.testing.assert_array_equal(beta, expected[:-1])
             assert bias == expected[-1]
 
@@ -221,7 +220,7 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SingularSystemError, match="singular"):
-                solve(RidgeSystem(matrix=np.eye(3), rhs=np.ones(3)))
+                solve(np.eye(3), np.ones(3))
         assert len(attempts) == 2
         assert not np.array_equal(attempts[0], attempts[1])  # the retry is jittered
 
@@ -232,13 +231,12 @@ class TestSolve:
         rhs = np.array([3.0, 4.0])  # norm 5
         error = np.array([ratio * RESIDUAL_RTOL * 5.0, 0.0])
         monkeypatch.setattr(lapack, "dposv", lambda a, b: (a, b + error, 0))
-        system = RidgeSystem(matrix=np.eye(2), rhs=rhs)
         if accepted:
-            beta, bias = solve(system)
+            beta, bias = solve(np.eye(2), rhs)
             np.testing.assert_array_equal(np.append(beta, bias), rhs + error)
         else:
             with pytest.raises(SingularSystemError):
-                solve(system)
+                solve(np.eye(2), rhs)
 
 
 class TestOracleEquivalence:
@@ -254,7 +252,7 @@ class TestOracleEquivalence:
             u = r.uniform(0.5, 2, n)
             y = r.normal(0, 1, n)
             lam = float(r.choice([1e-6, 1e-3, 0.1]))
-            beta, bias = solve(assemble(S, u, y, lam))
+            beta, bias = solve(*assemble(S, u, y, lam))
             M, rhs = oracle_system(S, u, y, lam)
             oracle = np.linalg.solve(M, rhs)
             got = np.concatenate([beta, [bias]])
@@ -282,17 +280,17 @@ def test_no_perturbation_lowers_the_solved_objective(seed, n, d, m, lam, gamma, 
     data = Dataset(features=rng.normal(0, 1, (n, d)), targets=rng.normal(0, 1, n), weights=rng.uniform(0.5, 2, n))
     spec = SimilaritySpec(kind="rbf", gamma=gamma)
     protos = rng.normal(0, 1, (m, d))
-    system = assemble(sim_matrix(spec, data.features, protos), data.weights, data.targets, lam)
-    x = np.append(*solve(system))
+    matrix, rhs = assemble(sim_matrix(spec, data.features, protos).values, data.weights, data.targets, lam)
+    x = np.append(*solve(matrix, rhs))
 
     def omega(coef):
         model = SparseModel(prototypes=protos, beta=coef[:m], bias=coef[m], similarity=spec)
         return objective(model, data, lam).total
 
     best = omega(x)
-    tol = 2.0 * scale * RESIDUAL_RTOL * np.linalg.norm(system.rhs) + 1e-12 * (1.0 + best)
+    tol = 2.0 * scale * RESIDUAL_RTOL * np.linalg.norm(rhs) + 1e-12 * (1.0 + best)
     # random directions, and the one along which the objective curves least
-    directions = [*rng.normal(0, 1, (20, m + 1)), np.linalg.eigh(system.matrix)[1][:, 0]]
+    directions = [*rng.normal(0, 1, (20, m + 1)), np.linalg.eigh(matrix)[1][:, 0]]
     for direction in directions:
         assert omega(x + scale * direction / np.linalg.norm(direction)) >= best - tol
 
@@ -311,10 +309,10 @@ def test_systems_stay_exactly_symmetric(seed, n, m, lam, updates):
     rng = np.random.default_rng(seed)
     S = rng.uniform(0, 1, (n, m))
     u, y = rng.uniform(0.5, 2, n), rng.normal(0, 1, n)
-    system = assemble(S, u, y, lam)
-    assert np.array_equal(system.matrix, system.matrix.T)
+    matrix, rhs = assemble(S, u, y, lam)
+    assert np.array_equal(matrix, matrix.T)
     for j in updates:
         j %= m
         S[:, j] = rng.uniform(0, 1, n)
-        update_column(system, S, u, y, j, lam)
-        assert np.array_equal(system.matrix, system.matrix.T)
+        update_column(matrix, rhs, S, u, y, j, lam)
+        assert np.array_equal(matrix, matrix.T)

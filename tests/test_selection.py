@@ -34,6 +34,10 @@ class TestGridConfig:
             GridConfig(grid=(3, 0))
         with pytest.raises(ValueError):
             GridConfig(grid=(3, 2), folds=1)
+        with pytest.raises(ValueError, match="folds"):
+            GridConfig(grid=(3, 2), folds=2.5)
+        with pytest.raises(ValueError, match="integers"):
+            GridConfig(grid=(3.7, 2))
         with pytest.raises(ValueError):
             GridConfig(grid=(3, 2), rho=-0.1)
         with pytest.raises(ValueError):
@@ -228,7 +232,7 @@ class TestSelect:
             train = data.subset(np.setdiff1d(np.arange(data.n), val_idx))
             val = data.subset(val_idx)
             fold_config = replace(config, seed=int(child.generate_state(1)[0]))
-            models, _ = _descend_grid(train, gc.grid, fold_config, RBF)
+            models = _descend_grid(train, gc.grid, fold_config, RBF)
             for loss, values in per_fold.items():
                 values.append([loss(predict_batch(m, val.features), val.targets) for m in models])
         got = [row.loss for row in trace.rows]
@@ -245,7 +249,7 @@ class TestSelect:
             train = gen_synthetic("three_clusters", n=60, seed=seed)
             val = gen_synthetic("three_clusters", n=60, seed=700 + seed)
             config = TrainConfig(seed=seed, **FAST)
-            models, _ = _descend_grid(train, grid, config, RBF)
+            models = _descend_grid(train, grid, config, RBF)
             for gi, model in enumerate(models):
                 warm[seed, gi] = mse(predict_batch(model, val.features), val.targets)
                 cold_model, _ = fit(train, grid[gi], config=config, similarity=RBF)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sparsim import SparseModel, predict_batch
 from sparsim import similarity as sim
 from sparsim.errors import SimilarityEvalError, UnsupportedGradModeError
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec, grad_z_sum, pairwise, sim_matrix
@@ -155,6 +156,16 @@ class TestGrad:
 
 
 class TestSimMatrix:
+    @pytest.mark.parametrize("spec", [LINEAR, SimilaritySpec(kind="rbf", gamma=0.5)])
+    def test_rejects_more_than_two_dimensions(self, spec):
+        model = SparseModel(prototypes=np.eye(2), beta=np.ones(2), bias=0.0, similarity=spec)
+        before = EVAL_COUNTER.read()
+        with pytest.raises(ValueError, match=r"\(4, 2, 2\)"):
+            sim_matrix(spec, np.ones((4, 2, 2)), np.eye(2))
+        with pytest.raises(ValueError, match=r"\(4, 2, 2\)"):
+            predict_batch(model, np.ones((4, 2, 2)))
+        assert EVAL_COUNTER.read() == before
+
     def test_self_matrix_diagonal_and_symmetry(self, rng):
         X = rng.normal(0, 1, (6, 3))
         S = sim_matrix(RBF1, X, X).values

@@ -28,10 +28,9 @@ def planted_dataset(seed, protos, beta, bias, n=20, spec=RBF1):
 def normal_equation_residual(model, data, lam):
     """Residual of the returned (beta, b) against a freshly assembled
     system for the returned prototypes, and the system's right-hand side."""
-    S = sim.sim_matrix(model.similarity, data.features, model.prototypes)
-    system = assemble(S, data.weights, data.targets, lam)
-    residual = system.matrix @ np.concatenate([model.beta, [model.bias]]) - system.rhs
-    return residual, system.rhs
+    S = sim.sim_matrix(model.similarity, data.features, model.prototypes).values
+    matrix, rhs = assemble(S, data.weights, data.targets, lam)
+    return matrix @ np.concatenate([model.beta, [model.bias]]) - rhs, rhs
 
 
 class TestInitPrototypes:
@@ -163,11 +162,11 @@ class TestFit:
         calls = {"n": 0}
         real = training.ridge.solve
 
-        def failing(system):
+        def failing(matrix, rhs):
             calls["n"] += 1
             if calls["n"] >= 4:
                 raise SingularSystemError("synthetic failure")
-            return real(system)
+            return real(matrix, rhs)
 
         monkeypatch.setattr(training.ridge, "solve", failing)
         model, trace = fit(data, 2, config=TrainConfig(seed=0, max_sweeps=10), similarity=RBF1)
