@@ -15,7 +15,7 @@ import contextlib
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 
 import numpy as np
@@ -54,6 +54,20 @@ _grid_config = partial(selection.GridConfig, grid=(1,))
 _lam = _checked(TrainConfig, "lam")  # --lambda and --lambda1
 _m = _checked(partial(baselines.SelectionMethod, kind="random"), "m", int)
 
+# The compared methods; a prototype-selection name maps to its SelectionMethod kind.
+SELECTIONS = {"ps-r": "random", "ps-b": "border", "ps-s": "spanning", "ps-km": "kmedians"}
+BASELINES = (*SELECTIONS, "ridge", "lasso")
+METHODS = ("sparse", *BASELINES)
+
+
+def _methods(text):
+    names = text.split(",")
+    unknown = [name for name in names if name not in METHODS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {', '.join(map(repr, unknown))} (choose among {','.join(METHODS)})")
+    return names
+
 
 def _stem(path):
     return os.path.splitext(path)[0]
@@ -68,16 +82,10 @@ def _similarity_spec(args, dim, bridges):
 
 
 def _train_config(args, dim):
-    return TrainConfig(
-        lam=args.lam,
-        eta=args.eta,
-        epsilon=args.epsilon,
-        max_sweeps=args.max_sweeps,
-        penalty_enabled=args.penalty,
-        box=np.tile(args.box, (dim, 1)) if isinstance(args.box, np.ndarray) else args.box,
-        seed=args.seed,
-        grad_mode=args.grad_mode,
-    )
+    config = {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+    if isinstance(args.box, np.ndarray):
+        config["box"] = np.tile(args.box, (dim, 1))
+    return TrainConfig(**config)
 
 
 def _config_dict(config: TrainConfig, spec, **extra):
@@ -112,15 +120,16 @@ def cmd_select_m(args, bridges):
     return config_doc, args.seed, [args.data], [args.out, trace_path]
 
 
-def _fit_baseline(data, method, args, spec):
+def _fit(method, data, args, spec, config=None):
+    """The model of one of METHODS; ``config`` is needed only by "sparse"."""
+    if method == "sparse":
+        return training.fit(data, args.m, config=config, similarity=spec)[0]
     if method == "ridge":
         return baselines.kernel_ridge_full(data, args.lam, spec)
     if method == "lasso":
         return baselines.lasso_similarity(data, args.lam1, spec)
-    kind = {"ps-r": "random", "ps-b": "border", "ps-s": "spanning", "ps-km": "kmedians"}[method]
-    return baselines.baseline_pipeline(
-        data, baselines.SelectionMethod(kind=kind, m=args.m, seed=args.seed), args.lam, spec
-    )
+    selector = baselines.SelectionMethod(kind=SELECTIONS[method], m=args.m, seed=args.seed)
+    return baselines.baseline_pipeline(data, selector, args.lam, spec)
 
 
 def _metric_rows(model, data):
@@ -134,7 +143,7 @@ def _metric_rows(model, data):
 def cmd_baseline(args, bridges):
     data = dataio.load_csv(args.data, args.target)
     spec = _similarity_spec(args, data.dim, bridges)
-    model = _fit_baseline(data, args.method, args, spec)
+    model = _fit(args.method, data, args, spec)
     dataio.save_model(model, args.out)
     eval_data = dataio.load_csv(args.test, args.target) if args.test else data
     metrics_path = _stem(args.out) + ".metrics.csv"
@@ -145,29 +154,22 @@ def cmd_baseline(args, bridges):
     return config_doc, args.seed, [p for p in [args.data, args.test] if p], [args.out, metrics_path]
 
 
-BENCH_METHODS = ("sparse", "ps-r", "ps-b", "ps-s", "ps-km", "ridge", "lasso")
-
-
 def cmd_bench(args, bridges):
     data = dataio.load_csv(args.data, args.target)
     test = dataio.load_csv(args.test, args.target) if args.test else data
     spec = _similarity_spec(args, data.dim, bridges)
     config = _train_config(args, data.dim)
-    methods = args.methods.split(",") if args.methods else list(BENCH_METHODS)
     rows = []
-    for method in methods:
+    for method in args.methods:
         t0 = time.perf_counter()
-        if method == "sparse":
-            model, _ = training.fit(data, args.m, config=config, similarity=spec)
-        else:
-            model = _fit_baseline(data, method, args, spec)
+        model = _fit(method, data, args, spec, config)
         train_seconds = time.perf_counter() - t0
         scores = _metric_rows(model, test)
         rows.append([method, *(value for _, value in scores), f"{train_seconds:.6f}"])
     header = ["method", *(name for name, _ in scores), "train_seconds"]
     dataio.write_table(args.out, header, rows)
     print(f"benchmarked {len(rows)} methods -> {args.out}")
-    config_doc = _config_dict(config, spec, m=args.m, methods=methods, lam1=args.lam1)
+    config_doc = _config_dict(config, spec, m=args.m, methods=args.methods, lam1=args.lam1)
     return config_doc, args.seed, [p for p in [args.data, args.test] if p], [args.out]
 
 
@@ -186,26 +188,31 @@ def cmd_predict(args, bridges):
 def _add_common(parser, out_help="output model path (JSON)"):
     parser.add_argument("--data", required=True, help="training CSV with a header row")
     parser.add_argument("--target", required=True, help="name of the target column")
-    parser.add_argument("--seed", type=_checked(TrainConfig, "seed", int), default=0)
-    parser.add_argument("--lambda", dest="lam", type=_lam, default=1e-6,
-                        help="ridge regularization (default 1e-6)")
+    parser.add_argument("--seed", type=_checked(TrainConfig, "seed", int), default=TrainConfig.seed)
+    parser.add_argument("--lambda", dest="lam", type=_lam, default=TrainConfig.lam,
+                        help="ridge regularization (default %(default)s)")
     parser.add_argument("--gamma", type=_checked(similarity.SimilaritySpec, "gamma"), default=None,
                         help="RBF bandwidth (default 1/d)")
     parser.add_argument("--out", required=True, help=out_help)
 
 
 def _add_train_knobs(parser):
-    parser.add_argument("--eta", type=_checked(TrainConfig, "eta"), default=0.5, help="gradient step size")
-    parser.add_argument("--epsilon", type=_checked(TrainConfig, "epsilon"), default=1e-6,
-                        help="convergence tolerance")
-    parser.add_argument("--max-sweeps", type=_checked(TrainConfig, "max_sweeps", int), default=50)
-    parser.add_argument("--grad-mode", choices=similarity.GRAD_MODES, default="analytic")
-    parser.add_argument("--no-penalty", dest="penalty", action="store_false",
+    parser.add_argument("--eta", type=_checked(TrainConfig, "eta"), help="gradient step size")
+    parser.add_argument("--epsilon", type=_checked(TrainConfig, "epsilon"), help="convergence tolerance")
+    parser.add_argument("--max-sweeps", type=_checked(TrainConfig, "max_sweeps", int))
+    parser.add_argument("--grad-mode", choices=similarity.GRAD_MODES)
+    parser.add_argument("--no-penalty", dest="penalty_enabled", action="store_false",
                         help="do not repel nearby prototypes")
     parser.add_argument("--box", nargs="?", type=_checked(TrainConfig, "box", _box), const="data",
-                        default=None, help="projection bounds: 'data' for the feature hull or 'lo,hi'")
-    parser.add_argument("--blackbox", default=None,
-                        help="command of a line-protocol similarity scorer")
+                        help="projection bounds: 'data' for the feature hull or 'lo,hi'")
+    parser.add_argument("--blackbox", default=None, help="command of a line-protocol similarity scorer")
+    parser.set_defaults(**{f.name: f.default for f in fields(TrainConfig)})
+
+
+def _add_comparison(parser):
+    parser.add_argument("--m", type=_m, default=5, help="prototypes of the ps-* and sparse methods")
+    parser.add_argument("--lambda1", dest="lam1", type=_lam, default=1e-3, help="L1 penalty of the lasso")
+    parser.add_argument("--test", default=None, help="held-out CSV to score (default: the training data)")
 
 
 def build_parser():
@@ -224,28 +231,25 @@ def build_parser():
     _add_train_knobs(p)
     p.add_argument("--grid", type=_checked(selection.GridConfig, "grid", _grid),
                    default=None, help="descending sizes, e.g. 10,5,4,3,2")
-    p.add_argument("--rho", type=_checked(_grid_config, "rho"), default=None, help="size penalty weight")
-    p.add_argument("--loss", choices=tuple(metrics.LOSSES), default="mse")
-    p.add_argument("--folds", type=_checked(_grid_config, "folds", int), default=5)
+    p.add_argument("--rho", type=_checked(_grid_config, "rho"), default=selection.GridConfig.rho,
+                   help="size penalty weight")
+    p.add_argument("--loss", choices=tuple(metrics.LOSSES), default=selection.GridConfig.loss_kind)
+    p.add_argument("--folds", type=_checked(_grid_config, "folds", int), default=selection.GridConfig.folds)
     p.add_argument("--group-column", default=None, help="subject id column for disjoint folds")
     p.set_defaults(func=cmd_select_m)
 
     p = sub.add_parser("baseline", help="prototype-selection and linear baselines")
     _add_common(p)
-    p.add_argument("--method", required=True, choices=("ps-r", "ps-b", "ps-s", "ps-km", "ridge", "lasso"))
-    p.add_argument("--m", type=_m, default=5)
-    p.add_argument("--lambda1", dest="lam1", type=_lam, default=1e-3,
-                   help="L1 penalty for the lasso baseline")
-    p.add_argument("--test", default=None, help="held-out CSV for the metrics file")
+    p.add_argument("--method", required=True, choices=BASELINES)
+    _add_comparison(p)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("bench", help="compare methods in one table")
     _add_common(p, out_help="comparison table CSV path")
     _add_train_knobs(p)
-    p.add_argument("--m", type=_m, default=5)
-    p.add_argument("--methods", default=None, help=f"comma list among {','.join(BENCH_METHODS)}")
-    p.add_argument("--lambda1", dest="lam1", type=_lam, default=1e-3)
-    p.add_argument("--test", default=None, help="held-out CSV (cross-dataset evaluation)")
+    _add_comparison(p)
+    p.add_argument("--methods", type=_methods, default=list(METHODS),
+                   help=f"comma list among {','.join(METHODS)} (default: all)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("predict", help="score a CSV of samples with a saved model")

@@ -36,10 +36,11 @@ def assemble(S, weights, targets, lam: float):
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     rhs = np.append(S.T @ (u * y), u @ y)  # before A, so u * y is freed first
-    # A' row by row: numpy then scales S into it without iteration buffers.
+    # A' row by row: copying S' in and scaling it in place takes no numpy iteration buffer.
     At = np.empty((m + 1, n))
     np.sqrt(u, out=At[m])
-    np.multiply(S.T, At[m], out=At[:m])
+    At[:m] = S.T
+    At[:m] *= At[m]
     matrix = At @ At.T
     diag = np.arange(m)
     matrix[diag, diag] += lam

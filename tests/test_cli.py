@@ -4,7 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,8 @@ from sparsim import EVAL_COUNTER, SimilaritySpec, dataio, gen_synthetic, load_mo
 from sparsim.cli import build_parser, main
 from sparsim.datatypes import TrainConfig, predict_batch
 from sparsim.metrics import error_rate, mae, mse
+from sparsim.selection import GridConfig
+from sparsim.similarity import default_spec
 from test_dataio import RBF_SCORER
 
 
@@ -93,6 +95,15 @@ class TestTrain:
             TrainConfig(eta=0.0)
         assert f"argument --eta: {owner.value}" in capsys.readouterr().err
 
+    def test_gamma_sets_the_rbf_bandwidth(self, tmp_path, train_csv):
+        out = tmp_path / "model.json"
+        assert run(["train", "--data", train_csv, "--target", "target", "--m", "2",
+                    "--max-sweeps", "2", "--gamma", "0.25", "--out", out]) == 0
+        spec = load_model(out).similarity
+        assert (spec.kind, spec.gamma) == ("rbf", 0.25)
+        manifest = json.loads((tmp_path / "model.manifest.json").read_text())
+        assert manifest["config"]["similarity"]["gamma"] == 0.25
+
     def test_explicit_box_tiles_to_every_dimension(self, tmp_path, train_csv):
         out = tmp_path / "model.json"
         assert run(["train", "--data", train_csv, "--target", "target", "--m", "2",
@@ -153,6 +164,24 @@ def test_manifest_contract(tmp_path, train_csv, subcommand):
     assert manifest["similarity_evaluations"] == evals
     assert manifest["outputs"][0] == str(out)
     assert all(Path(p).exists() for p in manifest["inputs"] + manifest["outputs"])
+
+
+def test_flag_defaults_are_the_library_defaults(tmp_path):
+    """With only the required flags, train and select-m run with TrainConfig's
+    and GridConfig's own defaults, so a default has one home."""
+    data_path = tmp_path / "three.csv"
+    data = gen_synthetic("three_clusters", n=12, seed=0)
+    write_csv(data, data_path)
+    similarity = dataio.similarity_dict(default_spec(data.dim))
+    required = ["--data", data_path, "--target", "target"]
+    assert run(["train", *required, "--m", "2", "--out", tmp_path / "train.json"]) == 0
+    config = json.loads((tmp_path / "train.manifest.json").read_text())["config"]
+    assert config == {**asdict(TrainConfig()), "similarity": similarity, "m": 2}
+    assert run(["select-m", *required, "--out", tmp_path / "select.json"]) == 0
+    config = json.loads((tmp_path / "select.manifest.json").read_text())["config"]
+    assert {key: config[key] for key in ("loss", "folds", "rho")} == {
+        "loss": GridConfig.loss_kind, "folds": GridConfig.folds, "rho": GridConfig(grid=(1,)).resolved_rho}
+    assert {key: config[key] for key in asdict(TrainConfig())} == asdict(TrainConfig())
 
 
 GARBAGE_SCORER = """\
@@ -340,6 +369,24 @@ class TestBench:
         assert rows[0][3] == "error_rate"
         assert float(rows[1][3]) == error_rate(pred, data.targets)
         assert error_rate(pred, data.targets) not in (mae(pred, data.targets), mse(pred, data.targets))
+
+    def test_default_methods_are_all_seven(self, tmp_path, train_csv):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--data", train_csv, "--target", "target", "--m", "2",
+                    "--max-sweeps", "2", "--out", out]) == 0
+        methods = ["sparse", "ps-r", "ps-b", "ps-s", "ps-km", "ridge", "lasso"]
+        assert [row[0] for row in read_rows(out)[1:]] == methods
+        assert json.loads((tmp_path / "bench.manifest.json").read_text())["config"]["methods"] == methods
+
+    def test_unknown_method_is_usage_error_before_any_work(self, tmp_path, train_csv, capsys):
+        before = EVAL_COUNTER.read()
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", "--data", train_csv, "--target", "target", "--methods", "sparse,foo",
+                 "--out", tmp_path / "bench.csv"])
+        assert exc.value.code == 2
+        assert "argument --methods: unknown method 'foo'" in capsys.readouterr().err
+        assert EVAL_COUNTER.read() == before
+        assert sorted(tmp_path.iterdir()) == [train_csv]
 
     @pytest.mark.parametrize("flags", [["--metric", "error"], ["--penalty"]])
     def test_removed_flags_are_usage_errors(self, tmp_path, train_csv, flags):

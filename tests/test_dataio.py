@@ -56,6 +56,9 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(DataFormatError):
             load_csv(path, "target")
+        path.write_text("a,target\n")
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_csv(path, "target")
 
     def test_features_exclude_target_and_allow_no_rows(self, tmp_path):
         path = tmp_path / "data.csv"

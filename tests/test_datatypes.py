@@ -30,6 +30,10 @@ class TestDataset:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(features=[[1.0], [2.0]], targets=[1.0])
+        with pytest.raises(ValueError, match="2 samples but 1 weights"):
+            Dataset(features=[[1.0], [2.0]], targets=[1.0, 2.0], weights=[1.0])
+        with pytest.raises(ValueError, match="2 samples but 3 group ids"):
+            Dataset(features=[[1.0], [2.0]], targets=[1.0, 2.0], groups=[0, 1, 2])
 
     def test_rejects_more_than_two_dimensions(self):
         with pytest.raises(ValueError, match=r"\(4, 2, 2\)"):
@@ -68,6 +72,15 @@ class TestPredict:
         model = toy_model(rng.normal(0, 1, (2, 3)), [1.0, 2.0])
         with pytest.raises(ValueError):
             predict(model, np.zeros(4))
+        with pytest.raises(ValueError, match=r"got shape \(1, 3\)"):
+            predict(model, np.zeros((1, 3)))
+
+    def test_nonfinite_rows_rejected_before_any_evaluation(self, rng):
+        model = toy_model(rng.normal(0, 1, (2, 3)), [1.0, 2.0])
+        before = EVAL_COUNTER.read()
+        with pytest.raises(ValueError, match="finite"):
+            predict_batch(model, [[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])
+        assert EVAL_COUNTER.read() == before
 
     def test_nonfinite_similarity_names_prototype(self):
         spec = SimilaritySpec(

@@ -196,6 +196,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(data, 4, config=TrainConfig(lam=1e-3), similarity=RBF1, init=rng.normal(0, 1, (4, 2)))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2,)])
+    def test_init_of_wrong_shape_rejected(self, rng, shape):
+        data = Dataset(features=rng.normal(0, 1, (5, 2)), targets=rng.normal(0, 1, 5))
+        with pytest.raises(ValueError, match=r"init must have shape \(2, 2\)"):
+            fit(data, 2, config=TrainConfig(lam=1e-3), similarity=RBF1, init=np.zeros(shape))
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_box_rows_must_match_dimension(self, rng, rows):
         data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
