@@ -4,7 +4,7 @@ then fit the linear part separately (no prototype optimization)."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 from . import ridge
@@ -13,6 +13,7 @@ from .datatypes import Dataset, SparseModel
 from .errors import ConvergenceError
 
 SELECTION_KINDS = ("random", "border", "spanning", "kmedians")
+SEEDED_KINDS = ("random", "kmedians")  # the selections that read SelectionMethod.seed
 
 # Cholesky pivot share of its Gram diagonal below which a lasso column is dependent.
 DEPENDENT_RTOL = 1e-12
@@ -176,23 +177,27 @@ def lasso_similarity(
     inactive correlation 2(c - G beta) reaching +-lambda (entry), an active
     coefficient reaching zero (drop), or lam1 (stop).  The active block's
     Cholesky factor grows by one triangular solve per entry and is re-factored
-    after a drop, so with k active columns an event costs O(n k), plus O(k^3)
-    for a drop.  A column dependent on the active ones is not admitted, and a
-    newcomer whose direction opposes its sign (a tie) is dropped again at
-    once; they and a dropped column are barred on that side until the next
-    event.
+    after a drop (LAPACK dpotrs/dtrtrs/dpotrf, called directly), so with k
+    active columns an event costs O(n k) correlations and O(k^2) solves and
+    growth, plus O(k^3) for a drop.  A column dependent on the active ones is
+    not admitted, and a newcomer whose direction opposes its sign (a tie) is
+    dropped again at once; they and a dropped column are barred on that side
+    until the next event.
 
-    ``max_steps`` bounds the number of path events.  The result is checked
-    once against the optimality conditions and a ConvergenceError naming
-    the worst residual is raised if it exceeds ``tol``: a non-optimal
-    solution is never returned.  Only prototypes with nonzero coefficients
-    are kept (one zero-coefficient prototype remains in the all-zero case
-    so the model stays valid).
+    ``max_steps`` (an integer >= 1) bounds the number of path events.  A
+    failed factorization or solve raises a ConvergenceError naming the event
+    and lambda.  The result is checked once against the optimality
+    conditions and a ConvergenceError naming the worst residual is raised if
+    it exceeds ``tol``: a non-optimal solution is never returned.  Only
+    prototypes with nonzero coefficients are kept (one zero-coefficient
+    prototype remains in the all-zero case so the model stays valid).
     """
     if not lam1 >= 0:
         raise ValueError(f"lam1 must be >= 0, got {lam1}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
+        raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
     S = sim.sim_matrix(spec, data.features, data.features).values
     u, y, n = data.weights, data.targets, data.n
     ybar = float(u @ y / np.sum(u))
@@ -206,54 +211,65 @@ def lasso_similarity(
     # lower Cholesky factor of G_AA in that order
     beta, rows, chol = np.zeros(n), np.empty((n, n)), np.empty((0, 0), order="F")
     active, signs, barred, fresh = [], [], [], False
-    lam, events = 2.0 * float(np.max(np.abs(c))), 0
-    while lam > lam1 and events < max_steps:
-        events += 1
-        k, s = len(active), np.array(signs)
-        w = cho_solve((chol, True), s / 2.0, check_finite=False)
-        if fresh and w[-1] * s[-1] < 0:
-            # a tie: the newcomer would leave zero against its sign
-            barred, fresh, chol = [(active.pop(), signs.pop())], False, chol[:-1, :-1].copy("F")
-            continue
-        fresh = False
-        # the correlations g = 2(c - G beta) fall by a2 = 2 G w per unit of lambda;
-        # up/down are the steps at which they would reach +lambda/-lambda
-        a2, g = 2.0 * (np.vstack([w, beta[active]]) @ rows[:k])
-        g = 2.0 * c - g
-        with np.errstate(divide="ignore", invalid="ignore"):
+    lam, events, two_c = 2.0 * float(np.max(np.abs(c))), 0, 2.0 * c
+
+    def solved(routine, result):
+        x, info = result
+        if info:
+            raise ConvergenceError(
+                f"lasso path event {events} at lambda {lam:.3e}: LAPACK {routine} returned info {info}")
+        return x
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lam > lam1 and events < max_steps:
+            events += 1
+            k, s, idx = len(active), np.array(signs), np.array(active, dtype=np.intp)
+            w = solved("dpotrs", lapack.dpotrs(chol, s / 2.0, lower=1, overwrite_b=1)) if k else s / 2.0
+            if fresh and w[-1] * s[-1] < 0:
+                # a tie: the newcomer would leave zero against its sign
+                barred, fresh, chol = [(active.pop(), signs.pop())], False, chol[:-1, :-1].copy("F")
+                continue
+            fresh = False
+            # the correlations g = 2(c - G beta) fall by a2 = 2 G w per unit of lambda;
+            # up/down are the steps at which they would reach +lambda/-lambda
+            beta_a = beta[idx]
+            a2, g = 2.0 * (np.vstack([w, beta_a]) @ rows[:k])
+            g = two_c - g
             up = np.where(a2 < 1.0, (lam - g) / (1.0 - a2), np.inf)
             down = np.where(a2 > -1.0, (lam + g) / (1.0 + a2), np.inf)
-            drop = np.where(w * s < 0, -beta[active] / w, np.inf).clip(min=0.0)
-        for b, side in barred:
-            (up if side > 0 else down)[b] = np.inf
-        enter = np.maximum(np.fmin(up, down), 0.0)
-        enter[active] = np.inf
-        j, t_drop = int(np.argmin(enter)), drop.min(initial=np.inf)
-        step = min(lam - lam1, enter[j], t_drop)
-        beta[active] += step * w
-        lam = lam1 if step == lam - lam1 else lam - step
-        if lam == lam1:
-            break
-        if step == t_drop:
-            i = int(np.argmin(drop))
-            barred = [(active[i], signs[i])]
-            beta[active[i]] = 0.0
-            active[i], signs[i], rows[i] = active[-1], signs[-1], rows[k - 1]
-            del active[-1], signs[-1]
-            chol = cholesky(rows[: k - 1, active], lower=True, check_finite=False)
-            continue
-        col = solve_triangular(chol, rows[:k, j], lower=True, check_finite=False)
-        pivot = G[j, j] - col @ col
-        sign = 1.0 if up[j] <= down[j] else -1.0
-        if not pivot > DEPENDENT_RTOL * G[j, j]:
-            barred.append((j, sign))
-            continue
-        grown = np.zeros((k + 1, k + 1), order="F")
-        grown[:k, :k], grown[k, :k], grown[k, k] = chol, col, np.sqrt(pivot)
-        chol, rows[k] = grown, G[j]
-        active.append(j)
-        signs.append(sign)
-        barred, fresh = [], True
+            drop = np.where(w * s < 0, -beta_a / w, np.inf).clip(min=0.0)
+            for b, side in barred:
+                (up if side > 0 else down)[b] = np.inf
+            enter = np.maximum(np.fmin(up, down), 0.0)
+            enter[idx] = np.inf
+            j, t_drop = int(np.argmin(enter)), drop.min(initial=np.inf)
+            step = min(lam - lam1, enter[j], t_drop)
+            beta[idx] += step * w
+            lam = lam1 if step == lam - lam1 else lam - step
+            if lam == lam1:
+                break
+            if step == t_drop:
+                i = int(np.argmin(drop))
+                barred = [(active[i], signs[i])]
+                beta[active[i]] = 0.0
+                active[i], signs[i], rows[i] = active[-1], signs[-1], rows[k - 1]
+                del active[-1], signs[-1]
+                # G = A'A is exactly symmetric (numpy forms it by SYRK), so the
+                # gathered block's transpose is G_AA itself, in Fortran order
+                chol = solved("dpotrf", lapack.dpotrf(rows[: k - 1, active].T, lower=1, overwrite_a=1))
+                continue
+            col = solved("dtrtrs", lapack.dtrtrs(chol, rows[:k, j], lower=1)) if k else rows[:0, j]
+            pivot = G[j, j] - col @ col
+            sign = 1.0 if up[j] <= down[j] else -1.0
+            if not pivot > DEPENDENT_RTOL * G[j, j]:
+                barred.append((j, sign))
+                continue
+            grown = np.zeros((k + 1, k + 1), order="F")
+            grown[:k, :k], grown[k, :k], grown[k, k] = chol, col, np.sqrt(pivot)
+            chol, rows[k] = grown, G[j]
+            active.append(j)
+            signs.append(sign)
+            barred, fresh = [], True
     bias = ybar - float(sbar @ beta)
     worst = float(np.max(lasso_kkt_residuals(S, u, y, beta, bias, lam1)))
     if worst > tol:

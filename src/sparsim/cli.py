@@ -149,8 +149,11 @@ def cmd_baseline(args, bridges):
     metrics_path = _stem(args.out) + ".metrics.csv"
     dataio.write_table(metrics_path, ["metric", "value"], _metric_rows(model, eval_data))
     print(f"{args.method}: m={model.m}")
-    config_doc = {"method": args.method, "m": args.m, "lam": args.lam, "lam1": args.lam1,
-                  "seed": args.seed, "similarity": dataio.similarity_dict(spec)}
+    flags = {"lasso": ["lam1"], "ridge": ["lam"]}.get(args.method, ["m", "lam"])
+    if SELECTIONS.get(args.method) in baselines.SEEDED_KINDS:
+        flags.append("seed")
+    config_doc = {"method": args.method, **{flag: getattr(args, flag) for flag in flags},
+                  "similarity": dataio.similarity_dict(spec)}
     return config_doc, args.seed, [p for p in [args.data, args.test] if p], [args.out, metrics_path]
 
 

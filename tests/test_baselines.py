@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from sparsim import Dataset, gen_synthetic, predict_batch
+from sparsim import Dataset, baselines, gen_synthetic, predict_batch
 from sparsim.baselines import (
     SelectionMethod,
     baseline_pipeline,
@@ -277,6 +277,20 @@ class TestLasso:
         data = gen_synthetic("sine_regression", n=60, seed=0)
         with pytest.raises(ValueError, match="tol"):
             lasso_similarity(data, 1e-3, RBF1, tol=tol, max_steps=1)
+
+    @pytest.mark.parametrize("max_steps", [2.5, 0, -1, "3"])
+    def test_rejects_max_steps_that_is_not_a_positive_integer(self, max_steps):
+        with pytest.raises(ValueError, match=f"max_steps must be an integer >= 1, got {max_steps!r}"):
+            lasso_similarity(spread_instance(), 1e-3, RBF1, max_steps=max_steps)
+
+    @pytest.mark.parametrize("routine", ["dpotrf", "dpotrs", "dtrtrs"])
+    def test_lapack_failure_names_the_path_event(self, monkeypatch, routine):
+        # this path has drops, so all three routines run; dpotrf re-factors after a drop
+        data = gen_synthetic("sine_regression", n=30, seed=0)
+        monkeypatch.setattr(baselines.lapack, routine, lambda a, *args, **kwargs: (a, 1))
+        message = rf"lasso path event \d+ at lambda \d\.\d+e[+-]\d+: LAPACK {routine} returned info 1"
+        with pytest.raises(ConvergenceError, match=message):
+            lasso_similarity(data, 0.1, RBF1)
 
     @pytest.mark.parametrize("lam1", [1e-1, 1e-2, 1e-3])
     def test_readme_sine_data_finishes(self, lam1):

@@ -134,16 +134,21 @@ MANIFEST_CASES = {
     "train": (["--m", "2", "--max-sweeps", "3"], TRAIN_CONFIG_KEYS | {"m"}),
     "select-m": (["--grid", "3,2", "--folds", "2", "--max-sweeps", "3"],
                  TRAIN_CONFIG_KEYS | {"grid", "rho", "loss", "folds", "chosen_m"}),
-    "baseline": (["--method", "ps-km", "--m", "3"], {"method", "m", "lam", "lam1", "seed", "similarity"}),
+    # baseline records only the flags its method reads
+    "baseline": (["--method", "ps-km", "--m", "3"], {"method", "m", "lam", "seed", "similarity"}),
+    "baseline:ps-b": (["--method", "ps-b", "--m", "3"], {"method", "m", "lam", "similarity"}),
+    "baseline:ridge": (["--method", "ridge"], {"method", "lam", "similarity"}),
+    "baseline:lasso": (["--method", "lasso"], {"method", "lam1", "similarity"}),
     "bench": (["--m", "2", "--max-sweeps", "3", "--methods", "sparse,ps-r"],
               TRAIN_CONFIG_KEYS | {"m", "methods", "lam1"}),
     "predict": ([], {"model", "target"}),
 }
 
 
-@pytest.mark.parametrize("subcommand", sorted(MANIFEST_CASES))
-def test_manifest_contract(tmp_path, train_csv, subcommand):
-    extra, config_keys = MANIFEST_CASES[subcommand]
+@pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+def test_manifest_contract(tmp_path, train_csv, case):
+    extra, config_keys = MANIFEST_CASES[case]
+    subcommand = case.split(":")[0]
     args = [subcommand, "--data", train_csv, "--target", "target", *extra]
     if subcommand == "predict":
         model = tmp_path / "model.json"

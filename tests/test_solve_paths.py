@@ -1,14 +1,16 @@
-"""No general ``linalg.solve`` in the package, and one ``dposv`` caller.
+"""No general ``linalg.solve`` in the package, and one caller per LAPACK routine.
 
 Nothing in ``src/sparsim`` calls ``np.linalg.solve`` or
-``scipy.linalg.solve`` (any ``linalg.solve``), and ``ridge.solve`` is the
-only function that calls ``lapack.dposv``, so the ridge systems keep one
-Cholesky solve path.  Other factorizations are not looked for: the lasso
-baseline's active-set Cholesky solves (``cholesky``, ``cho_solve``) are
-separate by design.
+``scipy.linalg.solve`` (any ``linalg.solve``).  Every direct
+``lapack.<routine>`` call is found, and each routine has one calling
+function: ``ridge.solve`` is the only caller of ``dposv``, so the ridge
+systems keep one Cholesky solve path, and ``baselines.lasso_similarity``
+is the only caller of ``dpotrf``, ``dpotrs`` and ``dtrtrs``, the active-set
+Cholesky factor, solves and growth of the lasso homotopy.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,26 +28,32 @@ def _dotted(node):
     return ".".join([node.id, *reversed(parts)])
 
 
+def _kind(name):
+    """``linalg.solve`` or ``lapack.<routine>`` for a dotted call name, else None."""
+    scope, _, attr = name.rpartition(".")
+    module = scope.rpartition(".")[2]
+    if module == "linalg" and attr == "solve":
+        return "linalg.solve"
+    return f"lapack.{attr}" if module == "lapack" else None
+
+
 def solve_calls(source: str, module: str):
     """``(kind, module.function)`` for every ``linalg.solve`` and
-    ``lapack.dposv`` call in ``source``, by the outermost enclosing function
-    (``module.<module>`` for a call outside any function).  A ``solve`` or
-    ``dposv`` imported by name from a linalg module counts as a call at the
-    import."""
+    ``lapack.<routine>`` call in ``source``, by the outermost enclosing
+    function (``module.<module>`` for a call outside any function).  A
+    ``solve`` or routine imported by name from a linalg or lapack module
+    counts as a call at the import."""
     calls = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and scope == "<module>":
             scope = node.name
-        if isinstance(node, ast.Call):
-            name = _dotted(node.func) or ""
-            for kind in ("linalg.solve", "lapack.dposv"):
-                if name == kind or name.endswith("." + kind):
-                    calls.append((kind, f"{module}.{scope}"))
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("linalg", "lapack"):
+        if isinstance(node, ast.Call) and _kind(_dotted(node.func) or ""):
+            calls.append((_kind(_dotted(node.func)), f"{module}.{scope}"))
+        if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name in ("solve", "dposv"):
-                    kind = "lapack.dposv" if alias.name == "dposv" else "linalg.solve"
+                kind = _kind(f"{node.module}.{alias.name}")
+                if kind:
                     calls.append((kind, f"{module}.{scope}"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -54,22 +62,46 @@ def solve_calls(source: str, module: str):
     return calls
 
 
+def _callers():
+    """Each kind found in the package, with the set of functions calling it."""
+    callers = defaultdict(set)
+    for path in SOURCES:
+        for kind, function in solve_calls(path.read_text(), path.stem):
+            callers[kind].add(function)
+    return dict(callers)
+
+
 def test_no_linalg_solve_and_ridge_solve_is_the_only_dposv_caller():
-    calls = [c for path in SOURCES for c in solve_calls(path.read_text(), path.stem)]
-    assert calls == [("lapack.dposv", "ridge.solve")]
+    callers = _callers()
+    assert "linalg.solve" not in callers
+    assert callers["lapack.dposv"] == {"ridge.solve"}
+
+
+def test_one_calling_function_per_lapack_routine():
+    lasso = {"baselines.lasso_similarity"}
+    assert _callers() == {
+        "lapack.dposv": {"ridge.solve"},
+        "lapack.dpotrf": lasso,
+        "lapack.dpotrs": lasso,
+        "lapack.dtrtrs": lasso,
+    }
 
 
 def test_checker_finds_calls_by_outermost_function():
     source = (
         "from numpy.linalg import solve\n"
+        "from scipy.linalg import lapack\n"
+        "from scipy.linalg.lapack import dpotrf\n"
         "np.linalg.solve(a, b)\n"
-        "def f():\n    def g():\n        lapack.dposv(a, b)\n    scipy.linalg.lapack.dposv(a, b)\n"
+        "def f():\n    def g():\n        lapack.dposv(a, b)\n    scipy.linalg.lapack.dtrtrs(a, b)\n"
         "def h():\n    linalg.solve(a, b)\n    cho_solve(c, b)\n    other.solve(a, b)\n"
+        "    lapack_like.dpotrs(c, b)\n"
     )
     assert solve_calls(source, "m") == [
         ("linalg.solve", "m.<module>"),
+        ("lapack.dpotrf", "m.<module>"),
         ("linalg.solve", "m.<module>"),
         ("lapack.dposv", "m.f"),
-        ("lapack.dposv", "m.f"),
+        ("lapack.dtrtrs", "m.f"),
         ("linalg.solve", "m.h"),
     ]
