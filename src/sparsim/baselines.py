@@ -9,11 +9,8 @@ from scipy.spatial.distance import cdist
 
 from . import ridge
 from . import similarity as sim
-from .datatypes import Dataset, SparseModel
+from .datatypes import Dataset, SparseModel, check_size
 from .errors import ConvergenceError
-
-SELECTION_KINDS = ("random", "border", "spanning", "kmedians")
-SEEDED_KINDS = ("random", "kmedians")  # the selections that read SelectionMethod.seed
 
 # Cholesky pivot share of its Gram diagonal below which a lasso column is dependent.
 DEPENDENT_RTOL = 1e-12
@@ -26,7 +23,7 @@ class SelectionMethod:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in SELECTION_KINDS:
+        if self.kind not in SELECTORS:
             raise ValueError(f"unknown selection kind {self.kind!r}")
         if not isinstance(self.m, (int, np.integer)) or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
@@ -40,13 +37,13 @@ def set_median_index(X) -> int:
 
 def ps_random(data: Dataset, m: int, seed: int) -> np.ndarray:
     """m indices drawn uniformly without replacement."""
-    _check_m(data, m)
+    check_size(m, data.n)
     return np.random.default_rng(seed).choice(data.n, size=m, replace=False)
 
 
 def ps_border(data: Dataset, m: int) -> np.ndarray:
     """The m samples farthest from the set median (the data frontier)."""
-    _check_m(data, m)
+    check_size(m, data.n)
     med = set_median_index(data.features)
     dist = np.linalg.norm(data.features - data.features[med], axis=1)
     return np.argsort(-dist, kind="stable")[:m]
@@ -58,7 +55,7 @@ def ps_spanning(data: Dataset, m: int) -> np.ndarray:
     After the median, each pick maximizes the distance to the closest
     already-selected sample.
     """
-    _check_m(data, m)
+    check_size(m, data.n)
     X = data.features
     selected = [set_median_index(X)]
     min_dist = np.linalg.norm(X - X[selected[0]], axis=1)
@@ -95,7 +92,7 @@ def _lloyd(X, k, rng):
 
 def ps_kmedians(data: Dataset, m: int, seed: int) -> np.ndarray:
     """Cluster with seeded k-means (5 restarts), keep each cluster's set median."""
-    _check_m(data, m)
+    check_size(m, data.n)
     X = data.features
     distinct = np.unique(X, axis=0).shape[0]
     if distinct < m:
@@ -113,9 +110,8 @@ def ps_kmedians(data: Dataset, m: int, seed: int) -> np.ndarray:
     return np.array(indices)
 
 
-def _check_m(data, m):
-    if not 1 <= m <= data.n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={data.n}")
+SELECTORS = {"random": ps_random, "border": ps_border, "spanning": ps_spanning, "kmedians": ps_kmedians}
+SEEDED_KINDS = ("random", "kmedians")  # the selectors that read SelectionMethod.seed
 
 
 def _ridge_model(data, protos, lam, spec, metadata):
@@ -137,14 +133,8 @@ def baseline_pipeline(
     The returned prototypes are rows of the training features, never
     virtual points.
     """
-    if method.kind == "random":
-        idx = ps_random(data, method.m, method.seed)
-    elif method.kind == "border":
-        idx = ps_border(data, method.m)
-    elif method.kind == "spanning":
-        idx = ps_spanning(data, method.m)
-    else:
-        idx = ps_kmedians(data, method.m, method.seed)
+    seed = (method.seed,) if method.kind in SEEDED_KINDS else ()
+    idx = SELECTORS[method.kind](data, method.m, *seed)
     metadata = {"method": method.kind, "indices": [int(i) for i in idx], "lam": lam}
     return _ridge_model(data, data.features[idx], lam, spec, metadata)
 
@@ -180,9 +170,8 @@ def lasso_similarity(
     after a drop (LAPACK dpotrs/dtrtrs/dpotrf, called directly), so with k
     active columns an event costs O(n k) correlations and O(k^2) solves and
     growth, plus O(k^3) for a drop.  A column dependent on the active ones is
-    not admitted, and a newcomer whose direction opposes its sign (a tie) is
-    dropped again at once; they and a dropped column are barred on that side
-    until the next event.
+    not admitted, and a newcomer whose direction opposes its sign is a drop at
+    step zero; both are barred on that side until the next event.
 
     ``max_steps`` (an integer >= 1) bounds the number of path events.  A
     failed factorization or solve raises a ConvergenceError naming the event
@@ -192,8 +181,8 @@ def lasso_similarity(
     prototypes with nonzero coefficients are kept (one zero-coefficient
     prototype remains in the all-zero case so the model stays valid).
     """
-    if not lam1 >= 0:
-        raise ValueError(f"lam1 must be >= 0, got {lam1}")
+    if not 0 <= lam1 < np.inf:
+        raise ValueError(f"lam1 must be finite and >= 0, got {lam1}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
@@ -210,7 +199,7 @@ def lasso_similarity(
     # rows holds G's rows of the active set in active order; chol is the
     # lower Cholesky factor of G_AA in that order
     beta, rows, chol = np.zeros(n), np.empty((n, n)), np.empty((0, 0), order="F")
-    active, signs, barred, fresh = [], [], [], False
+    active, signs, barred = [], [], []
     lam, events, two_c = 2.0 * float(np.max(np.abs(c))), 0, 2.0 * c
 
     def solved(routine, result):
@@ -225,11 +214,6 @@ def lasso_similarity(
             events += 1
             k, s, idx = len(active), np.array(signs), np.array(active, dtype=np.intp)
             w = solved("dpotrs", lapack.dpotrs(chol, s / 2.0, lower=1, overwrite_b=1)) if k else s / 2.0
-            if fresh and w[-1] * s[-1] < 0:
-                # a tie: the newcomer would leave zero against its sign
-                barred, fresh, chol = [(active.pop(), signs.pop())], False, chol[:-1, :-1].copy("F")
-                continue
-            fresh = False
             # the correlations g = 2(c - G beta) fall by a2 = 2 G w per unit of lambda;
             # up/down are the steps at which they would reach +lambda/-lambda
             beta_a = beta[idx]
@@ -269,7 +253,7 @@ def lasso_similarity(
             chol, rows[k] = grown, G[j]
             active.append(j)
             signs.append(sign)
-            barred, fresh = [], True
+            barred = []
     bias = ybar - float(sbar @ beta)
     worst = float(np.max(lasso_kkt_residuals(S, u, y, beta, bias, lam1)))
     if worst > tol:

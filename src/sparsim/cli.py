@@ -179,6 +179,8 @@ def cmd_bench(args, bridges):
 def cmd_predict(args, bridges):
     model = dataio.load_model(args.model)
     if args.blackbox:
+        if model.similarity.kind != "blackbox":
+            raise ValueError(f"--blackbox needs a black-box model, not one of {model.similarity.kind} similarity")
         bridge = bridges.enter_context(dataio.blackbox_bridge(args.blackbox))
         model = replace(model, similarity=bridge.spec)
     rows = dataio.load_features(args.data, args.target)

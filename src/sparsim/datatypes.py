@@ -124,6 +124,12 @@ class SparseModel:
         return self.prototypes.shape[1]
 
 
+def check_size(m: int, n: int) -> None:
+    """Reject a prototype count outside 1 <= m <= n (m distinct rows of n)."""
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+
+
 def predict(model: SparseModel, x) -> float:
     """Score one sample: sum_j beta_j * s(x, z_j) + bias, the one-row case
     of :func:`predict_batch` (exactly m similarity evaluations)."""

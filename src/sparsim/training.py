@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dataio, ridge
 from . import similarity as sim
-from .datatypes import Dataset, SparseModel, TrainConfig, resolve_box
+from .datatypes import Dataset, SparseModel, TrainConfig, check_size, resolve_box
 from .errors import NonFiniteUpdateError, SimilarityEvalError, SparsimError
 
 # The repulsion penalty at iteration t is scaled by t^(-PENALTY_DECAY_POWER).
@@ -64,8 +64,7 @@ def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
     each class contributes at least one row.
     """
     n = data.n
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    check_size(m, n)
     rng = np.random.default_rng(seed)
     labels = data.targets
     if m >= 2 and np.array_equal(np.unique(labels), (-1.0, 1.0)):
@@ -99,18 +98,16 @@ def _data_gradient(S, data, spec, protos, beta, resid, j, grad_mode):
     return 2.0 * beta[j] * grad
 
 
-def _penalty(protos, spec, j, t, grad_mode, others):
-    """Decayed gradient of prototype j's summed similarity to ``others``
-    (every prototype but j): t^(-PENALTY_DECAY_POWER) * sum_k ds(z_k, z_j)/dz_j,
-    which the update subtracts, pushing z_j away from nearby prototypes.
+def _penalty(z, others, spec, t, grad_mode):
+    """Decayed gradient of prototype z's summed similarity to ``others``
+    (every other prototype, at least one): t^(-PENALTY_DECAY_POWER) *
+    sum_k ds(z_k, z)/dz, which the update subtracts, pushing z away from
+    nearby prototypes.
 
-    Zero when there are no others, and for exactly coincident prototypes
-    (the RBF gradient vanishes at zero distance; the update breaks such
-    ties with a seeded nudge).
+    Zero for exactly coincident prototypes (the RBF gradient vanishes at
+    zero distance; the update breaks such ties with a seeded nudge).
     """
-    if not others.size:
-        return np.zeros(protos.shape[1])
-    grad = sim.grad_z_sum(spec, others, protos[j], np.ones(len(others)), grad_mode)
+    grad = sim.grad_z_sum(spec, others, z, np.ones(len(others)), grad_mode)
     return float(t) ** (-PENALTY_DECAY_POWER) * grad
 
 
@@ -128,11 +125,11 @@ def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
     """
     grad = _data_gradient(S, data, spec, protos, beta, resid, j, config.grad_mode)
     others = np.concatenate((protos[:j], protos[j + 1 :]))
-    if config.penalty_enabled:
-        penalty = _penalty(protos, spec, j, t, config.grad_mode, others)
+    z_old = protos[j]
+    if config.penalty_enabled and others.size:
+        penalty = _penalty(z_old, others, spec, t, config.grad_mode)
     else:
         penalty = 0.0
-    z_old = protos[j]
     z_new = z_old - config.eta * grad - penalty
     if not np.isfinite(z_new).all():
         z_new = z_old - (config.eta / 2.0) * grad - penalty
@@ -187,8 +184,7 @@ def fit(
         protos = np.array(init, dtype=float)
         if protos.shape != (m, data.dim):
             raise ValueError(f"init must have shape ({m}, {data.dim}), got {protos.shape}")
-        if m > data.n:
-            raise ValueError(f"m={m} exceeds n={data.n}")
+        check_size(m, data.n)
     else:
         protos = init_prototypes(data, m, config.seed)
 

@@ -270,6 +270,30 @@ class TestLasso:
         with pytest.raises(ValueError, match="lam1"):
             lasso_similarity(spread_instance(), float("nan"), RBF1)
 
+    def test_rejects_infinite_penalty(self):
+        # lam1=inf reached the path and saved "lam1": Infinity, which is not JSON
+        with pytest.raises(ValueError, match="lam1 must be finite and >= 0"):
+            lasso_similarity(spread_instance(), float("inf"), RBF1)
+
+    @pytest.mark.parametrize("lam1, beta, bias", [
+        (1.0, -0.024999999999999998, -0.225),
+        (0.1, -0.047499999999999994, -0.2025),
+        (0.01, -0.049749999999999996, -0.20025),
+        (0.0, -0.049999999999999996, -0.2),
+    ])
+    def test_newcomer_against_its_sign_is_dropped_at_step_zero(self, lam1, beta, bias):
+        # the one known design on which an entering column's direction
+        # opposes its sign; the path drops it again with a zero step
+        data = Dataset(features=[[-1, 2], [-2, 0], [0, 1], [1, 2]], targets=[0, -1, 1, -1])
+        spec = SimilaritySpec("linear")
+        model = lasso_similarity(data, lam1, spec)
+        S = sim_matrix(spec, data.features, data.features).values
+        res = lasso_kkt_residuals(S, data.weights, data.targets, full_beta(model, data.n), model.bias, lam1)
+        assert res.max() <= 1e-6
+        assert model.beta.tolist() == [beta]
+        assert model.bias == bias
+        assert model.metadata["indices"] == [1]
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_nonfinite_or_nonpositive_tol(self, tol):
         # with tol=nan every residual passed the optimality check, so a

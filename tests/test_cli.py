@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sparsim
-from sparsim import EVAL_COUNTER, SimilaritySpec, dataio, gen_synthetic, load_model, write_csv
+from sparsim import EVAL_COUNTER, SimilaritySpec, baselines, cli, dataio, gen_synthetic, load_model, write_csv
 from sparsim.cli import build_parser, main
 from sparsim.datatypes import TrainConfig, predict_batch
 from sparsim.metrics import error_rate, mae, mse
@@ -189,6 +189,12 @@ def test_flag_defaults_are_the_library_defaults(tmp_path):
     assert {key: config[key] for key in asdict(TrainConfig())} == asdict(TrainConfig())
 
 
+def test_cli_and_library_name_the_same_selectors():
+    # a selector added to one table only would be unreachable or unnamed
+    assert set(cli.SELECTIONS.values()) == set(baselines.SELECTORS)
+    assert set(baselines.SEEDED_KINDS) <= set(baselines.SELECTORS)
+
+
 GARBAGE_SCORER = """\
 import sys
 for line in sys.stdin:
@@ -235,6 +241,20 @@ class TestBlackbox:
         native = replace(load_model(model_out), similarity=SimilaritySpec(kind="rbf", gamma=1.0))
         expected = predict_batch(native, gen_synthetic("two_gaussians", seed=0).features)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_predict_refuses_to_rescore_a_native_model(self, tmp_path, train_csv, bridges, capsys):
+        # the bridge's spec used to replace an RBF model's similarity, and a
+        # constant scorer then gave every sample the same prediction
+        model_out = tmp_path / "model.json"
+        assert run(["train", "--data", train_csv, "--target", "target", "--m", "2", "--eta", "0.1",
+                    "--max-sweeps", "2", "--out", model_out]) == 0
+        constant = "import sys\nfor line in sys.stdin:\n    print(0.5, flush=True)\n"
+        pred_out = tmp_path / "pred.csv"
+        assert run(["predict", "--model", model_out, "--data", train_csv, "--target", "target",
+                    "--blackbox", self.scorer(tmp_path, constant), "--out", pred_out]) == 1
+        assert "rbf similarity" in capsys.readouterr().err
+        assert bridges == []
+        assert not pred_out.exists()
 
     def test_identical_invocations_identical_model_files(self, tmp_path, train_csv):
         # Separate processes, as two shell invocations would be.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sparsim import Dataset, SparseModel, gen_synthetic, load_csv, load_model, save_model, write_csv
+from sparsim import TrainConfig, fit
 from sparsim.dataio import (
     RING_RADIUS,
     SINE_FREQ,
@@ -138,6 +139,16 @@ class TestModelFile:
         with pytest.raises(DataFormatError, match=r"\(2, 3, 1\)"):
             load_model(path)
 
+    def test_numpy_scalar_metadata_round_trips(self, tmp_path, rng):
+        # the seed of a fitted model lands in its metadata as a numpy integer
+        data = Dataset(features=rng.normal(0, 1, (8, 2)), targets=rng.normal(0, 1, 8))
+        model, _ = fit(data, 2, config=TrainConfig(seed=np.int64(3), max_sweeps=1), similarity=RBF1)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.metadata["seed"] == 3
+        np.testing.assert_array_equal(predict_batch(loaded, data.features), predict_batch(model, data.features))
+
     def test_byte_determinism(self, tmp_path, rng):
         model = SparseModel(
             prototypes=rng.normal(0, 1, (3, 2)), beta=rng.normal(0, 1, 3), bias=0.1, similarity=RBF1
@@ -209,6 +220,8 @@ class TestGenerators:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gen_synthetic("spiral")
+        with pytest.raises(ValueError, match="need n >= 2, got 1"):
+            gen_synthetic("ring", n=1)
 
 
 RBF_SCORER = """\
@@ -265,6 +278,20 @@ TWO_ANSWERS = """\
 import sys
 for line in sys.stdin:
     print("0.5\\n0.5", flush=True)
+"""
+
+# the same two answers in one write, the surplus one without its newline
+TWO_ANSWERS_UNTERMINATED = """\
+import sys
+for line in sys.stdin:
+    print("0.5\\n0.5", end="", flush=True)
+"""
+
+# closes its input unread, so the next write breaks the pipe, and exits a moment later
+CLOSE_INPUT_AND_EXIT = """\
+import os, time
+os.close(0)
+time.sleep(0.2)
 """
 
 # reads one buffered chunk of requests, answers one and exits
@@ -368,16 +395,21 @@ class TestBlackboxBridge:
         assert peak <= 4 * result[0].nbytes
 
     def test_surplus_answer_poisons_the_bridge(self, tmp_path):
-        script = tmp_path / "scorer.py"
-        script.write_text(TWO_ANSWERS)
-        bridge = blackbox_bridge([sys.executable, str(script)])
-        with pytest.raises(BlackboxError, match="surplus scorer response at line 2"):
-            sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1)))
-        assert bridge._proc.returncode is not None
-        # the surplus line is not read as the next block's first answer
-        with pytest.raises(BlackboxError, match="earlier failure: surplus .* line 2"):
-            sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1)))
-        bridge.close()
+        for source in (TWO_ANSWERS, TWO_ANSWERS_UNTERMINATED):
+            script = tmp_path / "scorer.py"
+            script.write_text(source)
+            bridge = blackbox_bridge([sys.executable, str(script)])
+            with pytest.raises(BlackboxError, match="surplus scorer response at line 2"):
+                sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1)))
+            assert bridge._proc.returncode is not None
+            # the surplus line is not read as the next block's first answer
+            with pytest.raises(BlackboxError, match="earlier failure: surplus .* line 2"):
+                sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1)))
+            bridge.close()
+
+    def test_missing_command_is_a_blackbox_error(self, tmp_path):
+        with pytest.raises(BlackboxError, match="could not start scorer"):
+            blackbox_bridge([str(tmp_path / "no-such-scorer")])
 
     def test_blocks_and_close_leave_no_descriptor_open(self, tmp_path, rng):
         if not os.path.isdir("/proc/self/fd"):
@@ -420,8 +452,9 @@ class TestBlackboxBridge:
         assert bridge._proc.stdout.closed
         assert bridge._proc.returncode is not None
 
-    @pytest.mark.parametrize("source, k, line", [("import sys; sys.exit(3)\n", 1, 1), (ANSWER_ONE_AND_EXIT, 3000, 2)],
-                             ids=["at-start", "mid-block"])
+    @pytest.mark.parametrize("source, k, line", [("import sys; sys.exit(3)\n", 1, 1), (ANSWER_ONE_AND_EXIT, 3000, 2),
+                                                 (CLOSE_INPUT_AND_EXIT, 3000, 1)],
+                             ids=["at-start", "mid-block", "input-closed"])
     def test_dead_process_reported(self, tmp_path, source, k, line):
         # mid-block, the scorer exits with most of the block (several MB)
         # unread, so writing it breaks the pipe; the answers still decide

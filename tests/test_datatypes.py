@@ -39,6 +39,10 @@ class TestDataset:
         with pytest.raises(ValueError, match=r"\(4, 2, 2\)"):
             Dataset(features=np.zeros((4, 2, 2)), targets=np.zeros(4))
 
+    def test_rejects_zero_feature_columns(self):
+        with pytest.raises(ValueError, match=r"one feature, got shape \(4, 0\)"):
+            Dataset(features=np.zeros((4, 0)), targets=np.zeros(4))
+
     def test_immutable_arrays(self):
         data = Dataset(features=[[1.0]], targets=[1.0])
         with pytest.raises(ValueError):
@@ -192,6 +196,10 @@ class TestModelInvariants:
     def test_coefficient_count_must_match(self):
         with pytest.raises(ValueError):
             toy_model(np.zeros((2, 1)), [1.0])
+
+    def test_needs_a_prototype(self):
+        with pytest.raises(ValueError, match="at least one prototype"):
+            toy_model(np.zeros((0, 2)), [])
 
     def test_prototypes_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match=r"\(2, 3, 1\)"):

@@ -35,6 +35,8 @@ class TestPointwise:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mae([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="at least one sample"):
+            mae([], [])
 
 
 class TestEvalCost:

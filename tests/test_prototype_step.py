@@ -28,7 +28,7 @@ def data_gradient(data, protos, spec, lam, j):
 
 def penalty(protos, j, t, spec=RBF1):
     protos = np.asarray(protos, dtype=float)
-    return _penalty(protos, spec, j, t, "analytic", np.delete(protos, j, axis=0))
+    return _penalty(protos[j], np.delete(protos, j, axis=0), spec, t, "analytic")
 
 
 def step(data, protos, config, t, spec=RBF1, j=0):
@@ -86,8 +86,12 @@ class TestTotalGradient:
 
 
 class TestPenaltyGradient:
-    def test_single_prototype_is_zero(self):
-        np.testing.assert_array_equal(penalty([[1.0, 2.0]], 0, 1), np.zeros(2))
+    def test_single_prototype_is_zero(self, rng):
+        # a lone prototype has no others, so its update carries no repulsion
+        data = Dataset(features=rng.normal(0, 1, (6, 2)), targets=rng.normal(0, 1, 6))
+        protos = np.array([[1.0, 2.0]])
+        on = step(data, protos, TrainConfig(lam=1e-3, penalty_enabled=True), 1)
+        np.testing.assert_array_equal(on, step(data, protos, TrainConfig(lam=1e-3, penalty_enabled=False), 1))
 
     def test_coincident_prototypes_give_zero(self):
         np.testing.assert_array_equal(penalty([[1.0, 2.0], [1.0, 2.0]], 0, 1), np.zeros(2))
@@ -175,7 +179,8 @@ class TestStep:
         end_gap = np.linalg.norm(moved[0] - np.array([2.0, 0.0]))
         assert end_gap < start_gap
 
-    def test_nonfinite_similarity_gradient_propagates(self):
+    def test_nonfinite_similarity_gradient_propagates(self, monkeypatch):
+        import sparsim.training as training
         from sparsim.errors import SimilarityEvalError
 
         data = Dataset(features=[[0.0], [1.0]], targets=[1.0, -1.0])
@@ -188,6 +193,10 @@ class TestStep:
         config = TrainConfig(lam=1e-6, grad_mode="numeric", penalty_enabled=False)
         with pytest.raises(SimilarityEvalError):
             step(data, np.array([[0.5]]), config, 1, spec)
+        # a gradient that comes back non-finite is caught before the step
+        monkeypatch.setattr(training.sim, "grad_z_sum", lambda *a, **k: np.full(1, np.inf))
+        with pytest.raises(SimilarityEvalError, match="non-finite similarity gradient for prototype 0"):
+            step(data, np.array([[0.5]]), TrainConfig(lam=1e-6, penalty_enabled=False), 1)
 
     def test_overflowing_update_halved_once_then_error(self, monkeypatch, rng):
         import sparsim.training as training

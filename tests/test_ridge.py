@@ -55,6 +55,11 @@ class TestAssemble:
         with pytest.raises(ValueError, match="lam"):
             assemble(np.ones((2, 1)), [1.0, 1.0], [1.0, 0.0], lam)
 
+    @pytest.mark.parametrize("weights, targets", [([1.0], [1.0, 0.0]), ([1.0, 1.0], [1.0, 0.0, 2.0])])
+    def test_rejects_weights_or_targets_of_wrong_length(self, weights, targets):
+        with pytest.raises(ValueError, match="similarities have 2 rows"):
+            assemble(np.ones((2, 1)), weights, targets, 0.1)
+
     def test_symmetry(self, rng):
         S = rng.uniform(0, 1, (10, 4))
         matrix, _ = assemble(S, rng.uniform(0.1, 2, 10), rng.normal(0, 1, 10), 0.1)

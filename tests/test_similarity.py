@@ -81,6 +81,8 @@ class TestEval:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sim.eval(RBF1, [1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="rows have 1 columns, prototypes 2"):
+            sim_matrix(RBF1, np.ones((3, 1)), np.ones((2, 2)))
 
     def test_nonfinite_input(self):
         with pytest.raises(ValueError):
