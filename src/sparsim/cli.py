@@ -74,7 +74,7 @@ def _stem(path):
 
 
 def _similarity_spec(args, dim, bridges):
-    if getattr(args, "blackbox", None):
+    if getattr(args, "blackbox", None) is not None:
         return bridges.enter_context(dataio.blackbox_bridge(args.blackbox)).spec
     if args.gamma is None:
         return similarity.default_spec(dim)
@@ -178,13 +178,13 @@ def cmd_bench(args, bridges):
 
 def cmd_predict(args, bridges):
     model = dataio.load_model(args.model)
-    if args.blackbox:
+    if args.blackbox is not None:
         if model.similarity.kind != "blackbox":
             raise ValueError(f"--blackbox needs a black-box model, not one of {model.similarity.kind} similarity")
         bridge = bridges.enter_context(dataio.blackbox_bridge(args.blackbox))
         model = replace(model, similarity=bridge.spec)
     rows = dataio.load_features(args.data, args.target)
-    predictions = predict_batch(model, rows) if rows.shape[0] else np.empty(0)
+    predictions = predict_batch(model, rows)
     dataio.write_table(args.out, ["prediction"], ([value] for value in predictions))
     print(f"wrote {predictions.shape[0]} predictions")
     return {"model": args.model, "target": args.target}, None, [args.model, args.data], [args.out]

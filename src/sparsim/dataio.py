@@ -47,11 +47,12 @@ SINE_FREQ = 2.0
 SINE_NOISE_STD = 0.05
 
 
-def _read_rows(path, columns=()):
+def _read_rows(path, columns=(), required=True):
     """Header and data rows of a headered CSV.
 
-    Checks that the file has a header row, that every name in ``columns``
-    is in it and that every row has as many cells as the header.
+    Checks that the file has a header row, that no name in ``columns``
+    appears in it twice (and, if ``required``, that each appears), and
+    that every row has as many cells as the header.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -60,7 +61,9 @@ def _read_rows(path, columns=()):
         except StopIteration:
             raise DataFormatError(f"{path}: empty file, expected a header row") from None
         for name in columns:
-            if name not in header:
+            if header.count(name) > 1:
+                raise DataFormatError(f"{path}: column {name!r} appears more than once in header {header}")
+            if required and name not in header:
                 raise DataFormatError(f"{path}: no column named {name!r} in header {header}")
         rows = list(reader)
     for row_num, row in enumerate(rows, start=2):
@@ -109,7 +112,7 @@ def load_features(path, target_column: str = None) -> np.ndarray:
     """Feature matrix of a headered CSV: every column except
     ``target_column`` when the header has it.  A file with a header and no
     data rows gives a (0, d) array."""
-    header, rows = _read_rows(path)
+    header, rows = _read_rows(path, [target_column], required=False)
     skip = header.index(target_column) if target_column in header else None
     return _parse_floats(path, header, rows, [i for i in range(len(header)) if i != skip])
 
@@ -269,9 +272,12 @@ class BlackboxBridge:
 
     _counter = 0
     _CHUNK = 1 << 15  # bytes of request text encoded, and of answers read, at a time
+    _TERMINATE_TIMEOUT = 5.0  # seconds close() waits after SIGTERM before it kills the scorer
 
     def __init__(self, command):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
+        if not argv:
+            raise BlackboxError(f"empty scorer command {command!r}")
         try:
             self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
         except OSError as exc:
@@ -350,7 +356,7 @@ class BlackboxBridge:
         if self._proc.poll() is None:
             self._proc.terminate()
             try:
-                self._proc.wait(timeout=5)
+                self._proc.wait(timeout=self._TERMINATE_TIMEOUT)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()

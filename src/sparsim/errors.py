@@ -18,7 +18,7 @@ class SingularSystemError(SparsimError):
 
 
 class NonFiniteUpdateError(SparsimError):
-    """A prototype update produced non-finite values even after halving the step."""
+    """A prototype update produced non-finite values."""
 
 
 class ConvergenceError(SparsimError):

@@ -107,19 +107,15 @@ def group_kfold_split(groups, k: int, seed: int) -> List[np.ndarray]:
     Groups are shuffled, ordered by size (largest first) and greedily
     assigned to the currently smallest fold.
     """
-    groups = np.ravel(np.asarray(groups))
-    uniq = np.unique(groups)
-    _check_folds(uniq.shape[0], k, "groups")
-    order = np.random.default_rng(seed).permutation(uniq.shape[0])
-    shuffled = uniq[order]
-    sizes = np.array([np.sum(groups == g) for g in shuffled])
-    folds = [[] for _ in range(k)]
-    fold_sizes = np.zeros(k, dtype=int)
-    for gi in np.argsort(-sizes, kind="stable"):
-        target = int(np.argmin(fold_sizes))
-        folds[target].append(shuffled[gi])
-        fold_sizes[target] += sizes[gi]
-    return [np.flatnonzero(np.isin(groups, members)) for members in folds]
+    _, member, counts = np.unique(np.ravel(groups), return_inverse=True, return_counts=True)
+    _check_folds(counts.shape[0], k, "groups")
+    order = np.random.default_rng(seed).permutation(counts.shape[0])
+    fold_of, fold_sizes = np.empty_like(counts), np.zeros(k, dtype=int)
+    for g in order[np.argsort(-counts[order], kind="stable")]:
+        fold_of[g] = np.argmin(fold_sizes)
+        fold_sizes[fold_of[g]] += counts[g]
+    # A stable sort by fold keeps each fold's sample indices ascending.
+    return np.split(np.argsort(fold_of[member], kind="stable"), np.cumsum(fold_sizes)[:-1])
 
 
 def smallest_coefficient_positions(beta, count: int) -> Tuple[int, ...]:

@@ -70,8 +70,7 @@ def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
     if m >= 2 and np.array_equal(np.unique(labels), (-1.0, 1.0)):
         picked = [rng.choice(np.flatnonzero(labels > 0)), rng.choice(np.flatnonzero(labels < 0))]
         rest = np.setdiff1d(np.arange(n), picked)
-        if m > 2:
-            picked.extend(rng.choice(rest, size=m - 2, replace=False))
+        picked.extend(rng.choice(rest, size=m - 2, replace=False))
         idx = np.array(picked)
         rng.shuffle(idx)
     else:
@@ -120,8 +119,8 @@ def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
 
     The data-term gradient is scaled by the step size, the separation
     penalty is applied unscaled with its built-in decay, and the result is
-    projected onto ``box`` when one is given.  A non-finite update is
-    retried once with half the step size.
+    projected onto ``box`` when one is given.  A non-finite update raises
+    :class:`NonFiniteUpdateError`.
     """
     grad = _data_gradient(S, data, spec, protos, beta, resid, j, config.grad_mode)
     others = np.concatenate((protos[:j], protos[j + 1 :]))
@@ -132,11 +131,7 @@ def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
         penalty = 0.0
     z_new = z_old - config.eta * grad - penalty
     if not np.isfinite(z_new).all():
-        z_new = z_old - (config.eta / 2.0) * grad - penalty
-        if not np.isfinite(z_new).all():
-            raise NonFiniteUpdateError(
-                f"update of prototype {j} stayed non-finite after halving the step"
-            )
+        raise NonFiniteUpdateError(f"update of prototype {j} is not finite")
     # z_new is finite, so minimum/maximum clip exactly as np.clip does, at less call cost.
     if box is not None:
         z_new = np.minimum(np.maximum(z_new, box[:, 0]), box[:, 1])
@@ -171,9 +166,9 @@ def fit(
     less than ``config.epsilon`` for a full sweep (m iterations in a
     row, so a single pinned prototype cannot end the run early), or
     after ``config.max_sweeps`` passes over the prototypes.  A gradient
-    mode the similarity lacks raises before training; module errors
-    during training are recorded in the trace and the current model is
-    returned with termination reason "error".
+    mode the similarity lacks raises before training; a module error
+    during training ends it with termination reason "error", returning
+    the last model whose coefficients solve its system.
 
     Returns (model, trace).
     """
@@ -199,22 +194,20 @@ def fit(
     small_steps = 0
     for t in range(1, config.max_sweeps * m + 1):
         j = (t - 1) % m
-        z_prev, col_prev = protos[j].copy(), S[:, j].copy()
+        col_prev = S[:, j].copy()
         try:
             z_new, step_norm = _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box)
-            protos[j] = z_new
             S[:, j] = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
             # Only column j moved: its old residual plus beta_j times the column's change.
             omega_before, _ = _loss(S, beta, bias, data, config.lam, resid + beta[j] * (S[:, j] - col_prev))
             ridge.update_column(M, rhs, S, data.weights, data.targets, j, config.lam)
             beta, bias = ridge.solve(M, rhs)
         except SparsimError as exc:
-            # Roll back to the last consistent prototype/coefficient pair;
-            # the system is not read again, so a rewritten row can stay.
-            protos[j], S[:, j] = z_prev, col_prev
+            # protos still pairs with (beta, bias); S and the system are not read again.
             trace.termination = "error"
             trace.error = str(exc)
             break
+        protos[j] = z_new
         omega_after, resid = _loss(S, beta, bias, data, config.lam)
         trace.records.append(IterationRecord(t, j, omega_before, omega_after, step_norm))
         small_steps = small_steps + 1 if abs(omega_after - trace.final_objective) < config.epsilon else 0

@@ -117,3 +117,19 @@ def random_instance(seed, n_max=40, d_max=6, m_max=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def loop_group_kfold_split(groups, k, seed):
+    """Subject-disjoint folds by one pass over the data per group and per
+    fold: the definition ``selection.group_kfold_split`` must reproduce."""
+    groups = np.ravel(np.asarray(groups))
+    uniq = np.unique(groups)
+    shuffled = uniq[np.random.default_rng(seed).permutation(uniq.shape[0])]
+    sizes = np.array([np.sum(groups == g) for g in shuffled])
+    folds = [[] for _ in range(k)]
+    fold_sizes = np.zeros(k, dtype=int)
+    for gi in np.argsort(-sizes, kind="stable"):
+        target = int(np.argmin(fold_sizes))
+        folds[target].append(shuffled[gi])
+        fold_sizes[target] += sizes[gi]
+    return [np.flatnonzero(np.isin(groups, members)) for members in folds]

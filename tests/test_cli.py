@@ -291,6 +291,21 @@ class TestBlackbox:
         assert not out.exists()
         assert not (tmp_path / "model.manifest.json").exists()
 
+    @pytest.mark.parametrize("subcommand", ["train", "select-m", "bench", "predict"])
+    def test_empty_command_is_runtime_error(self, tmp_path, train_csv, bridges, capsys, subcommand):
+        # an empty --blackbox names a scorer that cannot start; it is not an absent flag
+        model = tmp_path / "blackbox.json"
+        sparsim.save_model(sparsim.SparseModel(prototypes=[[0.0, 0.0]], beta=[1.0], bias=0.0,
+                                               similarity=SimilaritySpec(kind="blackbox", blackbox_id="m")), model)
+        out = tmp_path / "out.json"
+        extra = {"train": ["--m", "2"], "select-m": ["--grid", "3,2"], "bench": ["--methods", "sparse"],
+                 "predict": ["--model", model]}[subcommand]
+        code = run([subcommand, "--data", train_csv, "--target", "target", "--blackbox", "", "--out", out, *extra])
+        assert code == 1
+        assert "error: empty scorer command ''" in capsys.readouterr().err
+        assert bridges == []
+        assert not out.exists()
+
 
 class TestSelectM:
     def test_trace_arithmetic_and_manifest(self, tmp_path):
@@ -459,6 +474,17 @@ class TestPredict:
                     "--out", pred_out]) == 0
         rows = read_rows(pred_out)
         assert rows == [["prediction"]]
+
+    def test_empty_input_of_the_wrong_width_is_runtime_error(self, tmp_path, train_csv, capsys):
+        model_out = tmp_path / "model.json"
+        run(["train", "--data", train_csv, "--target", "target", "--m", "1", "--out", model_out])
+        empty = tmp_path / "empty.csv"
+        empty.write_text("f0,f1,f2,target\n")
+        pred_out = tmp_path / "pred.csv"
+        assert run(["predict", "--model", model_out, "--data", empty, "--target", "target",
+                    "--out", pred_out]) == 1
+        assert "expected rows of dimension 2" in capsys.readouterr().err
+        assert not pred_out.exists()
 
     @pytest.mark.parametrize("rows, where", [
         ("1.0,2.0,0.5\n1.0,2.0,3.0,4.0\n", "row 3"),

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import signal
 import sys
 import threading
 import tracemalloc
@@ -16,8 +18,10 @@ from sparsim.dataio import (
     THREE_CLUSTERS_CENTERS,
     TWO_GAUSSIANS_CENTERS,
     TWO_GAUSSIANS_STD,
+    BlackboxBridge,
     blackbox_bridge,
     load_features,
+    write_json,
 )
 from sparsim.errors import BlackboxError, DataFormatError, SimilarityEvalError
 from sparsim.similarity import SimilaritySpec, sim_matrix
@@ -39,6 +43,11 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataFormatError, match="label"):
             load_csv(path, "label")
+        # a repeated target or group name would leave one copy among the features
+        path.write_text("x,y,y,g,g\n1,2,2,a,a\n")
+        for read in (lambda: load_csv(path, "y"), lambda: load_features(path, "y"), lambda: load_csv(path, "x", "g")):
+            with pytest.raises(DataFormatError, match="column '[yg]' appears more than once"):
+                read()
 
     def test_parse_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -148,6 +157,10 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded.metadata["seed"] == 3
         np.testing.assert_array_equal(predict_batch(loaded, data.features), predict_batch(model, data.features))
+
+    def test_unserializable_value_is_a_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            write_json({"x": object()}, tmp_path / "doc.json")
 
     def test_byte_determinism(self, tmp_path, rng):
         model = SparseModel(
@@ -325,6 +338,16 @@ for count, line in enumerate(sys.stdin, start=1):
     print("0.5" if count != 4 else "not-a-number", flush=True)
 """
 
+# ignores SIGTERM, answers one request and sleeps once its input ends
+IGNORE_SIGTERM = """\
+import signal, sys, time
+signal.signal(signal.SIGTERM, signal.SIG_IGN)
+sys.stdin.readline()
+print("0.5", flush=True)
+sys.stdin.read()
+time.sleep(60)
+"""
+
 
 class TestBlackboxBridge:
     @pytest.mark.parametrize("source", [RBF_SCORER, SPLIT_SCORER, BURST_SCORER], ids=["lines", "split", "burst"])
@@ -411,6 +434,11 @@ class TestBlackboxBridge:
         with pytest.raises(BlackboxError, match="could not start scorer"):
             blackbox_bridge([str(tmp_path / "no-such-scorer")])
 
+    @pytest.mark.parametrize("command", ["", " ", []], ids=["empty", "blank", "no-argv"])
+    def test_empty_command_is_a_blackbox_error(self, command):
+        with pytest.raises(BlackboxError, match=re.escape(f"empty scorer command {command!r}")):
+            blackbox_bridge(command)
+
     def test_blocks_and_close_leave_no_descriptor_open(self, tmp_path, rng):
         if not os.path.isdir("/proc/self/fd"):
             pytest.skip("needs /proc/self/fd")
@@ -451,6 +479,17 @@ class TestBlackboxBridge:
         assert bridge._proc.stdin.closed
         assert bridge._proc.stdout.closed
         assert bridge._proc.returncode is not None
+
+    def test_close_kills_a_scorer_that_ignores_sigterm(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(BlackboxBridge, "_TERMINATE_TIMEOUT", 0.2)
+        script = tmp_path / "scorer.py"
+        script.write_text(IGNORE_SIGTERM)
+        bridge = blackbox_bridge([sys.executable, str(script)])
+        # the answer shows that the handler is in place before close() signals
+        assert sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1))).values[0, 0] == 0.5
+        bridge.close()
+        assert bridge._proc.returncode == -signal.SIGKILL
+        assert bridge._proc.stdin.closed and bridge._proc.stdout.closed
 
     @pytest.mark.parametrize("source, k, line", [("import sys; sys.exit(3)\n", 1, 1), (ANSWER_ONE_AND_EXIT, 3000, 2),
                                                  (CLOSE_INPUT_AND_EXIT, 3000, 1)],

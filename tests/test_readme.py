@@ -1,5 +1,5 @@
-"""README's Layout block names exactly the package's modules, and its CLI
-section exactly the command-line flags."""
+"""README's library examples run, its Layout block names exactly the
+package's modules, and its CLI section exactly the command-line flags."""
 
 import argparse
 import re
@@ -34,3 +34,17 @@ def parser_flags():
 def test_cli_section_names_every_flag_and_nothing_else():
     section = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) == parser_flags()
+
+
+def test_library_examples_run():
+    """The Quick start and the size-selection and distillation blocks run
+    in one namespace, as a reader pastes them; the black-box block needs
+    the reader's own ``my_match`` and is not run."""
+    section = (ROOT / "README.md").read_text().split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    quick_start, size_selection, blackbox = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert "my_match" in blackbox
+    namespace = {}
+    for block in (quick_start, size_selection):
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["trace"].termination in ("converged", "max_sweeps")
+    assert namespace["student"].m == 2

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import loop_group_kfold_split
+
 from sparsim import Dataset, GridConfig, TrainConfig, fit, gen_synthetic, predict_batch
 from sparsim.metrics import error_rate, mae, mse
 from sparsim.selection import (
@@ -113,6 +115,28 @@ class TestKfold:
         for f, fold in enumerate(grouped):
             for i in fold:
                 assert fold_of.setdefault(groups[i], f) == f
+
+    @given(
+        group_of=st.lists(st.integers(0, 30), min_size=1, max_size=120),
+        label=st.sampled_from(["int", "str", "float"]),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_group_folds_equal_the_per_group_loop(self, group_of, label, k, seed):
+        groups = {"int": np.array(group_of), "str": np.array([f"s{g}" for g in group_of]),
+                  "float": np.array(group_of) * 0.5 - 3.25}[label]
+        k = min(k, np.unique(groups).size)
+        got, expected = group_kfold_split(groups, k, seed), loop_group_kfold_split(groups, k, seed)
+        assert len(got) == len(expected) == k
+        for fold, oracle in zip(got, expected):
+            assert fold.dtype == oracle.dtype
+            np.testing.assert_array_equal(fold, oracle)
+
+    def test_nan_labels_are_one_group(self):
+        # every NaN label is one group, and none of its rows may fall out of the folds
+        folds = group_kfold_split(np.array([1.0, np.nan, 2.0, np.nan, 3.0]), 2, seed=0)
+        assert sorted(np.concatenate(folds).tolist()) == list(range(5))
+        assert any({1, 3} <= set(fold.tolist()) for fold in folds)
 
     def test_group_folds_need_positive_k(self):
         with pytest.raises(ValueError, match="need k >= 1"):

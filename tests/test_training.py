@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import objective
+
 from sparsim import Dataset, GridConfig, SparseModel, TrainConfig, distill, fit, predict_batch, select_model_size
 from sparsim import similarity as sim
 from sparsim import training
 from sparsim.datatypes import resolve_box
-from sparsim.errors import UnsupportedGradModeError
+from sparsim.errors import SparsimError, UnsupportedGradModeError
 from sparsim.ridge import assemble
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise
 from sparsim.training import IterationRecord, init_prototypes
@@ -154,28 +156,34 @@ class TestFit:
         assert m1.bias == m2.bias
         assert [r.omega_after for r in t1.records] == [r.omega_after for r in t2.records]
 
-    def test_error_recorded_with_partial_model(self, monkeypatch, rng):
-        import sparsim.training as training
-        from sparsim.errors import SingularSystemError
-
+    @pytest.mark.parametrize("call", ["_data_gradient", "sim.sim_matrix", "ridge.solve"])
+    def test_error_recorded_with_partial_model(self, rng, call):
+        # the fourth call of a fallible step fails part-way through training
         data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
-        calls = {"n": 0}
-        real = training.ridge.solve
+        *path, name = call.split(".")
+        owner = training
+        for attr in path:
+            owner = getattr(owner, attr)
+        real, calls = getattr(owner, name), []
 
-        def failing(matrix, rhs):
-            calls["n"] += 1
-            if calls["n"] >= 4:
-                raise SingularSystemError("synthetic failure")
-            return real(matrix, rhs)
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) >= 4:
+                raise SparsimError("synthetic failure")
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(training.ridge, "solve", failing)
-        model, trace = fit(data, 2, config=TrainConfig(seed=0, max_sweeps=10), similarity=RBF1)
+        config = TrainConfig(seed=0, max_sweeps=10, penalty_enabled=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(owner, name, failing)
+            model, trace = fit(data, 2, config=config, similarity=RBF1)
         assert trace.termination == "error"
         assert "synthetic failure" in trace.error
-        assert model.m == 2
+        assert model.m == 2 and len(trace.records) >= 2
         assert np.all(np.isfinite(model.prototypes))
-        # the failed iteration's system rewrite must not leak into the model
-        residual, rhs = normal_equation_residual(model, data, TrainConfig().lam)
+        # the model returned is the one the last record's objective describes
+        assert objective(model, data, config.lam).total == pytest.approx(trace.final_objective, rel=1e-12, abs=0)
+        # and its coefficients solve its own system
+        residual, rhs = normal_equation_residual(model, data, config.lam)
         assert np.max(np.abs(residual)) <= 1e-6 * max(1.0, np.max(np.abs(rhs)))
 
     def test_incremental_system_matches_fresh_assembly(self, rng):
