@@ -14,6 +14,10 @@ from .errors import ConvergenceError
 
 # Cholesky pivot share of its Gram diagonal below which a lasso column is dependent.
 DEPENDENT_RTOL = 1e-12
+# Path events after which the lasso homotopy stops, optimal or not.
+MAX_PATH_EVENTS = 10_000
+# Rows of the distance matrix that set_median_index holds at a time.
+MEDIAN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -30,9 +34,12 @@ class SelectionMethod:
 
 
 def set_median_index(X) -> int:
-    """Index of the sample minimizing the summed distance to all samples."""
+    """Index of the sample minimizing the summed distance to all samples;
+    the distances are summed ``MEDIAN_BLOCK_ROWS`` rows at a time, so memory
+    stays O(n), not O(n^2)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return int(np.argmin(cdist(X, X).sum(axis=1)))
+    sums = [cdist(X[i : i + MEDIAN_BLOCK_ROWS], X).sum(axis=1) for i in range(0, len(X), MEDIAN_BLOCK_ROWS)]
+    return int(np.argmin(np.concatenate(sums)))
 
 
 def ps_random(data: Dataset, m: int, seed: int) -> np.ndarray:
@@ -70,7 +77,6 @@ def ps_spanning(data: Dataset, m: int) -> np.ndarray:
 def _lloyd(X, k, rng):
     n = X.shape[0]
     centers = X[rng.choice(n, size=k, replace=False)]
-    assign = np.zeros(n, dtype=int)
     for _ in range(50):
         d2 = cdist(X, centers, "sqeuclidean")
         assign = d2.argmin(axis=1)
@@ -154,7 +160,6 @@ def lasso_similarity(
     lam1: float,
     spec: sim.SimilaritySpec,
     tol: float = 1e-6,
-    max_steps: int = 10_000,
 ) -> SparseModel:
     """L1-penalized least squares over all training prototypes.
 
@@ -173,20 +178,18 @@ def lasso_similarity(
     not admitted, and a newcomer whose direction opposes its sign is a drop at
     step zero; both are barred on that side until the next event.
 
-    ``max_steps`` (an integer >= 1) bounds the number of path events.  A
-    failed factorization or solve raises a ConvergenceError naming the event
-    and lambda.  The result is checked once against the optimality
-    conditions and a ConvergenceError naming the worst residual is raised if
-    it exceeds ``tol``: a non-optimal solution is never returned.  Only
-    prototypes with nonzero coefficients are kept (one zero-coefficient
-    prototype remains in the all-zero case so the model stays valid).
+    The path stops after ``MAX_PATH_EVENTS`` events.  A failed
+    factorization or solve raises a ConvergenceError naming the event and
+    lambda.  The result is checked once against the optimality conditions
+    and a ConvergenceError naming the worst residual is raised if it exceeds
+    ``tol``: a non-optimal solution is never returned.  Only prototypes with
+    nonzero coefficients are kept (one zero-coefficient prototype remains in
+    the all-zero case so the model stays valid).
     """
     if not 0 <= lam1 < np.inf:
         raise ValueError(f"lam1 must be finite and >= 0, got {lam1}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if not isinstance(max_steps, (int, np.integer)) or max_steps < 1:
-        raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
     S = sim.sim_matrix(spec, data.features, data.features).values
     u, y, n = data.weights, data.targets, data.n
     ybar = float(u @ y / np.sum(u))
@@ -210,7 +213,7 @@ def lasso_similarity(
         return x
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        while lam > lam1 and events < max_steps:
+        while lam > lam1 and events < MAX_PATH_EVENTS:
             events += 1
             k, s, idx = len(active), np.array(signs), np.array(active, dtype=np.intp)
             w = solved("dpotrs", lapack.dpotrs(chol, s / 2.0, lower=1, overwrite_b=1)) if k else s / 2.0
@@ -259,7 +262,7 @@ def lasso_similarity(
     if worst > tol:
         raise ConvergenceError(
             f"lasso path stopped at lambda {lam:.3e} (lam1 {lam1:.3e}) after {events} of "
-            f"{max_steps} events, not optimal (worst residual {worst:.3e})"
+            f"MAX_PATH_EVENTS={MAX_PATH_EVENTS} events, not optimal (worst residual {worst:.3e})"
         )
     keep = np.flatnonzero(beta) if np.any(beta) else np.array([0])
     metadata = {"method": "lasso", "lam1": lam1, "indices": [int(i) for i in keep]}

@@ -115,7 +115,7 @@ def cmd_select_m(args, bridges):
     trace_path = _stem(args.out) + ".selection.csv"
     trace.write_csv(trace_path)
     print(f"chose m={trace.chosen_m} over grid {grid}")
-    config_doc = _config_dict(config, spec, grid=list(grid), rho=grid_config.resolved_rho,
+    config_doc = _config_dict(config, spec, grid=list(grid), rho=grid_config.rho,
                               loss=args.loss, folds=args.folds, chosen_m=trace.chosen_m)
     return config_doc, args.seed, [args.data], [args.out, trace_path]
 

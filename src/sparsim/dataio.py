@@ -266,11 +266,11 @@ class BlackboxBridge:
     fails part-way kills the scorer, and later blocks raise an error naming
     that first failure.  ``spec`` carries the block scorer; close the
     bridge (or use it as a context manager) to release the process, its
-    pipes and its selector.  The id ``bridge-<n>``, counted per process, is
-    saved in model files, so identical runs write identical files.
+    pipes and its selector.  The id, the scorer's command line as one
+    shell-quoted string, is saved in model files, so identical runs write
+    identical files.
     """
 
-    _counter = 0
     _CHUNK = 1 << 15  # bytes of request text encoded, and of answers read, at a time
     _TERMINATE_TIMEOUT = 5.0  # seconds close() waits after SIGTERM before it kills the scorer
 
@@ -285,11 +285,10 @@ class BlackboxBridge:
         os.set_blocking(self._proc.stdin.fileno(), False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._proc.stdout, selectors.EVENT_READ)
-        BlackboxBridge._counter += 1
         self._lines_read = 0
         self._failure = None
         self._lock = threading.Lock()
-        scorer_id = f"bridge-{BlackboxBridge._counter}"
+        scorer_id = shlex.join(map(str, argv))
         self.spec = sim.SimilaritySpec(kind="blackbox", blackbox_id=scorer_id, scorer=self._evaluate)
 
     def _requests(self, rows, protos):

@@ -21,8 +21,8 @@ from .training import fit
 class GridConfig:
     """Descending size grid, trade-off weight, loss kind and fold count.
 
-    ``rho=None`` picks the default for the loss: 0.1 for mae, 1e-3 for
-    mse and error_rate.
+    ``rho=None`` is replaced by the default for the loss: 0.1 for mae,
+    1e-3 for mse and error_rate.
     """
 
     grid: Tuple[int, ...]
@@ -45,12 +45,8 @@ class GridConfig:
         if self.rho is not None and not 0 <= self.rho < np.inf:
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         object.__setattr__(self, "grid", grid)
-
-    @property
-    def resolved_rho(self) -> float:
-        if self.rho is not None:
-            return self.rho
-        return 0.1 if self.loss_kind == "mae" else 1e-3
+        if self.rho is None:
+            object.__setattr__(self, "rho", 0.1 if self.loss_kind == "mae" else 1e-3)
 
 
 @dataclass(frozen=True)
@@ -163,8 +159,7 @@ def select_model_size(
     """
     train_config = train_config or TrainConfig()
     spec = similarity or sim.default_spec(data.dim)
-    grid = grid_config.grid
-    rho = grid_config.resolved_rho
+    grid, rho = grid_config.grid, grid_config.rho
     loss = metrics.LOSSES[grid_config.loss_kind]
 
     if data.groups is not None:

@@ -16,7 +16,7 @@ prototype by 1.  Each is one :func:`similarity.grad_z_sum` call.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
@@ -50,11 +50,7 @@ class TrainTrace:
     error: Optional[str] = None
 
     def write_csv(self, path):
-        dataio.write_table(
-            path,
-            ["t", "j", "omega_before", "omega_after", "step_norm"],
-            [[rec.t, rec.j, rec.omega_before, rec.omega_after, rec.step_norm] for rec in self.records],
-        )
+        dataio.write_table(path, [f.name for f in fields(IterationRecord)], map(astuple, self.records))
 
 
 def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
@@ -166,9 +162,10 @@ def fit(
     less than ``config.epsilon`` for a full sweep (m iterations in a
     row, so a single pinned prototype cannot end the run early), or
     after ``config.max_sweeps`` passes over the prototypes.  A gradient
-    mode the similarity lacks raises before training; a module error
-    during training ends it with termination reason "error", returning
-    the last model whose coefficients solve its system.
+    mode the similarity lacks or a non-finite ``init`` raises before
+    training; a module error during training ends it with termination
+    reason "error", returning the last model whose coefficients solve its
+    system.
 
     Returns (model, trace).
     """
@@ -179,6 +176,8 @@ def fit(
         protos = np.array(init, dtype=float)
         if protos.shape != (m, data.dim):
             raise ValueError(f"init must have shape ({m}, {data.dim}), got {protos.shape}")
+        if not np.isfinite(protos).all():
+            raise ValueError("init must be finite")
         check_size(m, data.n)
     else:
         protos = init_prototypes(data, m, config.seed)

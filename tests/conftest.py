@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.spatial.distance import cdist
 
 from sparsim import Dataset, SparseModel, predict_batch
 from sparsim.ridge import assemble, solve
@@ -117,6 +118,13 @@ def random_instance(seed, n_max=40, d_max=6, m_max=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def full_matrix_set_median_index(X):
+    """The set median from the whole n x n distance matrix at once: the
+    definition ``baselines.set_median_index`` must reproduce block by block."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return int(np.argmin(cdist(X, X).sum(axis=1)))
 
 
 def loop_group_kfold_split(groups, k, seed):

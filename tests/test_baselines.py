@@ -23,6 +23,8 @@ from sparsim.baselines import (
 from sparsim.errors import ConvergenceError
 from sparsim.similarity import SimilaritySpec, sim_matrix
 
+from conftest import full_matrix_set_median_index
+
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 
 
@@ -255,12 +257,13 @@ class TestLasso:
             sizes.append(int(np.sum(model.beta != 0)))
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
-    def test_nonconvergence_reports_residual(self, rng):
+    def test_nonconvergence_reports_residual(self, rng, monkeypatch):
         # nearly-duplicate columns with a tiny budget cannot reach optimality
+        monkeypatch.setattr(baselines, "MAX_PATH_EVENTS", 2)
         X = np.vstack([rng.normal(0, 0.01, (10, 2))])
         data = Dataset(features=X, targets=rng.normal(0, 1, 10))
         with pytest.raises(ConvergenceError, match="residual"):
-            lasso_similarity(data, 1e-6, RBF1, max_steps=2)
+            lasso_similarity(data, 1e-6, RBF1)
 
     def test_rejects_negative_penalty(self):
         with pytest.raises(ValueError):
@@ -300,12 +303,7 @@ class TestLasso:
         # path cut short after one event came back as if it were optimal
         data = gen_synthetic("sine_regression", n=60, seed=0)
         with pytest.raises(ValueError, match="tol"):
-            lasso_similarity(data, 1e-3, RBF1, tol=tol, max_steps=1)
-
-    @pytest.mark.parametrize("max_steps", [2.5, 0, -1, "3"])
-    def test_rejects_max_steps_that_is_not_a_positive_integer(self, max_steps):
-        with pytest.raises(ValueError, match=f"max_steps must be an integer >= 1, got {max_steps!r}"):
-            lasso_similarity(spread_instance(), 1e-3, RBF1, max_steps=max_steps)
+            lasso_similarity(data, 1e-3, RBF1, tol=tol)
 
     @pytest.mark.parametrize("routine", ["dpotrf", "dpotrs", "dtrtrs"])
     def test_lapack_failure_names_the_path_event(self, monkeypatch, routine):
@@ -353,6 +351,34 @@ def test_lasso_optimal_anywhere_on_the_path(n, d, seed, fraction):
     assert lasso_kkt_residuals(S, data.weights, data.targets, beta, model.bias, lam1).max() <= 1e-6
     if lam1 >= lam_max * (1 + 1e-12):  # beyond the rounding of lambda_max
         np.testing.assert_array_equal(beta, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 255, 256, 257, 600])
+@pytest.mark.parametrize("d", [1, 3])
+def test_cheap_selectors_match_the_full_distance_matrix(monkeypatch, n, d):
+    # integer rows tie often, so the first of equal sums must stay first
+    rng = np.random.default_rng([n, d])
+    data = Dataset(features=rng.integers(-3, 4, (n, d)).astype(float), targets=np.ones(n))
+    m = min(n, 5)
+    blocked = (set_median_index(data.features), ps_border(data, m), ps_spanning(data, m))
+    monkeypatch.setattr(baselines, "set_median_index", full_matrix_set_median_index)
+    assert blocked[0] == full_matrix_set_median_index(data.features)
+    np.testing.assert_array_equal(blocked[1], ps_border(data, m))
+    np.testing.assert_array_equal(blocked[2], ps_spanning(data, m))
+
+
+@pytest.mark.parametrize("selector", [ps_border, ps_spanning])
+def test_cheap_selectors_peak_memory_below_a_tenth_of_n_squared(selector):
+    # the set median used to build the whole n x n distance matrix (1.0 n^2)
+    n = 4000
+    data = Dataset(features=np.random.default_rng(0).normal(0, 1, (n, 2)), targets=np.ones(n))
+    tracemalloc.start()
+    try:
+        selector(data, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * n * n
 
 
 @pytest.mark.parametrize(

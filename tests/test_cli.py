@@ -185,7 +185,7 @@ def test_flag_defaults_are_the_library_defaults(tmp_path):
     assert run(["select-m", *required, "--out", tmp_path / "select.json"]) == 0
     config = json.loads((tmp_path / "select.manifest.json").read_text())["config"]
     assert {key: config[key] for key in ("loss", "folds", "rho")} == {
-        "loss": GridConfig.loss_kind, "folds": GridConfig.folds, "rho": GridConfig(grid=(1,)).resolved_rho}
+        "loss": GridConfig.loss_kind, "folds": GridConfig.folds, "rho": GridConfig(grid=(1,)).rho}
     assert {key: config[key] for key in asdict(TrainConfig())} == asdict(TrainConfig())
 
 
@@ -269,6 +269,19 @@ class TestBlackbox:
             )
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert (tmp_path / "a.trace.csv").read_bytes() == (tmp_path / "b.trace.csv").read_bytes()
+
+    def test_identical_runs_in_one_process_identical_files(self, tmp_path, train_csv):
+        # the id was counted per process, so the second model named another bridge
+        command = self.scorer(tmp_path, RBF_SCORER)
+        for name in ("a", "b"):
+            assert run(["train", "--data", train_csv, "--target", "target", "--m", "2", "--eta", "0.1",
+                        "--grad-mode", "approximate", "--max-sweeps", "1", "--blackbox", command,
+                        "--out", tmp_path / f"{name}.json"]) == 0
+        for suffix in (".json", ".trace.csv"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+        assert load_model(tmp_path / "a.json").similarity.blackbox_id == command
+        manifest = json.loads((tmp_path / "a.manifest.json").read_text())
+        assert manifest["config"]["similarity"]["blackbox_id"] == command
 
     def test_failing_scorer_is_runtime_error_and_closed(self, tmp_path, train_csv, bridges, capsys):
         code = run(["train", "--data", train_csv, "--target", "target", "--m", "2",

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import signal
 import sys
 import threading
@@ -434,6 +435,16 @@ class TestBlackboxBridge:
         with pytest.raises(BlackboxError, match="could not start scorer"):
             blackbox_bridge([str(tmp_path / "no-such-scorer")])
 
+    def test_id_is_the_command_line(self, tmp_path):
+        # the id names the scorer, not the order in which bridges were opened
+        script = tmp_path / "my scorer.py"
+        script.write_text(RBF_SCORER)
+        argv = [sys.executable, script, "0.5"]
+        command = shlex.join(map(str, argv))
+        for given in (command, argv):
+            with blackbox_bridge(given) as bridge:
+                assert bridge.spec.blackbox_id == command
+
     @pytest.mark.parametrize("command", ["", " ", []], ids=["empty", "blank", "no-argv"])
     def test_empty_command_is_a_blackbox_error(self, command):
         with pytest.raises(BlackboxError, match=re.escape(f"empty scorer command {command!r}")):
@@ -526,7 +537,7 @@ class TestBlackboxBridge:
             save_model(model, tmp_path / "model.json")
             loaded = load_model(tmp_path / "model.json")
             assert loaded.similarity == bridge.spec and loaded.similarity.scorer is None
-            with pytest.raises(SimilarityEvalError, match=bridge.spec.blackbox_id):
+            with pytest.raises(SimilarityEvalError, match=re.escape(bridge.spec.blackbox_id)):
                 predict(loaded, np.zeros(2))
 
     def test_threads_share_one_bridge(self, tmp_path, rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import objective
 
-from sparsim import Dataset, GridConfig, SparseModel, TrainConfig, distill, fit, predict_batch, select_model_size
+from sparsim import Dataset, GridConfig, SparseModel, TrainConfig, distill, fit, gen_synthetic, predict_batch
+from sparsim import select_model_size
 from sparsim import similarity as sim
 from sparsim import training
 from sparsim.datatypes import resolve_box
@@ -209,6 +211,21 @@ class TestFit:
         data = Dataset(features=rng.normal(0, 1, (5, 2)), targets=rng.normal(0, 1, 5))
         with pytest.raises(ValueError, match=r"init must have shape \(2, 2\)"):
             fit(data, 2, config=TrainConfig(lam=1e-3), similarity=RBF1, init=np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_init_rejected_before_any_evaluation(self, value):
+        # inf trained an infinite prototype and nan blamed the data for a non-finite similarity
+        data = gen_synthetic("three_clusters", n=30, seed=0)
+        init = data.features[:3].copy()
+        init[1, 0] = value
+        before = EVAL_COUNTER.read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="init must be finite"):
+                fit(data, 3, config=TrainConfig(lam=1e-3), similarity=RBF1, init=init)
+            with pytest.raises(ValueError, match="init must be finite"):
+                distill(data.features, data.targets, 3, similarity=RBF1, init=init)
+        assert EVAL_COUNTER.read() == before
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_box_rows_must_match_dimension(self, rng, rows):
