@@ -7,7 +7,7 @@ prototype-selection baselines, teacher distillation, and evaluation
 metrics.
 """
 
-from .baselines import SelectionMethod, baseline_pipeline, kernel_ridge_full, lasso_similarity
+from .baselines import baseline_pipeline, kernel_ridge_full, lasso_similarity
 from .dataio import blackbox_bridge, gen_synthetic, load_csv, load_model, save_model, write_csv
 from .datatypes import Dataset, SparseModel, TrainConfig, predict, predict_batch
 from .errors import (
@@ -35,7 +35,6 @@ __all__ = [
     "SimilarityMatrix",
     "GridConfig",
     "SelectionTrace",
-    "SelectionMethod",
     "TrainTrace",
     "EVAL_COUNTER",
     "fit",

@@ -1,8 +1,6 @@
 """Comparison methods that select prototypes from the training data and
 then fit the linear part separately (no prototype optimization)."""
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
@@ -20,19 +18,6 @@ MAX_PATH_EVENTS = 10_000
 MEDIAN_BLOCK_ROWS = 256
 
 
-@dataclass(frozen=True)
-class SelectionMethod:
-    kind: str
-    m: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in SELECTORS:
-            raise ValueError(f"unknown selection kind {self.kind!r}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
-
-
 def set_median_index(X) -> int:
     """Index of the sample minimizing the summed distance to all samples;
     the distances are summed ``MEDIAN_BLOCK_ROWS`` rows at a time, so memory
@@ -44,13 +29,11 @@ def set_median_index(X) -> int:
 
 def ps_random(data: Dataset, m: int, seed: int) -> np.ndarray:
     """m indices drawn uniformly without replacement."""
-    check_size(m, data.n)
     return np.random.default_rng(seed).choice(data.n, size=m, replace=False)
 
 
 def ps_border(data: Dataset, m: int) -> np.ndarray:
     """The m samples farthest from the set median (the data frontier)."""
-    check_size(m, data.n)
     med = set_median_index(data.features)
     dist = np.linalg.norm(data.features - data.features[med], axis=1)
     return np.argsort(-dist, kind="stable")[:m]
@@ -62,7 +45,6 @@ def ps_spanning(data: Dataset, m: int) -> np.ndarray:
     After the median, each pick maximizes the distance to the closest
     already-selected sample.
     """
-    check_size(m, data.n)
     X = data.features
     selected = [set_median_index(X)]
     min_dist = np.linalg.norm(X - X[selected[0]], axis=1)
@@ -98,7 +80,6 @@ def _lloyd(X, k, rng):
 
 def ps_kmedians(data: Dataset, m: int, seed: int) -> np.ndarray:
     """Cluster with seeded k-means (5 restarts), keep each cluster's set median."""
-    check_size(m, data.n)
     X = data.features
     distinct = np.unique(X, axis=0).shape[0]
     if distinct < m:
@@ -117,7 +98,7 @@ def ps_kmedians(data: Dataset, m: int, seed: int) -> np.ndarray:
 
 
 SELECTORS = {"random": ps_random, "border": ps_border, "spanning": ps_spanning, "kmedians": ps_kmedians}
-SEEDED_KINDS = ("random", "kmedians")  # the selectors that read SelectionMethod.seed
+SEEDED_KINDS = ("random", "kmedians")  # the selectors that take baseline_pipeline's seed
 
 
 def _ridge_model(data, protos, lam, spec, metadata):
@@ -132,16 +113,19 @@ def kernel_ridge_full(data: Dataset, lam: float, spec: sim.SimilaritySpec) -> Sp
 
 
 def baseline_pipeline(
-    data: Dataset, method: SelectionMethod, lam: float, spec: sim.SimilaritySpec
+    data: Dataset, kind: str, m: int, lam: float, spec: sim.SimilaritySpec, seed: int = 0
 ) -> SparseModel:
-    """Select prototypes by the given method, freeze them, fit the linear part.
+    """Select m prototypes by the ``SELECTORS`` kind, freeze them, fit the
+    linear part; only the ``SEEDED_KINDS`` read ``seed``.
 
     The returned prototypes are rows of the training features, never
     virtual points.
     """
-    seed = (method.seed,) if method.kind in SEEDED_KINDS else ()
-    idx = SELECTORS[method.kind](data, method.m, *seed)
-    metadata = {"method": method.kind, "indices": [int(i) for i in idx], "lam": lam}
+    if kind not in SELECTORS:
+        raise ValueError(f"unknown selection kind {kind!r}")
+    check_size(m, data.n)
+    idx = SELECTORS[kind](data, m, *((seed,) if kind in SEEDED_KINDS else ()))
+    metadata = {"method": kind, "indices": [int(i) for i in idx], "lam": lam}
     return _ridge_model(data, data.features[idx], lam, spec, metadata)
 
 

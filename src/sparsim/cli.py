@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import baselines, dataio, metrics, selection, similarity, training
-from .datatypes import TrainConfig, predict_batch
+from .datatypes import TrainConfig, check_size, predict_batch
 from .errors import SparsimError
 
 
@@ -52,9 +52,9 @@ def _grid(text):
 
 _grid_config = partial(selection.GridConfig, grid=(1,))
 _lam = _checked(TrainConfig, "lam")  # --lambda and --lambda1
-_m = _checked(partial(baselines.SelectionMethod, kind="random"), "m", int)
+_m = _checked(check_size, "m", int)
 
-# The compared methods; a prototype-selection name maps to its SelectionMethod kind.
+# The compared methods; a prototype-selection name maps to its baselines.SELECTORS kind.
 SELECTIONS = {"ps-r": "random", "ps-b": "border", "ps-s": "spanning", "ps-km": "kmedians"}
 BASELINES = (*SELECTIONS, "ridge", "lasso")
 METHODS = ("sparse", *BASELINES)
@@ -115,7 +115,7 @@ def cmd_select_m(args, bridges):
     trace_path = _stem(args.out) + ".selection.csv"
     trace.write_csv(trace_path)
     print(f"chose m={trace.chosen_m} over grid {grid}")
-    config_doc = _config_dict(config, spec, grid=list(grid), rho=grid_config.rho,
+    config_doc = _config_dict(config, spec, grid=list(grid), rho=grid_config.resolved_rho,
                               loss=args.loss, folds=args.folds, chosen_m=trace.chosen_m)
     return config_doc, args.seed, [args.data], [args.out, trace_path]
 
@@ -128,8 +128,7 @@ def _fit(method, data, args, spec, config=None):
         return baselines.kernel_ridge_full(data, args.lam, spec)
     if method == "lasso":
         return baselines.lasso_similarity(data, args.lam1, spec)
-    selector = baselines.SelectionMethod(kind=SELECTIONS[method], m=args.m, seed=args.seed)
-    return baselines.baseline_pipeline(data, selector, args.lam, spec)
+    return baselines.baseline_pipeline(data, SELECTIONS[method], args.m, args.lam, spec, args.seed)
 
 
 def _metric_rows(model, data):

@@ -124,10 +124,12 @@ class SparseModel:
         return self.prototypes.shape[1]
 
 
-def check_size(m: int, n: int) -> None:
-    """Reject a prototype count outside 1 <= m <= n (m distinct rows of n)."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+def check_size(m: int, n: Optional[int] = None) -> None:
+    """Reject a prototype count that is not an integer with 1 <= m <= n
+    (m distinct rows of n); with no n, only m >= 1 is required."""
+    bound = "" if n is None else f" and <= n={n}"
+    if not isinstance(m, (int, np.integer)) or m < 1 or (n is not None and m > n):
+        raise ValueError(f"m must be an integer >= 1{bound}, got {m!r}")
 
 
 def predict(model: SparseModel, x) -> float:

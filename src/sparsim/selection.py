@@ -21,8 +21,8 @@ from .training import fit
 class GridConfig:
     """Descending size grid, trade-off weight, loss kind and fold count.
 
-    ``rho=None`` is replaced by the default for the loss: 0.1 for mae,
-    1e-3 for mse and error_rate.
+    ``rho=None`` stands for the loss's default, which :attr:`resolved_rho`
+    reads: 0.1 for mae, 1e-3 for mse and error_rate.
     """
 
     grid: Tuple[int, ...]
@@ -45,8 +45,13 @@ class GridConfig:
         if self.rho is not None and not 0 <= self.rho < np.inf:
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         object.__setattr__(self, "grid", grid)
-        if self.rho is None:
-            object.__setattr__(self, "rho", 0.1 if self.loss_kind == "mae" else 1e-3)
+
+    @property
+    def resolved_rho(self) -> float:
+        """The size weight selection uses: ``rho``, or the loss's default."""
+        if self.rho is not None:
+            return self.rho
+        return 0.1 if self.loss_kind == "mae" else 1e-3
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ def select_model_size(
     """
     train_config = train_config or TrainConfig()
     spec = similarity or sim.default_spec(data.dim)
-    grid, rho = grid_config.grid, grid_config.rho
+    grid, rho = grid_config.grid, grid_config.resolved_rho
     loss = metrics.LOSSES[grid_config.loss_kind]
 
     if data.groups is not None:

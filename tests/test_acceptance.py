@@ -24,7 +24,7 @@ from sparsim import (
     predict_batch,
     select_model_size,
 )
-from sparsim.baselines import SelectionMethod, baseline_pipeline, lasso_kkt_residuals
+from sparsim.baselines import baseline_pipeline, lasso_kkt_residuals
 from sparsim.metrics import eval_cost, mae
 from sparsim.ridge import assemble, solve
 from sparsim.similarity import SimilaritySpec, sim_matrix
@@ -187,7 +187,7 @@ def test_c06_joint_optimization_beats_random_selection():
         config = TrainConfig(seed=seed, eta=0.1, box="data", penalty_enabled=True, max_sweeps=50, epsilon=1e-9)
         model, _ = fit(train, 5, config=config, similarity=spec)
         ours.append(mae(predict_batch(model, test.features), test.targets))
-        base = baseline_pipeline(train, SelectionMethod(kind="random", m=5, seed=seed), 1e-6, spec)
+        base = baseline_pipeline(train, "random", 5, 1e-6, spec, seed=seed)
         rand.append(mae(predict_batch(base, test.features), test.targets))
     ours, rand = np.array(ours), np.array(rand)
     se = rand.std(ddof=1) / np.sqrt(rand.size)

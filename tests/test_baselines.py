@@ -9,7 +9,6 @@ from scipy.stats import chisquare
 
 from sparsim import Dataset, baselines, gen_synthetic, predict_batch
 from sparsim.baselines import (
-    SelectionMethod,
     baseline_pipeline,
     kernel_ridge_full,
     lasso_kkt_residuals,
@@ -144,21 +143,22 @@ class TestPsKmedians:
 
 class TestPipeline:
     @pytest.mark.parametrize("kind, m", [("spanning", 0), ("random", 2.5), ("median", 2)])
-    def test_selection_method_rejects_invalid_values(self, kind, m):
+    def test_selection_method_rejects_invalid_values(self, kind, m, rng):
+        data = Dataset(features=rng.normal(0, 1, (5, 2)), targets=rng.normal(0, 1, 5))
         with pytest.raises(ValueError):
-            SelectionMethod(kind=kind, m=m)
+            baseline_pipeline(data, kind, m, 1e-6, RBF1)
 
     def test_prototypes_are_bitwise_training_rows(self, rng):
         data = Dataset(features=rng.normal(0, 1, (15, 3)), targets=rng.normal(0, 1, 15))
         for kind in ("random", "border", "spanning", "kmedians"):
-            model = baseline_pipeline(data, SelectionMethod(kind=kind, m=4, seed=2), 1e-6, RBF1)
+            model = baseline_pipeline(data, kind, 4, 1e-6, RBF1, seed=2)
             assert model.m == 4
             for row in model.prototypes:
                 assert any(np.array_equal(row, feat) for feat in data.features)
 
     def test_random_full_equals_kernel_ridge(self, rng):
         data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
-        piped = baseline_pipeline(data, SelectionMethod(kind="random", m=10, seed=0), 1e-4, RBF1)
+        piped = baseline_pipeline(data, "random", 10, 1e-4, RBF1, seed=0)
         ridge = kernel_ridge_full(data, 1e-4, RBF1)
         probe = rng.normal(0, 1, (20, 2))
         np.testing.assert_allclose(

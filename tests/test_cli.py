@@ -80,6 +80,7 @@ class TestTrain:
         ["select-m", "--rho", "-1"],
         ["baseline", "--method", "lasso", "--lambda1", "-1"],
         ["baseline", "--method", "ps-r", "--m", "0"],
+        ["train", "--m", "2.5"],
     ])
     def test_malformed_flag_value_is_usage_error(self, tmp_path, train_csv, argv):
         with pytest.raises(SystemExit) as exc:
@@ -94,6 +95,12 @@ class TestTrain:
         with pytest.raises(ValueError) as owner:
             TrainConfig(eta=0.0)
         assert f"argument --eta: {owner.value}" in capsys.readouterr().err
+
+    def test_m_usage_error_names_only_the_lower_bound(self, tmp_path, train_csv, capsys):
+        # the data's row count is unknown while flags parse, so only m >= 1 is checked there
+        with pytest.raises(SystemExit):
+            run(["train", "--m", "0", "--data", train_csv, "--target", "target", "--out", tmp_path / "m.json"])
+        assert "argument --m: m must be an integer >= 1, got 0\n" in capsys.readouterr().err
 
     def test_gamma_sets_the_rbf_bandwidth(self, tmp_path, train_csv):
         out = tmp_path / "model.json"
@@ -185,7 +192,7 @@ def test_flag_defaults_are_the_library_defaults(tmp_path):
     assert run(["select-m", *required, "--out", tmp_path / "select.json"]) == 0
     config = json.loads((tmp_path / "select.manifest.json").read_text())["config"]
     assert {key: config[key] for key in ("loss", "folds", "rho")} == {
-        "loss": GridConfig.loss_kind, "folds": GridConfig.folds, "rho": GridConfig(grid=(1,)).rho}
+        "loss": GridConfig.loss_kind, "folds": GridConfig.folds, "rho": GridConfig(grid=(1,)).resolved_rho}
     assert {key: config[key] for key in asdict(TrainConfig())} == asdict(TrainConfig())
 
 

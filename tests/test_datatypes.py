@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import objective
 
-from sparsim import Dataset, SparseModel, TrainConfig, fit, predict, predict_batch
+from sparsim import Dataset, SparseModel, TrainConfig, baseline_pipeline, fit, gen_synthetic, init_prototypes
+from sparsim import predict, predict_batch
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -10,6 +11,18 @@ RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 
 def toy_model(protos, beta, bias=0.0, spec=RBF1):
     return SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=spec)
+
+
+@pytest.mark.parametrize("make", [
+    lambda data, m: fit(data, m, config=TrainConfig(max_sweeps=1), similarity=RBF1),
+    lambda data, m: init_prototypes(data, m, 0),
+    lambda data, m: baseline_pipeline(data, "random", m, 1e-6, RBF1),
+], ids=["fit", "init_prototypes", "baseline_pipeline"])
+def test_non_integer_m_rejected_everywhere(make):
+    # check_size is the one size rule, so every entry point names the same fault
+    data = gen_synthetic("sine_regression", n=10, seed=0)
+    with pytest.raises(ValueError, match=r"m must be an integer >= 1 and <= n=10, got 2\.5"):
+        make(data, 2.5)
 
 
 class TestDataset:

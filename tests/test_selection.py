@@ -52,9 +52,16 @@ class TestGridConfig:
             GridConfig(grid=(3, 2), rho=np.inf)
 
     def test_rho_defaults_follow_loss(self):
-        assert GridConfig(grid=(3, 2), loss_kind="mae").rho == 0.1
-        assert GridConfig(grid=(3, 2), loss_kind="mse").rho == 1e-3
-        assert GridConfig(grid=(3, 2), loss_kind="mse", rho=0.5).rho == 0.5
+        assert GridConfig(grid=(3, 2), loss_kind="mae").resolved_rho == 0.1
+        assert GridConfig(grid=(3, 2), loss_kind="mse").resolved_rho == 1e-3
+        assert GridConfig(grid=(3, 2), loss_kind="mse", rho=0.5).resolved_rho == 0.5
+
+    def test_replaced_config_keeps_the_callers_rho(self):
+        # the default follows the new loss; an explicit weight survives it
+        default = GridConfig(grid=(3, 2))
+        as_mae = replace(default, loss_kind="mae")
+        assert as_mae.rho is None and as_mae.resolved_rho == 0.1
+        assert replace(replace(default, rho=0.5), loss_kind="mae").resolved_rho == 0.5
 
 
 class TestDefaultGrid:
@@ -240,7 +247,7 @@ class TestSelect:
         assert len(rows) == 4
         assert sum(int(r[3]) for r in rows[1:]) == 1
         for r in rows[1:]:
-            assert float(r[2]) == float(r[1]) + gc.rho * int(r[0])
+            assert float(r[2]) == float(r[1]) + gc.resolved_rho * int(r[0])
 
     @pytest.mark.parametrize("loss_kind", ["mse", "mae", "error_rate"])
     def test_folds_are_scored_with_the_named_loss(self, loss_kind):
