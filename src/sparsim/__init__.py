@@ -23,7 +23,7 @@ from .errors import (
 from .metrics import error_rate, eval_cost, mae, mse
 from .selection import GridConfig, SelectionTrace, default_grid, kfold_split, select_model_size
 from .similarity import EVAL_COUNTER, SimilarityMatrix, SimilaritySpec, default_spec, pairwise, sim_matrix
-from .training import TrainTrace, distill, fit, init_prototypes
+from .training import TrainTrace, fit, init_prototypes
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "TrainTrace",
     "EVAL_COUNTER",
     "fit",
-    "distill",
     "init_prototypes",
     "predict",
     "predict_batch",

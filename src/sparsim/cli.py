@@ -100,8 +100,10 @@ def cmd_train(args, bridges):
     dataio.save_model(model, args.out)
     trace_path = _stem(args.out) + ".trace.csv"
     trace.write_csv(trace_path)
-    print(f"trained m={model.m} model, final objective {trace.final_objective:.6g} ({trace.termination})")
-    return _config_dict(config, spec, m=args.m), args.seed, [args.data], [args.out, trace_path]
+    reason = trace.termination if trace.error is None else f"{trace.termination}: {trace.error}"
+    print(f"trained m={model.m} model, final objective {trace.final_objective:.6g} ({reason})")
+    config_doc = _config_dict(config, spec, m=args.m, termination=trace.termination, error=trace.error)
+    return config_doc, args.seed, [args.data], [args.out, trace_path]
 
 
 def cmd_select_m(args, bridges):

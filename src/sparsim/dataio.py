@@ -48,13 +48,13 @@ SINE_NOISE_STD = 0.05
 
 
 def _read_rows(path, columns=(), required=True):
-    """Header and data rows of a headered CSV.
+    """Header and data rows of a headered UTF-8 CSV (a leading BOM is skipped).
 
     Checks that the file has a header row, that no name in ``columns``
     appears in it twice (and, if ``required``, that each appears), and
     that every row has as many cells as the header.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -74,7 +74,8 @@ def _read_rows(path, columns=(), required=True):
 
 def _parse_floats(path, header, rows, positions):
     """The cells at ``positions`` of every row as a (rows, positions) float
-    array; a cell that does not parse is reported with its row and column."""
+    array; a cell that does not parse, or parses to nan or an infinity, is
+    reported with its row and column."""
     out = np.empty((len(rows), len(positions)))
     for r, row in enumerate(rows):
         for c, pos in enumerate(positions):
@@ -84,6 +85,10 @@ def _parse_floats(path, header, rows, positions):
                 raise DataFormatError(
                     f"{path}: row {r + 2}, column {header[pos]!r}: cannot parse {row[pos]!r}"
                 ) from None
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        r, pos = bad[0][0], positions[bad[0][1]]
+        raise DataFormatError(f"{path}: row {r + 2}, column {header[pos]!r}: {rows[r][pos]!r} is not finite")
     return out
 
 
@@ -120,7 +125,7 @@ def load_features(path, target_column: str = None) -> np.ndarray:
 def write_table(path, header, rows):
     """Write a header row and data rows as CSV.  Floats are written as
     ``repr(float(v))``, which reads back exactly; other cells as ``str``."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(
@@ -148,7 +153,7 @@ def _jsonable(value):
 
 def write_json(doc, path):
     """Write ``doc`` as indented, key-sorted JSON (numpy values as plain lists and numbers)."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
@@ -173,7 +178,7 @@ def save_model(model: SparseModel, path):
 
 
 def load_model(path) -> SparseModel:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -254,8 +259,9 @@ def gen_synthetic(kind: str, n: int = None, seed: int = 0) -> Dataset:
     return Dataset(features=features[perm], targets=targets[perm])
 
 
-class BlackboxBridge:
-    """Similarity scorer backed by a line-protocol subprocess.
+class blackbox_bridge:
+    """Similarity scorer backed by a line-protocol subprocess, spawned by
+    ``blackbox_bridge(command)``; the bridge's ``spec`` evaluates through it.
 
     Requests are single lines ``d a_1 .. a_d b_1 .. b_d``; the scorer
     answers one decimal value per line, in order.  One selector loop in the
@@ -366,8 +372,3 @@ class BlackboxBridge:
 
     def __exit__(self, *exc_info):
         self.close()
-
-
-def blackbox_bridge(command) -> BlackboxBridge:
-    """Spawn a scorer subprocess; the bridge's ``spec`` evaluates through it."""
-    return BlackboxBridge(command)

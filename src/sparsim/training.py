@@ -224,22 +224,3 @@ def fit(
     }
     model = SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=spec, metadata=metadata)
     return model, trace
-
-
-def distill(
-    features,
-    teacher_scores,
-    m: int,
-    config: TrainConfig = None,
-    similarity: sim.SimilaritySpec = None,
-    init: np.ndarray = None,
-) -> SparseModel:
-    """Fit a sparse student to a teacher's discriminant values.
-
-    Identical to :func:`fit` on a dataset whose targets are the teacher
-    scores; usually works better for classification than fitting the raw
-    labels under the squared loss.
-    """
-    data = Dataset(features=features, targets=teacher_scores)
-    model, _ = fit(data, m, config=config, similarity=similarity, init=init)
-    return model

@@ -16,7 +16,6 @@ from sparsim import (
     Dataset,
     GridConfig,
     TrainConfig,
-    distill,
     fit,
     gen_synthetic,
     kernel_ridge_full,
@@ -57,7 +56,7 @@ def distill_experiment(seed, grad_mode):
         epsilon=1e-8, grad_mode=grad_mode,
     )
     init = init_prototypes(data, 2, seed)  # stratified over the +-1 labels
-    student = distill(data.features, scores, 2, config=config, similarity=spec, init=init)
+    student, _ = fit(Dataset(features=data.features, targets=scores), 2, config=config, similarity=spec, init=init)
     return sign_grid_agreement(teacher, student, data)
 
 

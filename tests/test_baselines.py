@@ -124,9 +124,10 @@ class TestPsKmedians:
         idx = ps_kmedians(data, 1, seed=0)
         assert idx[0] == set_median_index(X)
 
-    def test_m_larger_than_n_rejected(self, rng):
+    def test_m_larger_than_n_rejected_by_the_distinct_row_rule(self, rng):
+        # the selector has no size check of its own (baseline_pipeline applies check_size)
         data = Dataset(features=rng.normal(0, 1, (3, 2)), targets=np.ones(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot form m=4 clusters from 3 distinct rows"):
             ps_kmedians(data, 4, seed=0)
 
     def test_repeated_rows(self, rng):

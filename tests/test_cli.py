@@ -128,6 +128,14 @@ class TestTrain:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert (tmp_path / "a.trace.csv").read_bytes() == (tmp_path / "b.trace.csv").read_bytes()
 
+    def test_non_finite_cell_is_runtime_error_naming_its_location(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("f0,f1,target\n1.0,2.0,0.5\n1.0,nan,0.5\n")
+        code = run(["train", "--data", path, "--target", "target", "--m", "1", "--out", tmp_path / "m.json"])
+        assert code == 1
+        assert "row 3, column 'f1': 'nan' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_data_file_is_runtime_error(self, tmp_path, capsys):
         code = run(["train", "--data", tmp_path / "nope.csv", "--target", "t", "--m", "1",
                     "--out", tmp_path / "m.json"])
@@ -138,7 +146,7 @@ class TestTrain:
 TRAIN_CONFIG_KEYS = {"lam", "eta", "epsilon", "max_sweeps", "penalty_enabled",
                      "box", "seed", "grad_mode", "similarity"}
 MANIFEST_CASES = {
-    "train": (["--m", "2", "--max-sweeps", "3"], TRAIN_CONFIG_KEYS | {"m"}),
+    "train": (["--m", "2", "--max-sweeps", "3"], TRAIN_CONFIG_KEYS | {"m", "termination", "error"}),
     "select-m": (["--grid", "3,2", "--folds", "2", "--max-sweeps", "3"],
                  TRAIN_CONFIG_KEYS | {"grid", "rho", "loss", "folds", "chosen_m"}),
     # baseline records only the flags its method reads
@@ -188,6 +196,8 @@ def test_flag_defaults_are_the_library_defaults(tmp_path):
     required = ["--data", data_path, "--target", "target"]
     assert run(["train", *required, "--m", "2", "--out", tmp_path / "train.json"]) == 0
     config = json.loads((tmp_path / "train.manifest.json").read_text())["config"]
+    assert config.pop("termination") in ("converged", "max_sweeps")
+    assert config.pop("error") is None
     assert config == {**asdict(TrainConfig()), "similarity": similarity, "m": 2}
     assert run(["select-m", *required, "--out", tmp_path / "select.json"]) == 0
     config = json.loads((tmp_path / "select.manifest.json").read_text())["config"]
@@ -209,15 +219,19 @@ for line in sys.stdin:
     sys.stdout.flush()
 """
 
+# the RBF scorer, exiting after its 400th answer
+DYING_SCORER = "import itertools, sys\nsys.stdin = itertools.islice(sys.stdin, 400)\n" + RBF_SCORER
+
 
 class TestBlackbox:
     @pytest.fixture
     def bridges(self, monkeypatch):
         """Every bridge the CLI opens, so the test can check that it was closed."""
         opened = []
+        spawn = dataio.blackbox_bridge
 
         def record(command):
-            opened.append(dataio.BlackboxBridge(command))
+            opened.append(spawn(command))
             return opened[-1]
 
         monkeypatch.setattr(dataio, "blackbox_bridge", record)
@@ -298,6 +312,20 @@ class TestBlackbox:
         assert "error:" in capsys.readouterr().err
         self.assert_closed(bridges)
         assert not (tmp_path / "model.manifest.json").exists()
+
+    def test_scorer_dying_mid_training_is_reported(self, tmp_path, bridges, capsys):
+        # training keeps the last solved model and exits 0, so only the output says why it stopped
+        data_path = tmp_path / "three.csv"
+        write_csv(gen_synthetic("three_clusters", n=90, seed=0), data_path)
+        out = tmp_path / "model.json"
+        assert run(["train", "--data", data_path, "--target", "target", "--m", "3", "--grad-mode", "approximate",
+                    "--blackbox", self.scorer(tmp_path, DYING_SCORER), "--out", out]) == 0
+        message = "scorer closed its output before response line 401"
+        assert f"(error: {message})" in capsys.readouterr().out
+        config = json.loads((tmp_path / "model.manifest.json").read_text())["config"]
+        assert (config["termination"], config["error"]) == ("error", message)
+        assert load_model(out).m == 3 and (tmp_path / "model.trace.csv").exists()
+        self.assert_closed(bridges)
 
     def test_analytic_gradient_fails_before_training(self, tmp_path, train_csv, bridges, capsys):
         # black-box scorers have no analytic gradient; the default --grad-mode must not
@@ -509,6 +537,7 @@ class TestPredict:
     @pytest.mark.parametrize("rows, where", [
         ("1.0,2.0,0.5\n1.0,2.0,3.0,4.0\n", "row 3"),
         ("1.0,2.0,0.5\n1.0,x,0.5\n", "row 3, column 'f1'"),
+        ("1.0,2.0,0.5\n1.0,inf,0.5\n", "row 3, column 'f1': 'inf' is not finite"),
     ])
     def test_input_error_names_its_location(self, tmp_path, train_csv, capsys, rows, where):
         model_out = tmp_path / "model.json"

@@ -3,13 +3,16 @@ import os
 import re
 import shlex
 import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsim
 from sparsim import Dataset, SparseModel, gen_synthetic, load_csv, load_model, save_model, write_csv
 from sparsim import TrainConfig, fit
 from sparsim.dataio import (
@@ -19,7 +22,6 @@ from sparsim.dataio import (
     THREE_CLUSTERS_CENTERS,
     TWO_GAUSSIANS_CENTERS,
     TWO_GAUSSIANS_STD,
-    BlackboxBridge,
     blackbox_bridge,
     load_features,
     write_json,
@@ -55,6 +57,38 @@ class TestCsv:
         path.write_text("a,target\n1.0,2.0\noops,3.0\n")
         with pytest.raises(DataFormatError, match=r"row 3.*'a'"):
             load_csv(path, "target")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        # float() parses these, so the reader checks finiteness where it knows the location
+        path = tmp_path / "data.csv"
+        path.write_text(f"a,target,b\n1.0,0.5,2.0\n1.0,0.5,{cell}\n")
+        message = f"row 3, column 'b': '{cell}' is not finite"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_csv(path, "target")
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_features(path, "target")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes("target,f0\n0.5,1.0\n".encode("utf-8-sig"))
+        data = load_csv(path, "target")
+        np.testing.assert_array_equal(data.features, [[1.0]])
+        np.testing.assert_array_equal(data.targets, [0.5])
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale with UTF-8 mode off, open() defaults to ASCII
+        script = (
+            "import sys; import numpy as np; from sparsim import Dataset, load_csv, write_csv\n"
+            "data = Dataset(features=[[0.0], [1.0]], targets=[1.0, 2.0], groups=np.array(['caf\\u00e9', 'b']))\n"
+            "write_csv(data, sys.argv[1])\n"
+            "assert load_csv(sys.argv[1], 'target', 'group').groups.tolist() == ['caf\\u00e9', 'b']\n"
+        )
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(sparsim.__file__).resolve().parents[1])}
+        path = tmp_path / "groups.csv"
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True, timeout=60)
+        assert path.read_bytes().decode("utf-8").splitlines()[1] == "0.0,1.0,caf\u00e9"
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -492,7 +526,7 @@ class TestBlackboxBridge:
         assert bridge._proc.returncode is not None
 
     def test_close_kills_a_scorer_that_ignores_sigterm(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(BlackboxBridge, "_TERMINATE_TIMEOUT", 0.2)
+        monkeypatch.setattr(blackbox_bridge, "_TERMINATE_TIMEOUT", 0.2)
         script = tmp_path / "scorer.py"
         script.write_text(IGNORE_SIGTERM)
         bridge = blackbox_bridge([sys.executable, str(script)])

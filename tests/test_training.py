@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import objective
 
-from sparsim import Dataset, GridConfig, SparseModel, TrainConfig, distill, fit, gen_synthetic, predict_batch
+from sparsim import Dataset, GridConfig, SparseModel, TrainConfig, fit, gen_synthetic, predict_batch
 from sparsim import select_model_size
 from sparsim import similarity as sim
 from sparsim import training
@@ -223,8 +223,6 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="init must be finite"):
                 fit(data, 3, config=TrainConfig(lam=1e-3), similarity=RBF1, init=init)
-            with pytest.raises(ValueError, match="init must be finite"):
-                distill(data.features, data.targets, 3, similarity=RBF1, init=init)
         assert EVAL_COUNTER.read() == before
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -384,7 +382,7 @@ class TestDistill:
         X[:3] = protos
         scores = predict_batch(teacher, X)
         config = TrainConfig(lam=0.0, eta=0.1, penalty_enabled=False, epsilon=1e-13)
-        student = distill(X, scores, 3, config=config, similarity=RBF1, init=protos)
+        student, _ = fit(Dataset(features=X, targets=scores), 3, config=config, similarity=RBF1, init=protos)
         probe = rng.normal(0, 1, (50, 2))
         np.testing.assert_allclose(
             predict_batch(student, probe), predict_batch(teacher, probe), atol=1e-6
@@ -392,10 +390,11 @@ class TestDistill:
 
     def test_zero_teacher_gives_zero_model(self, rng):
         X = rng.normal(0, 1, (15, 2))
-        student = distill(X, np.zeros(15), 2, config=TrainConfig(lam=1e-3), similarity=RBF1)
+        data = Dataset(features=X, targets=np.zeros(15))
+        student, _ = fit(data, 2, config=TrainConfig(lam=1e-3), similarity=RBF1)
         np.testing.assert_allclose(student.beta, 0.0, atol=1e-9)
         assert student.bias == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_nonfinite_scores(self, rng):
-        with pytest.raises(ValueError):
-            distill(rng.normal(0, 1, (5, 2)), [1.0, np.nan, 0.0, 0.0, 1.0], 2)
+        with pytest.raises(ValueError, match="targets must be finite"):
+            fit(Dataset(features=rng.normal(0, 1, (5, 2)), targets=[1.0, np.nan, 0.0, 0.0, 1.0]), 2)
