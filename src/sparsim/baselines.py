@@ -102,8 +102,14 @@ SEEDED_KINDS = ("random", "kmedians")  # the selectors that take baseline_pipeli
 
 
 def _ridge_model(data, protos, lam, spec, metadata):
+    # S, A' and M are each about n x m doubles: S goes when weighted_design
+    # returns and A' once M is formed, so no more than two live at once
     S = sim.sim_matrix(spec, data.features, protos).values
-    beta, bias = ridge.solve(*ridge.assemble(S, data.weights, data.targets, lam))
+    At, rhs = ridge.weighted_design(S, data.weights, data.targets, lam)
+    del S
+    M = ridge.normal_matrix(At, lam)
+    del At
+    beta, bias = ridge.solve(M, rhs)
     return SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=spec, metadata=metadata)
 
 

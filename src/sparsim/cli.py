@@ -269,6 +269,20 @@ def build_parser():
     return parser
 
 
+def _blas_environment():
+    """What the last bits of a run's files depend on, since a BLAS splits
+    its sums by thread count (README, "Determinism"): the BLAS build, its
+    thread settings and the CPUs this process may run on."""
+    try:  # numpy < 1.25 has no mode argument
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name, version = blas["name"], blas["version"]
+    except (TypeError, KeyError):
+        name = version = "unknown"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {"name": name, "version": version, **threads, "cpus": cpus}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
@@ -284,6 +298,7 @@ def main(argv=None) -> int:
             "outputs": outputs,
             "wall_clock_seconds": time.perf_counter() - started,
             "similarity_evaluations": similarity.EVAL_COUNTER.read() - evals_before,
+            "blas": _blas_environment(),
         }
         dataio.write_json(manifest, _stem(args.out) + ".manifest.json")
     except (SparsimError, OSError, ValueError) as exc:

@@ -10,6 +10,10 @@ from typing import Optional, Union
 import numpy as np
 
 from . import similarity as sim
+from .errors import SimilarityEvalError
+
+# Bytes of similarities that predict_batch holds at a time.
+SCORE_BLOCK_BYTES = 1 << 21
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -141,15 +145,40 @@ def predict(model: SparseModel, x) -> float:
     return float(predict_batch(model, x[None, :])[0])
 
 
+def _score(model: SparseModel, rows) -> np.ndarray:
+    return sim.sim_matrix(model.similarity, rows, model.prototypes).values @ model.beta + model.bias
+
+
 def predict_batch(model: SparseModel, rows) -> np.ndarray:
-    """Score many samples at once (k rows cost k*m evaluations)."""
+    """Score many samples at once (k rows cost k*m evaluations).
+
+    Rows are scored in blocks of at most ``SCORE_BLOCK_BYTES`` of
+    similarities, and at least 256 rows, so memory stays bounded whatever
+    k is; a batch that fits in one block is one :func:`sim_matrix` call.
+    Blocks start at multiples of 256 rows, where the GEMV rounds a row
+    alike wherever it sits, so with one BLAS thread every prediction is
+    bit-identical to scoring the whole batch as one block.  Every row is
+    checked before the first evaluation.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != model.dim:
         raise ValueError(f"expected rows of dimension {model.dim}, got shape {rows.shape}")
     if not np.all(np.isfinite(rows)):
         raise ValueError("inputs must be finite")
-    values = sim.sim_matrix(model.similarity, rows, model.prototypes).values
-    return values @ model.beta + model.bias
+    k = rows.shape[0]
+    step = max(256, SCORE_BLOCK_BYTES // (8 * model.m) // 256 * 256)
+    if k <= step:
+        return _score(model, rows)
+    # numpy scores a one-row block by a dot product, not the GEMV, which
+    # rounds differently, so a last single row joins the block before it
+    bounds = [*range(0, k - 1, step), k]
+    out = np.empty(k)
+    for start, stop in zip(bounds, bounds[1:]):
+        try:
+            out[start:stop] = _score(model, rows[start:stop])
+        except SimilarityEvalError as exc:  # name the rows of the batch, not of the block
+            raise type(exc)(f"scoring rows {start}..{stop - 1}: {exc}") from exc
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,13 @@
 For fixed prototypes the objective is an ordinary weighted ridge
 regression in the similarity features, so the coefficients and bias come
 from one symmetric positive-definite system: the Gram matrix of
-sqrt(u) * [S, 1], solved by Cholesky.  When a single prototype moves, only
-its row and column change, and :func:`update_column` rewrites just those.
+sqrt(u) * [S, 1], solved by Cholesky.  It is built in two steps, the
+weighted design A' (:func:`weighted_design`) and its Gram matrix
+(:func:`normal_matrix`), so a caller can free each input as soon as the
+next array exists: in the full-similarity ridge (m = n) S, A' and M are
+each about n^2 doubles, and only two of them need to live at once.  When
+a single prototype moves, only its row and column change, and
+:func:`update_column` rewrites just those.
 """
 
 import math
@@ -19,13 +24,13 @@ from .errors import SingularSystemError
 RESIDUAL_RTOL = 1e-9
 
 
-def assemble(S, weights, targets, lam: float):
-    """Normal equations ``(M, rhs)``, M [coef; bias] = rhs, from the
-    similarity array S (n x m), weights and targets.
+def weighted_design(S, weights, targets, lam: float):
+    """The transposed weighted design ``A'`` and right-hand side ``rhs``
+    of the normal equations, from the similarity array S (n x m), weights
+    and targets.
 
-    M = A'A + lam * diag(1, ..., 1, 0) for A = sqrt(u) * [S, 1], that is
-    [[S'US + lam*I, S'u], [u'S, sum(u)]], one symmetric (SYRK) product and
-    so exactly symmetric; rhs = [S'(u*y); sum(u*y)] = A'(sqrt(u)*y).
+    A = sqrt(u) * [S, 1] and rhs = [S'(u*y); sum(u*y)] = A'(sqrt(u)*y).
+    ``lam`` is only checked here, so a bad value fails before any O(nm) work.
     """
     S = np.asarray(S, dtype=float)
     u = np.ravel(np.asarray(weights, dtype=float))
@@ -41,10 +46,25 @@ def assemble(S, weights, targets, lam: float):
     np.sqrt(u, out=At[m])
     At[:m] = S.T
     At[:m] *= At[m]
+    return At, rhs
+
+
+def normal_matrix(At, lam: float):
+    """M = A'A + lam * diag(1, ..., 1, 0), that is [[S'US + lam*I, S'u],
+    [u'S, sum(u)]], from :func:`weighted_design`'s ``A'``: one symmetric
+    (SYRK) product and so exactly symmetric."""
     matrix = At @ At.T
-    diag = np.arange(m)
+    diag = np.arange(At.shape[0] - 1)
     matrix[diag, diag] += lam
-    return matrix, rhs
+    return matrix
+
+
+def assemble(S, weights, targets, lam: float):
+    """Normal equations ``(M, rhs)``, M [coef; bias] = rhs: :func:`normal_matrix`
+    of :func:`weighted_design`.  Its caller keeps S alive while A' and M
+    are built; one that can let S go (``baselines``) calls the two steps itself."""
+    At, rhs = weighted_design(S, weights, targets, lam)
+    return normal_matrix(At, lam), rhs
 
 
 def update_column(M, rhs, S, weights, targets, j: int, lam: float):

@@ -175,7 +175,8 @@ def test_manifest_contract(tmp_path, train_csv, case):
     evals = EVAL_COUNTER.read() - before
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     assert set(manifest) == {"subcommand", "config", "seed", "inputs", "outputs",
-                             "wall_clock_seconds", "similarity_evaluations"}
+                             "wall_clock_seconds", "similarity_evaluations", "blas"}
+    assert set(manifest["blas"]) == {"name", "version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "cpus"}
     assert manifest["subcommand"] == subcommand
     assert set(manifest["config"]) == config_keys
     if "similarity" in config_keys:
@@ -408,6 +409,26 @@ class TestBaseline:
         pa = predict_batch(load_model(out_r), data.features)
         pb = predict_batch(load_model(out_k), data.features)
         np.testing.assert_allclose(pa, pb, rtol=1e-8, atol=1e-10)
+
+    def test_identical_invocations_at_one_blas_thread_identical_files(self, tmp_path):
+        # Separate processes, as two shell invocations would be; the full
+        # ridge's sums round by the BLAS thread count, so it is pinned
+        data_path = tmp_path / "sine.csv"
+        write_csv(gen_synthetic("sine_regression", n=300, seed=0), data_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(sparsim.__file__).resolve().parents[1]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        for name in ("a", "b"):
+            subprocess.run(
+                [sys.executable, "-m", "sparsim.cli", "baseline", "--data", str(data_path), "--target", "target",
+                 "--method", "ridge", "--gamma", "1", "--out", str(tmp_path / f"{name}.json")],
+                env=env, check=True, timeout=120,
+            )
+        for suffix in (".json", ".metrics.csv"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+        blas = json.loads((tmp_path / "a.manifest.json").read_text())["blas"]
+        assert blas["OPENBLAS_NUM_THREADS"] == blas["OMP_NUM_THREADS"] == "1"
+        assert isinstance(blas["name"], str) and isinstance(blas["version"], str)
+        assert isinstance(blas["cpus"], int) and blas["cpus"] >= 1
 
     def test_lasso_method(self, tmp_path, train_csv):
         out = tmp_path / "lasso.json"

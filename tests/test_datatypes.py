@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import objective
 
+from sparsim import datatypes
 from sparsim import Dataset, SparseModel, TrainConfig, baseline_pipeline, fit, gen_synthetic, init_prototypes
 from sparsim import predict, predict_batch
-from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise
+from sparsim.errors import SimilarityEvalError
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 
@@ -112,6 +116,53 @@ class TestPredict:
         x = rng.normal(0, 1, 2)
         values = {predict(model, x) for _ in range(10)}
         assert len(values) == 1
+
+
+class TestPredictBlocks:
+    """predict_batch with SCORE_BLOCK_BYTES patched so that blocks hold 256 rows."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(datatypes, "SCORE_BLOCK_BYTES", 1)
+
+    @pytest.mark.parametrize("k", [255, 256, 257, 513])
+    def test_blocks_are_bit_identical_to_one_block(self, rng, k):
+        model = toy_model(rng.normal(0, 1, (7, 3)), rng.normal(0, 1, 7), bias=0.3, spec=SimilaritySpec("rbf", gamma=0.4))
+        rows = rng.normal(0, 1, (k, 3))
+        expected = sim_matrix(model.similarity, rows, model.prototypes).values @ model.beta + model.bias
+        before = EVAL_COUNTER.read()
+        pred = predict_batch(model, rows)
+        assert EVAL_COUNTER.read() - before == k * model.m
+        assert pred.tobytes() == expected.tobytes()
+
+    def test_nonfinite_last_row_rejected_before_any_evaluation(self, rng):
+        model = toy_model(rng.normal(0, 1, (2, 3)), [1.0, 2.0])
+        rows = rng.normal(0, 1, (600, 3))
+        rows[-1, 2] = np.nan
+        before = EVAL_COUNTER.read()
+        with pytest.raises(ValueError, match="finite"):
+            predict_batch(model, rows)
+        assert EVAL_COUNTER.read() == before
+
+    def test_failure_in_a_later_block_names_the_batch_rows(self):
+        spec = SimilaritySpec(
+            kind="blackbox", blackbox_id="nan300", scorer=pairwise(lambda a, b: np.nan if a[0] == 300 else 1.0)
+        )
+        model = toy_model(np.zeros((1, 1)), [1.0], spec=spec)
+        with pytest.raises(SimilarityEvalError, match=r"rows 256\.\.511: non-finite similarity at row 44, column 0"):
+            predict_batch(model, np.arange(600.0)[:, None])
+
+    def test_peak_memory_is_a_block_not_the_batch(self, rng):
+        k, m = 200_000, 20
+        model = toy_model(rng.normal(0, 1, (m, 2)), rng.normal(0, 1, m))
+        rows = rng.normal(0, 1, (k, 2))
+        tracemalloc.start()
+        try:
+            predict_batch(model, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * k * m / 4
 
 
 class TestObjective:
