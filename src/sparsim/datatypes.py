@@ -128,11 +128,16 @@ class SparseModel:
         return self.prototypes.shape[1]
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_size(m: int, n: Optional[int] = None) -> None:
     """Reject a prototype count that is not an integer with 1 <= m <= n
     (m distinct rows of n); with no n, only m >= 1 is required."""
     bound = "" if n is None else f" and <= n={n}"
-    if not isinstance(m, (int, np.integer)) or m < 1 or (n is not None and m > n):
+    if not is_integer(m) or m < 1 or (n is not None and m > n):
         raise ValueError(f"m must be an integer >= 1{bound}, got {m!r}")
 
 
@@ -206,11 +211,11 @@ class TrainConfig:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
+        if not is_integer(self.max_sweeps) or self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
         if self.grad_mode not in sim.GRAD_MODES:
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         box = self.box
         if box is None or (isinstance(box, str) and box == "data"):

@@ -77,10 +77,19 @@ def update_column(M, rhs, S, weights, targets, j: int, lam: float):
     """
     m = rhs.shape[0] - 1
     uc = weights * S[:, j]
-    M[j, :m] = M[:m, j] = S.T @ uc
+    M[j, :m] = M[:m, j] = S.T.dot(uc)  # .dot: @'s BLAS call without its dispatch
     M[j, j] += lam
-    M[j, m] = M[m, j] = uc.sum()
-    rhs[j] = uc @ targets
+    M[j, m] = M[m, j] = np.add.reduce(uc)
+    rhs[j] = uc.dot(targets)
+
+
+def _solved(M, rhs, x, info, tol) -> bool:
+    """Whether a ``dposv`` result counts: the factorization succeeded, x is
+    finite and its residual against the unjittered M does not exceed ``tol``."""
+    if info != 0 or not np.logical_and.reduce(np.isfinite(x)):
+        return False
+    r = M.dot(x) - rhs
+    return not math.sqrt(r.dot(r)) > tol
 
 
 def solve(M, rhs):
@@ -91,28 +100,19 @@ def solve(M, rhs):
     original matrix satisfies ||M x - rhs|| <= RESIDUAL_RTOL ||rhs||;
     otherwise the system is treated as numerically singular (not positive
     definite, or condition number beyond roughly 1/RESIDUAL_RTOL) and gets
-    one diagonal-jitter retry before raising SingularSystemError.
+    one diagonal-jitter retry, on M's own diagonal restored exactly after,
+    before raising SingularSystemError.  M comes back byte-unchanged.
     """
     # sqrt(v.v) is what np.linalg.norm computes for a vector, minus its dispatch.
     tol = RESIDUAL_RTOL * max(math.sqrt(rhs.dot(rhs)), 1e-300)
-
-    def attempt(mat):
-        _, x, info = lapack.dposv(mat, rhs)
-        if info != 0 or not np.isfinite(x).all():
-            return None
-        # Residual measured against the original, unjittered matrix.
-        r = M @ x - rhs
-        if math.sqrt(r.dot(r)) > tol:
-            return None
-        return x
-
-    x = attempt(M)
-    if x is None:
-        jitter = 1e-10 * np.trace(M) / M.shape[0]
-        x = attempt(M + jitter * np.eye(M.shape[0]))
-    if x is None:
-        cond = np.linalg.cond(M)
-        raise SingularSystemError(
-            f"coefficient system is numerically singular (cond ~ {cond:.3e})"
-        )
+    x, info = lapack.dposv(M, rhs)[1:]  # the factor, a copy of M, is dropped at once
+    if not _solved(M, rhs, x, info, tol):
+        diag = np.arange(M.shape[0])
+        saved = M[diag, diag]
+        M[diag, diag] += 1e-10 * np.trace(M) / M.shape[0]
+        x, info = lapack.dposv(M, rhs)[1:]
+        M[diag, diag] = saved
+        if not _solved(M, rhs, x, info, tol):
+            cond = np.linalg.cond(M)
+            raise SingularSystemError(f"coefficient system is numerically singular (cond ~ {cond:.3e})")
     return x[:-1], float(x[-1])

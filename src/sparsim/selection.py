@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dataio, metrics
 from . import similarity as sim
-from .datatypes import Dataset, TrainConfig, predict_batch
+from .datatypes import Dataset, TrainConfig, is_integer, predict_batch
 from .training import fit
 
 
@@ -31,7 +31,7 @@ class GridConfig:
     folds: int = 5
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) for v in self.grid):
+        if not all(is_integer(v) for v in self.grid):
             raise ValueError(f"grid sizes must be integers, got {self.grid!r}")
         grid = tuple(int(v) for v in self.grid)
         if not grid or grid[-1] < 1:
@@ -40,7 +40,7 @@ class GridConfig:
             raise ValueError(f"grid must be strictly descending, got {grid}")
         if self.loss_kind not in metrics.LOSSES:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if not isinstance(self.folds, (int, np.integer)) or self.folds < 2:
+        if not is_integer(self.folds) or self.folds < 2:
             raise ValueError(f"folds must be an integer >= 2, got {self.folds!r}")
         if self.rho is not None and not 0 <= self.rho < np.inf:
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")

@@ -165,7 +165,7 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
                 f"black-box scorer {spec.blackbox_id!r} returned shape {values.shape}, expected {(k, m)}"
             )
     EVAL_COUNTER.add(k * m)
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise SimilarityEvalError(f"non-finite similarity at row {i}, column {j}")
     return SimilarityMatrix(values=values)
@@ -180,7 +180,8 @@ def check_grad_mode(spec: SimilaritySpec, mode: str):
 
 
 def grad_z_sum(spec: SimilaritySpec, rows, z, weights, mode: str = "analytic", column=None) -> np.ndarray:
-    """Weighted sum of gradients sum_i weights[i] * d s(rows[i], z) / dz, a d-vector.
+    """Weighted sum of gradients sum_i weights[i] * d s(rows[i], z) / dz, a
+    d-vector; ``weights=None`` is ``np.ones`` weights, bit for bit.
 
     Modes, with their cost in similarity evaluations for n rows in d
     dimensions:
@@ -198,28 +199,31 @@ def grad_z_sum(spec: SimilaritySpec, rows, z, weights, mode: str = "analytic", c
     differences.  Every similarity value comes from one :func:`sim_matrix`
     call.  ``column``, when given, holds the already evaluated
     similarities s(rows[i], z); the analytic RBF and approximate modes use
-    it instead and cost no evaluations.
+    it instead and cost no evaluations.  A mode that
+    :func:`check_grad_mode` refuses for ``spec`` raises before any evaluation.
     """
-    check_grad_mode(spec, mode)
     rows = _as_2d(rows)
     z = np.asarray(z, dtype=float)
-    if mode == "numeric":
-        # Step scaled to the prototype magnitude.
-        h = 1e-6 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
-        shift = h * np.eye(z.size)
-        S = sim_matrix(spec, rows, np.vstack([z + shift, z - shift])).values
-        # Finite values can still difference to inf; reject those before
-        # the contraction turns them into nan.
-        with np.errstate(over="ignore", invalid="ignore"):
-            D = (S[:, : z.size] - S[:, z.size :]) / (2.0 * h)
-        if not np.isfinite(D).all():
-            raise SimilarityEvalError("non-finite finite-difference similarity gradient")
-        return weights @ D
-    if mode == "analytic" and spec.kind == "linear":
-        return weights @ rows
-    if column is None:
-        column = sim_matrix(spec, rows, z[None, :]).values[:, 0]
-    c = weights * column
+    if mode == "approximate" or mode == "analytic" and spec.kind == "rbf":
+        if column is None:
+            column = sim_matrix(spec, rows, z[None, :]).values[:, 0]
+        c = column if weights is None else weights * column
+        if mode == "analytic":
+            c = c * (2.0 * spec.gamma)
+        return c.dot(rows) - z * np.add.reduce(c)  # .dot: @'s BLAS call without its dispatch
+    # Only the numeric mode and the dot product's closed form are left valid.
+    check_grad_mode(spec, mode)
+    weights = np.ones(rows.shape[0]) if weights is None else weights
     if mode == "analytic":
-        c *= 2.0 * spec.gamma
-    return c @ rows - z * c.sum()
+        return weights @ rows
+    # Step scaled to the prototype magnitude.
+    h = 1e-6 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+    shift = h * np.eye(z.size)
+    S = sim_matrix(spec, rows, np.vstack([z + shift, z - shift])).values
+    # Finite values can still difference to inf; reject those before
+    # the contraction turns them into nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = (S[:, : z.size] - S[:, z.size :]) / (2.0 * h)
+    if not np.logical_and.reduce(np.isfinite(D), axis=None):
+        raise SimilarityEvalError("non-finite finite-difference similarity gradient")
+    return weights @ D

@@ -12,7 +12,8 @@ collapsing onto each other.
 Both parts are weighted sums of similarity gradients,
 sum_i w_i ds(x_i, z_j)/dz_j: the data term weighs training row i by
 u_i r_i (sample weight times residual), the penalty weighs every other
-prototype by 1.  Each is one :func:`similarity.grad_z_sum` call.
+prototype by 1 (``weights=None``).  Each is one
+:func:`similarity.grad_z_sum` call.
 """
 
 import math
@@ -75,20 +76,22 @@ def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
 
 
 def _loss(S, beta, bias, data, lam, resid=None):
-    """Objective value and the residual ``S @ beta + bias - y`` it was taken
-    from; a ``resid`` already known is used as given, in O(n)."""
+    """Objective value, the residual r = ``S @ beta + bias - y`` it was
+    taken from and u*r, the data gradient's row weights; a ``resid``
+    already known is used as given, in O(n)."""
     if resid is None:
-        resid = S @ beta + bias - data.targets
-    return float((data.weights * resid).dot(resid) + lam * beta.dot(beta)), resid
+        resid = S.dot(beta) + bias - data.targets  # .dot: @'s BLAS call without its dispatch
+    weighted = data.weights * resid
+    return float(weighted.dot(resid) + lam * beta.dot(beta)), resid, weighted
 
 
-def _data_gradient(S, data, spec, protos, beta, resid, j, grad_mode):
+def _data_gradient(S, data, spec, protos, beta, weighted, j, grad_mode):
     """Direct partial derivative of the data term with respect to prototype
     j, 2 beta_j sum_i u_i r_i ds(x_i, z_j)/dz_j, given the current
     similarity matrix (column j is reused as the similarities to
-    prototype j) and its residual r = ``S @ beta + bias - y``."""
-    grad = sim.grad_z_sum(spec, data.features, protos[j], data.weights * resid, grad_mode, column=S[:, j])
-    if not np.isfinite(grad).all():
+    prototype j) and the weighted residual u*r from :func:`_loss`."""
+    grad = sim.grad_z_sum(spec, data.features, protos[j], weighted, grad_mode, column=S[:, j])
+    if not np.logical_and.reduce(np.isfinite(grad)):
         raise SimilarityEvalError(f"non-finite similarity gradient for prototype {j}")
     return 2.0 * beta[j] * grad
 
@@ -102,23 +105,23 @@ def _penalty(z, others, spec, t, grad_mode):
     Zero for exactly coincident prototypes (the RBF gradient vanishes at
     zero distance; the update breaks such ties with a seeded nudge).
     """
-    grad = sim.grad_z_sum(spec, others, z, np.ones(len(others)), grad_mode)
+    grad = sim.grad_z_sum(spec, others, z, None, grad_mode)
     return float(t) ** (-PENALTY_DECAY_POWER) * grad
 
 
-def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
+def _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box):
     """New position for prototype j at iteration t >= 1 and the length of
     the step to it, ``(z_new, step_norm)``, given the cached similarity
-    matrix S and the residual ``S @ beta + bias - y`` of coefficients that
-    solve the ridge system for S exactly (the gradient omits the
-    coefficient response, which vanishes only there).
+    matrix S and the weighted residual u*r of coefficients that solve the
+    ridge system for S exactly (the gradient omits the coefficient
+    response, which vanishes only there).
 
     The data-term gradient is scaled by the step size, the separation
     penalty is applied unscaled with its built-in decay, and the result is
     projected onto ``box`` when one is given.  A non-finite update raises
     :class:`NonFiniteUpdateError`.
     """
-    grad = _data_gradient(S, data, spec, protos, beta, resid, j, config.grad_mode)
+    grad = _data_gradient(S, data, spec, protos, beta, weighted, j, config.grad_mode)
     others = np.concatenate((protos[:j], protos[j + 1 :]))
     z_old = protos[j]
     if config.penalty_enabled and others.size:
@@ -126,7 +129,7 @@ def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
     else:
         penalty = 0.0
     z_new = z_old - config.eta * grad - penalty
-    if not np.isfinite(z_new).all():
+    if not np.logical_and.reduce(np.isfinite(z_new)):
         raise NonFiniteUpdateError(f"update of prototype {j} is not finite")
     # z_new is finite, so minimum/maximum clip exactly as np.clip does, at less call cost.
     if box is not None:
@@ -135,7 +138,7 @@ def _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box):
     # Coincident prototypes feel no repulsion (the similarity gradient is
     # zero at distance zero); break exact ties with a tiny seeded nudge.
     # sqrt is monotone: the root of the least squared distance is the least distance.
-    if others.size and math.sqrt(((others - z_new) ** 2).sum(axis=1).min()) < 1e-12:
+    if others.size and math.sqrt(np.minimum.reduce(np.add.reduce((others - z_new) ** 2, axis=1))) < 1e-12:
         rng = np.random.default_rng([config.seed, t, j])
         direction = rng.standard_normal(protos.shape[1])
         z_new = z_new + 1e-6 * direction / np.linalg.norm(direction)
@@ -187,18 +190,19 @@ def fit(
     M, rhs = ridge.assemble(S, data.weights, data.targets, config.lam)
     beta, bias = ridge.solve(M, rhs)
     trace = TrainTrace()
-    trace.initial_objective, resid = _loss(S, beta, bias, data, config.lam)
+    trace.initial_objective, resid, weighted = _loss(S, beta, bias, data, config.lam)
     trace.final_objective = trace.initial_objective
 
     small_steps = 0
     for t in range(1, config.max_sweeps * m + 1):
         j = (t - 1) % m
-        col_prev = S[:, j].copy()
         try:
-            z_new, step_norm = _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box)
-            S[:, j] = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
+            z_new, step_norm = _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box)
+            column = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
             # Only column j moved: its old residual plus beta_j times the column's change.
-            omega_before, _ = _loss(S, beta, bias, data, config.lam, resid + beta[j] * (S[:, j] - col_prev))
+            moved = resid + beta[j] * (column - S[:, j])
+            S[:, j] = column
+            omega_before = _loss(S, beta, bias, data, config.lam, moved)[0]
             ridge.update_column(M, rhs, S, data.weights, data.targets, j, config.lam)
             beta, bias = ridge.solve(M, rhs)
         except SparsimError as exc:
@@ -207,7 +211,7 @@ def fit(
             trace.error = str(exc)
             break
         protos[j] = z_new
-        omega_after, resid = _loss(S, beta, bias, data, config.lam)
+        omega_after, resid, weighted = _loss(S, beta, bias, data, config.lam)
         trace.records.append(IterationRecord(t, j, omega_before, omega_after, step_norm))
         small_steps = small_steps + 1 if abs(omega_after - trace.final_objective) < config.epsilon else 0
         trace.final_objective = omega_after

@@ -111,11 +111,11 @@ def test_c02_prototype_gradient_matches_finite_differences():
         spec = SimilaritySpec(kind="rbf", gamma=float(r.uniform(0.3, 2.0)))
         lam = float(r.choice([0.0, 1e-6, 1e-3, 0.1]))
         beta, bias = resolve_coefficients(data, protos, spec, lam)
-        # S and the residual as training builds them before an update
+        # S and the weighted residual as training builds them before an update
         S = sim_matrix(spec, data.features, protos).values.copy()
-        _, resid = _loss(S, beta, bias, data, lam)
+        _, _, weighted = _loss(S, beta, bias, data, lam)
         for j in range(protos.shape[0]):
-            got = _data_gradient(S, data, spec, protos, beta, resid, j, "analytic")
+            got = _data_gradient(S, data, spec, protos, beta, weighted, j, "analytic")
             oracle = fd_objective_grad(data, protos, spec, lam, j, h=1e-5)
             ok = np.abs(got - oracle) <= np.maximum(1e-4 * np.abs(oracle), 1e-8)
             if not ok.all():

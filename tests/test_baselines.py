@@ -19,7 +19,7 @@ from sparsim.baselines import (
     ps_spanning,
     set_median_index,
 )
-from sparsim.errors import ConvergenceError
+from sparsim.errors import ConvergenceError, SingularSystemError
 from sparsim.similarity import SimilaritySpec, sim_matrix
 
 from conftest import full_matrix_set_median_index
@@ -409,3 +409,21 @@ def test_full_baselines_peak_memory_in_units_of_n_squared(baseline, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * n * n
+
+
+def test_singular_full_ridge_fails_within_two_n_squared():
+    # every row twice at lam 0 makes the system singular, so the direct solve,
+    # the jittered retry and the condition estimate all run; the retry works
+    # on M's own diagonal, so the failure stays within a regular solve's 2 n^2
+    n, d = 300, 20
+    X = np.repeat(np.random.default_rng(0).uniform(-1, 1, (n // 2, d)), 2, axis=0)
+    data = Dataset(features=X, targets=np.sin(X.sum(axis=1)))
+    spec = SimilaritySpec(kind="rbf", gamma=1.0 / d)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SingularSystemError, match="cond"):
+            kernel_ridge_full(data, 0.0, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * n * n

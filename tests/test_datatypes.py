@@ -29,6 +29,18 @@ def test_non_integer_m_rejected_everywhere(make):
         make(data, 2.5)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("make", [
+    lambda data, m: datatypes.check_size(m, data.n),
+    lambda data, m: fit(data, m, config=TrainConfig(max_sweeps=1), similarity=RBF1),
+], ids=["check_size", "fit"])
+def test_boolean_m_rejected(make, flag):
+    # bool is an int subclass; fit(data, True) used to fail inside numpy
+    data = gen_synthetic("sine_regression", n=10, seed=0)
+    with pytest.raises(ValueError, match=rf"m must be an integer >= 1 and <= n=10, got {flag}"):
+        make(data, flag)
+
+
 class TestDataset:
     def test_defaults_unit_weights(self):
         data = Dataset(features=[[1.0, 2.0]], targets=[0.5])
@@ -207,6 +219,12 @@ class TestObjective:
 
 
 class TestTrainConfig:
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("name", ["max_sweeps", "seed"])
+    def test_rejects_booleans(self, name, flag):
+        with pytest.raises(ValueError, match=rf"{name} must be a.* integer.*got {flag}"):
+            TrainConfig(**{name: flag})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(eta=0.0)

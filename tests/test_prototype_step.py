@@ -15,17 +15,17 @@ RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 
 
 def solved_state(data, protos, spec, lam):
-    """Similarity matrix, exact coefficients and residual, built as fit
-    builds them before an update."""
+    """Similarity matrix, exact coefficients and weighted residual, built
+    as fit builds them before an update."""
     beta, bias = resolve_coefficients(data, protos, spec, lam)
     S = sim_matrix(spec, data.features, protos).values.copy()
-    _, resid = _loss(S, beta, bias, data, lam)
-    return S, beta, resid
+    _, _, weighted = _loss(S, beta, bias, data, lam)
+    return S, beta, weighted
 
 
 def data_gradient(data, protos, spec, lam, j):
-    S, beta, resid = solved_state(data, protos, spec, lam)
-    return _data_gradient(S, data, spec, protos, beta, resid, j, "analytic")
+    S, beta, weighted = solved_state(data, protos, spec, lam)
+    return _data_gradient(S, data, spec, protos, beta, weighted, j, "analytic")
 
 
 def penalty(protos, j, t, spec=RBF1):
@@ -35,10 +35,10 @@ def penalty(protos, j, t, spec=RBF1):
 
 def step(data, protos, config, t, spec=RBF1, j=0):
     """Prototypes after fit's update of prototype j at iteration t."""
-    S, beta, resid = solved_state(data, protos, spec, config.lam)
+    S, beta, weighted = solved_state(data, protos, spec, config.lam)
     box = resolve_box(config.box, data)
     stepped = protos.copy()
-    stepped[j], _ = _update_prototype(protos, beta, resid, spec, j, data, config, t, S, box)
+    stepped[j], _ = _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box)
     return stepped
 
 

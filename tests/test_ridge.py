@@ -244,6 +244,34 @@ class TestSolve:
                 solve(np.eye(2), rhs)
 
 
+    @pytest.mark.parametrize("path", ["direct", "jittered", "failing"])
+    def test_leaves_the_system_byte_unchanged(self, monkeypatch, path):
+        # fit rewrites one M across all its iterations, so the jittered
+        # retry must hand M's diagonal back exactly, whether it succeeds or not
+        if path == "direct":
+            S = np.random.default_rng(0).uniform(0, 1, (12, 4))
+            matrix, rhs = assemble(S, np.ones(12), np.arange(12.0), 1e-4)
+        elif path == "jittered":  # a zero pivot; the jittered system solves within tolerance
+            matrix, rhs = np.ones((2, 2)), np.ones(2)
+        else:
+            matrix, rhs = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0])
+        before = matrix.tobytes(), rhs.tobytes()
+        calls, factor = [], lapack.dposv
+
+        def spy(a, b):
+            calls.append(None)
+            return factor(a, b)
+
+        monkeypatch.setattr(lapack, "dposv", spy)
+        if path == "failing":
+            with pytest.raises(SingularSystemError, match="cond"):
+                solve(matrix, rhs)
+        else:
+            assert np.all(np.isfinite(np.append(*solve(matrix, rhs))))
+        assert len(calls) == (1 if path == "direct" else 2)
+        assert (matrix.tobytes(), rhs.tobytes()) == before
+
+
 class TestOracleEquivalence:
     def test_fifty_instances_match_normal_equations(self):
         for seed in range(50):

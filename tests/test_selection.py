@@ -31,6 +31,15 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(grid=(2, 5))
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(grid=(3, True)), "grid sizes must be integers"),
+        (dict(grid=(False,)), "grid sizes must be integers"),
+        (dict(grid=(3, 2), folds=True), "folds must be an integer"),
+    ], ids=["grid", "grid-false", "folds"])
+    def test_rejects_booleans(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            GridConfig(**kwargs)
+
     def test_requires_positive_sizes_and_folds(self):
         with pytest.raises(ValueError):
             GridConfig(grid=(3, 0))

@@ -157,6 +157,38 @@ class TestGrad:
             one_row_grad(RBF1, [0.0], [1.0], "exact")
 
 
+PAIRWISE_RBF = SimilaritySpec(
+    kind="blackbox", blackbox_id="pairwise-rbf", scorer=pairwise(lambda a, b: float(np.exp(-np.sum((a - b) ** 2))))
+)
+
+
+@pytest.mark.parametrize(
+    "spec, mode",
+    [(RBF1, mode) for mode in sim.GRAD_MODES]
+    + [(LINEAR, mode) for mode in sim.GRAD_MODES]
+    + [(PAIRWISE_RBF, "approximate"), (PAIRWISE_RBF, "numeric")],
+    ids=lambda v: v if isinstance(v, str) else v.kind,
+)
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_unit_weights_equal_explicit_ones_bit_for_bit(spec, mode, k):
+    # the repulsion penalty weighs the other prototypes by 1 with weights=None;
+    # that must be exactly the np.ones contraction, at the same evaluation cost
+    rng = np.random.default_rng(k)
+    rows, z = rng.normal(0, 1, (k, 3)), rng.normal(0, 1, 3)
+    results = []
+    for weights in (None, np.ones(k)):
+        before = EVAL_COUNTER.read()
+        grad = grad_z_sum(spec, rows, z, weights, mode)
+        results.append((grad.tobytes(), EVAL_COUNTER.read() - before))
+    assert results[0] == results[1]
+    if mode == "approximate" or spec.kind == "rbf" and mode == "analytic":
+        column = sim_matrix(spec, rows, z[None, :]).values[:, 0]
+        kept = column.copy()
+        unit = grad_z_sum(spec, rows, z, None, mode, column=column)
+        assert unit.tobytes() == results[0][0]
+        assert column.tobytes() == kept.tobytes()  # the caller's column is not scaled in place
+
+
 class TestSimMatrix:
     @pytest.mark.parametrize("spec", [LINEAR, SimilaritySpec(kind="rbf", gamma=0.5)])
     def test_rejects_more_than_two_dimensions(self, spec):
