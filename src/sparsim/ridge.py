@@ -3,13 +3,14 @@
 For fixed prototypes the objective is an ordinary weighted ridge
 regression in the similarity features, so the coefficients and bias come
 from one symmetric positive-definite system: the Gram matrix of
-sqrt(u) * [S, 1], solved by Cholesky.  It is built in two steps, the
-weighted design A' (:func:`weighted_design`) and its Gram matrix
-(:func:`normal_matrix`), so a caller can free each input as soon as the
-next array exists: in the full-similarity ridge (m = n) S, A' and M are
-each about n^2 doubles, and only two of them need to live at once.  When
-a single prototype moves, only its row and column change, and
-:func:`update_column` rewrites just those.
+sqrt(u) * [S, 1], solved by Cholesky.  The Gram matrix is a product of
+the weighted design A' (:func:`weighted_design`) with its transpose
+(:func:`normal_matrix`).  :func:`assemble` sums that product over blocks
+of BLOCK_ROWS rows of S, so ``fit`` holds S plus one block of A' instead
+of a second n x m array.  The full-similarity ridge (m = n) calls the two
+steps itself: one product keeps it at two n^2 arrays, since S can be
+freed once A' exists.  When a single prototype moves, only its row and
+column change, and :func:`update_column` rewrites just those.
 """
 
 import math
@@ -23,6 +24,43 @@ from .errors import SingularSystemError
 # counts as numerically singular and gets one diagonal-jitter retry.
 RESIDUAL_RTOL = 1e-9
 
+# Rows of S per block of assemble's sum: A' for one block is (m+1) x BLOCK_ROWS.
+BLOCK_ROWS = 256
+
+
+def _checked(S, weights, targets, lam):
+    """S, weights and targets as float arrays, after checking that their
+    lengths agree and that ``lam`` is finite and >= 0."""
+    S = np.asarray(S, dtype=float)
+    u = np.ravel(np.asarray(weights, dtype=float))
+    y = np.ravel(np.asarray(targets, dtype=float))
+    n = S.shape[0]
+    if u.shape[0] != n or y.shape[0] != n:
+        raise ValueError(f"similarities have {n} rows but {u.shape[0]} weights / {y.shape[0]} targets")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    return S, u, y
+
+
+def _design(S, u, y):
+    """A' and rhs for checked float arrays; see :func:`weighted_design`."""
+    m = S.shape[1]
+    rhs = np.append(S.T @ (u * y), u @ y)  # before A, so u * y is freed first
+    # A' row by row: copying S' in takes no numpy iteration buffer, and the
+    # in-place scale only a fixed-size one, whatever the number of rows.
+    At = np.empty((m + 1, S.shape[0]))
+    np.sqrt(u, out=At[m])
+    At[:m] = S.T
+    At[:m] *= At[m]
+    return At, rhs
+
+
+def _block_system(S, u, y):
+    """One block's A'A and rhs; its A' is freed on return, before the next
+    block's is made."""
+    At, rhs = _design(S, u, y)
+    return At @ At.T, rhs
+
 
 def weighted_design(S, weights, targets, lam: float):
     """The transposed weighted design ``A'`` and right-hand side ``rhs``
@@ -30,23 +68,10 @@ def weighted_design(S, weights, targets, lam: float):
     and targets.
 
     A = sqrt(u) * [S, 1] and rhs = [S'(u*y); sum(u*y)] = A'(sqrt(u)*y).
-    ``lam`` is only checked here, so a bad value fails before any O(nm) work.
+    ``lam`` is checked here although only :func:`normal_matrix` uses it,
+    so a bad value fails before any O(nm) work.
     """
-    S = np.asarray(S, dtype=float)
-    u = np.ravel(np.asarray(weights, dtype=float))
-    y = np.ravel(np.asarray(targets, dtype=float))
-    n, m = S.shape
-    if u.shape[0] != n or y.shape[0] != n:
-        raise ValueError(f"similarities have {n} rows but {u.shape[0]} weights / {y.shape[0]} targets")
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    rhs = np.append(S.T @ (u * y), u @ y)  # before A, so u * y is freed first
-    # A' row by row: copying S' in and scaling it in place takes no numpy iteration buffer.
-    At = np.empty((m + 1, n))
-    np.sqrt(u, out=At[m])
-    At[:m] = S.T
-    At[:m] *= At[m]
-    return At, rhs
+    return _design(*_checked(S, weights, targets, lam))
 
 
 def normal_matrix(At, lam: float):
@@ -60,11 +85,26 @@ def normal_matrix(At, lam: float):
 
 
 def assemble(S, weights, targets, lam: float):
-    """Normal equations ``(M, rhs)``, M [coef; bias] = rhs: :func:`normal_matrix`
-    of :func:`weighted_design`.  Its caller keeps S alive while A' and M
-    are built; one that can let S go (``baselines``) calls the two steps itself."""
-    At, rhs = weighted_design(S, weights, targets, lam)
-    return normal_matrix(At, lam), rhs
+    """Normal equations ``(M, rhs)``, M [coef; bias] = rhs, summed over
+    blocks of BLOCK_ROWS rows of S.
+
+    The inputs and ``lam`` are checked once, before any block.  Each block
+    adds its own A'_b A'_b' (a SYRK product, exactly symmetric, so the
+    sum is too) and its part of rhs; ``lam`` goes on the diagonal once, at
+    the end.  Extra memory is one block's A', not a copy of S.  The first
+    block's product is assigned, so up to BLOCK_ROWS rows this is exactly
+    :func:`normal_matrix` of :func:`weighted_design`.
+    """
+    S, u, y = _checked(S, weights, targets, lam)
+    matrix, rhs = _block_system(S[:BLOCK_ROWS], u[:BLOCK_ROWS], y[:BLOCK_ROWS])
+    for start in range(BLOCK_ROWS, S.shape[0], BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        block, part = _block_system(S[rows], u[rows], y[rows])
+        matrix += block
+        rhs += part
+    diag = np.arange(S.shape[1])
+    matrix[diag, diag] += lam
+    return matrix, rhs
 
 
 def update_column(M, rhs, S, weights, targets, j: int, lam: float):
@@ -89,7 +129,7 @@ def _solved(M, rhs, x, info, tol) -> bool:
     if info != 0 or not np.logical_and.reduce(np.isfinite(x)):
         return False
     r = M.dot(x) - rhs
-    return not math.sqrt(r.dot(r)) > tol
+    return math.sqrt(r.dot(r)) <= tol
 
 
 def solve(M, rhs):

@@ -188,36 +188,39 @@ def fit(
     box = resolve_box(config.box, data)
     S = sim.sim_matrix(spec, data.features, protos).values
     M, rhs = ridge.assemble(S, data.weights, data.targets, config.lam)
-    beta, bias = ridge.solve(M, rhs)
-    trace = TrainTrace()
-    trace.initial_objective, resid, weighted = _loss(S, beta, bias, data, config.lam)
-    trace.final_objective = trace.initial_objective
+    # Overflow past here meets a finiteness or residual check that ends the
+    # fit with reason "error"; numpy's warning for it would only escape fit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta, bias = ridge.solve(M, rhs)
+        trace = TrainTrace()
+        trace.initial_objective, resid, weighted = _loss(S, beta, bias, data, config.lam)
+        trace.final_objective = trace.initial_objective
 
-    small_steps = 0
-    for t in range(1, config.max_sweeps * m + 1):
-        j = (t - 1) % m
-        try:
-            z_new, step_norm = _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box)
-            column = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
-            # Only column j moved: its old residual plus beta_j times the column's change.
-            moved = resid + beta[j] * (column - S[:, j])
-            S[:, j] = column
-            omega_before = _loss(S, beta, bias, data, config.lam, moved)[0]
-            ridge.update_column(M, rhs, S, data.weights, data.targets, j, config.lam)
-            beta, bias = ridge.solve(M, rhs)
-        except SparsimError as exc:
-            # protos still pairs with (beta, bias); S and the system are not read again.
-            trace.termination = "error"
-            trace.error = str(exc)
-            break
-        protos[j] = z_new
-        omega_after, resid, weighted = _loss(S, beta, bias, data, config.lam)
-        trace.records.append(IterationRecord(t, j, omega_before, omega_after, step_norm))
-        small_steps = small_steps + 1 if abs(omega_after - trace.final_objective) < config.epsilon else 0
-        trace.final_objective = omega_after
-        if small_steps >= m:
-            trace.termination = "converged"
-            break
+        small_steps = 0
+        for t in range(1, config.max_sweeps * m + 1):
+            j = (t - 1) % m
+            try:
+                z_new, step_norm = _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box)
+                column = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
+                # Only column j moved: its old residual plus beta_j times the column's change.
+                moved = resid + beta[j] * (column - S[:, j])
+                S[:, j] = column
+                omega_before = _loss(S, beta, bias, data, config.lam, moved)[0]
+                ridge.update_column(M, rhs, S, data.weights, data.targets, j, config.lam)
+                beta, bias = ridge.solve(M, rhs)
+            except SparsimError as exc:
+                # protos still pairs with (beta, bias); S and the system are not read again.
+                trace.termination = "error"
+                trace.error = str(exc)
+                break
+            protos[j] = z_new
+            omega_after, resid, weighted = _loss(S, beta, bias, data, config.lam)
+            trace.records.append(IterationRecord(t, j, omega_before, omega_after, step_norm))
+            small_steps = small_steps + 1 if abs(omega_after - trace.final_objective) < config.epsilon else 0
+            trace.final_objective = omega_after
+            if small_steps >= m:
+                trace.termination = "converged"
+                break
 
     metadata = {
         "lam": config.lam,

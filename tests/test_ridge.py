@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 
 from sparsim import Dataset, SparseModel
 from sparsim.errors import SingularSystemError
-from sparsim.ridge import RESIDUAL_RTOL, assemble, solve, update_column
+from sparsim.ridge import BLOCK_ROWS, RESIDUAL_RTOL, assemble, normal_matrix, solve, update_column, weighted_design
 from sparsim.similarity import SimilaritySpec, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
@@ -87,6 +87,44 @@ class TestAssemble:
             M, oracle_rhs = oracle_system(S, u, y, 0.05)
             np.testing.assert_allclose(matrix, M, rtol=1e-12)
             np.testing.assert_allclose(rhs, oracle_rhs, rtol=1e-12)
+
+
+def positive_system(n, m=5, seed=0):
+    """S, weights and targets with every entry positive, so no sum in the
+    normal equations cancels and entrywise relative error is meaningful."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, (n, m)), rng.uniform(0.1, 3, n), rng.uniform(0.5, 2, n)
+
+
+class TestBlockedAssembly:
+    @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS])
+    def test_one_block_is_the_single_product_byte_for_byte(self, n):
+        S, u, y = positive_system(n)
+        matrix, rhs = assemble(S, u, y, 0.1)
+        At, expected_rhs = weighted_design(S, u, y, 0.1)
+        assert matrix.tobytes() == normal_matrix(At, 0.1).tobytes()
+        assert rhs.tobytes() == expected_rhs.tobytes()
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 1000])
+    def test_block_sums_match_the_single_product(self, n):
+        S, u, y = positive_system(n, seed=n)
+        matrix, rhs = assemble(S, u, y, 0.1)
+        At, expected_rhs = weighted_design(S, u, y, 0.1)
+        np.testing.assert_allclose(matrix, normal_matrix(At, 0.1), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-13, atol=0)
+        assert np.array_equal(matrix, matrix.T)
+
+    def test_column_updates_after_a_blocked_build_match_a_fresh_one(self):
+        S, u, y = positive_system(1000, seed=1)
+        matrix, rhs = assemble(S, u, y, 0.1)
+        rng = np.random.default_rng(2)
+        for j in (0, 4, 2, 4):
+            S[:, j] = rng.uniform(0, 1, 1000)
+            update_column(matrix, rhs, S, u, y, j, 0.1)
+            fresh, fresh_rhs = assemble(S, u, y, 0.1)
+            np.testing.assert_allclose(matrix, fresh, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(rhs, fresh_rhs, rtol=1e-13, atol=0)
+            assert np.array_equal(matrix, matrix.T)
 
 
 class TestSolve:
@@ -228,6 +266,13 @@ class TestSolve:
                 solve(np.eye(3), np.ones(3))
         assert len(attempts) == 2
         assert not np.array_equal(attempts[0], attempts[1])  # the retry is jittered
+
+    def test_nan_residual_is_rejected(self):
+        # dposv factors [[1, 0], [0, inf]] into the finite x = (1, 0), but
+        # M x holds inf * 0 = nan; a nan residual must not count as solved
+        matrix = np.array([[1.0, 0.0], [0.0, np.inf]])
+        with np.errstate(invalid="ignore"), pytest.raises(SingularSystemError, match="cond ~ inf"):
+            solve(matrix, np.ones(2))
 
     @pytest.mark.parametrize("ratio, accepted", [(0.5, True), (2.0, False)])
     def test_residual_tolerance_is_relative_to_rhs_norm(self, monkeypatch, ratio, accepted):

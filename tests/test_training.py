@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -200,6 +201,35 @@ class TestFit:
             assert len(trace.records) == 40
             residual, rhs = normal_equation_residual(model, data, lam)
             assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_diverging_fit_records_its_error_under_the_warnings_filter(self):
+        # approximate steps on the dot product grow the prototypes until the
+        # system overflows: the residual check rejects the solve at
+        # iteration 9, and no overflow warning escapes fit, even as an error
+        data = gen_synthetic("two_gaussians", n=40, seed=0)
+        config = TrainConfig(lam=1e-4, eta=0.3, max_sweeps=4, grad_mode="approximate")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model, trace = fit(data, 3, config=config, similarity=SimilaritySpec("linear"))
+        assert trace.termination == "error"
+        assert "cond ~ inf" in trace.error
+        assert len(trace.records) == 8
+        assert np.all(np.isfinite(model.beta)) and np.isfinite(model.bias)
+
+    def test_peak_memory_is_the_similarity_matrix_plus_one_block(self):
+        # the normal equations are summed over row blocks, so besides S
+        # (n x m) fit holds one block of the weighted design and O(n + m^2)
+        # vectors; a second n x m array would read about 2.1 here
+        n, m = 4000, 40
+        X = np.random.default_rng(0).normal(0, 1, (n, 5))
+        data = Dataset(features=X, targets=np.sign(X[:, 0]))
+        tracemalloc.start()
+        try:
+            fit(data, m, config=TrainConfig(max_sweeps=1), similarity=RBF1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * m) <= 1.3
 
     def test_init_with_more_prototypes_than_rows_rejected(self, rng):
         data = Dataset(features=rng.normal(0, 1, (3, 2)), targets=rng.normal(0, 1, 3))
