@@ -16,6 +16,8 @@ DEPENDENT_RTOL = 1e-12
 MAX_PATH_EVENTS = 10_000
 # Rows of the distance matrix that set_median_index holds at a time.
 MEDIAN_BLOCK_ROWS = 256
+# Rows of the full baselines' similarity matrix that one sim_matrix call scores.
+GRAM_BLOCK_ROWS = 64
 
 
 def set_median_index(X) -> int:
@@ -25,6 +27,28 @@ def set_median_index(X) -> int:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     sums = [cdist(X[i : i + MEDIAN_BLOCK_ROWS], X).sum(axis=1) for i in range(0, len(X), MEDIAN_BLOCK_ROWS)]
     return int(np.argmin(np.concatenate(sums)))
+
+
+def _gram(spec: sim.SimilaritySpec, X) -> np.ndarray:
+    """The n x n similarity matrix of X with itself, from its upper triangle.
+
+    Similarities are symmetric, so each block of ``GRAM_BLOCK_ROWS`` rows is
+    scored by one :func:`sim_matrix` call against the rows from its own first
+    row on, and mirrored below the diagonal: sum_b (i1 - i0)(n - i0)
+    evaluations, about n^2/2 + 32 n, instead of n^2.  The result is exactly
+    symmetric, and it holds one block beyond the matrix itself.
+    """
+    n = len(X)
+    S = np.empty((n, n))
+    for i0 in range(0, n, GRAM_BLOCK_ROWS):
+        i1 = min(i0 + GRAM_BLOCK_ROWS, n)
+        block = sim.sim_matrix(spec, X[i0:i1], X[i0:]).values
+        S[i0:i1, i0:] = block
+        S[i1:, i0:i1] = block[:, i1 - i0 :].T
+        # the diagonal block's lower triangle from its upper one
+        diagonal, below = S[i0:i1, i0:i1], np.tri(i1 - i0, k=-1, dtype=bool)
+        diagonal[below] = diagonal.T[below]
+    return S
 
 
 def ps_random(data: Dataset, m: int, seed: int) -> np.ndarray:
@@ -103,8 +127,12 @@ SEEDED_KINDS = ("random", "kmedians")  # the selectors that take baseline_pipeli
 
 def _ridge_model(data, protos, lam, spec, metadata):
     # S, A' and M are each about n x m doubles: S goes when weighted_design
-    # returns and A' once M is formed, so no more than two live at once
-    S = sim.sim_matrix(spec, data.features, protos).values
+    # returns and A' once M is formed, so no more than two live at once;
+    # with the training rows themselves as prototypes, S is their Gram
+    if protos is data.features:
+        S = _gram(spec, protos)
+    else:
+        S = sim.sim_matrix(spec, data.features, protos).values
     At, rhs = ridge.weighted_design(S, data.weights, data.targets, lam)
     del S
     M = ridge.normal_matrix(At, lam)
@@ -114,7 +142,13 @@ def _ridge_model(data, protos, lam, spec, metadata):
 
 
 def kernel_ridge_full(data: Dataset, lam: float, spec: sim.SimilaritySpec) -> SparseModel:
-    """Ridge regression in similarity space over all n training prototypes."""
+    """Ridge regression in similarity space over all n training prototypes.
+
+    The n x n similarities come from their upper triangle (``_gram``), so
+    training costs sum_b (i1 - i0)(n - i0) evaluations, about n^2/2 + 32 n
+    with blocks of ``GRAM_BLOCK_ROWS`` = 64 rows; a black-box scorer is
+    asked for as many pairs.
+    """
     return _ridge_model(data, data.features, lam, spec, {"method": "ridge", "lam": lam})
 
 
@@ -157,16 +191,19 @@ def lasso_similarity(
     al. 2004).  The unpenalized, weighted intercept is eliminated by weighted
     centering, so the path runs on G = A'A and c = A'(sqrt(u)*(y - ybar)) for
     A = sqrt(u)*(S - sbar), computed once; the similarity features are not
-    standardized.  From lambda_max = max|2c| down to lam1 the active
+    standardized; S comes from its upper triangle (``_gram``), about
+    n^2/2 + 32 n evaluations.  From lambda_max = max|2c| down to lam1 the active
     coefficients move along w = G_AA^-1 s / 2 until the next event: an
     inactive correlation 2(c - G beta) reaching +-lambda (entry), an active
     coefficient reaching zero (drop), or lam1 (stop).  The active block's
     Cholesky factor grows by one triangular solve per entry and is re-factored
     after a drop (LAPACK dpotrs/dtrtrs/dpotrf, called directly), so with k
     active columns an event costs O(n k) correlations and O(k^2) solves and
-    growth, plus O(k^3) for a drop.  A column dependent on the active ones is
-    not admitted, and a newcomer whose direction opposes its sign is a drop at
-    step zero; both are barred on that side until the next event.
+    growth, plus O(k^3) for a drop.  The active set, its signs and the
+    ratio test live in arrays allocated once per path.  A column dependent
+    on the active ones is not admitted, and a newcomer whose direction
+    opposes its sign is a drop at step zero; both are barred on that side
+    until the next event.
 
     The path stops after ``MAX_PATH_EVENTS`` events.  A failed
     factorization or solve raises a ConvergenceError naming the event and
@@ -180,7 +217,7 @@ def lasso_similarity(
         raise ValueError(f"lam1 must be finite and >= 0, got {lam1}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    S = sim.sim_matrix(spec, data.features, data.features).values
+    S = _gram(spec, data.features)
     u, y, n = data.weights, data.targets, data.n
     ybar = float(u @ y / np.sum(u))
     sbar = u @ S / np.sum(u)
@@ -189,10 +226,13 @@ def lasso_similarity(
     A *= root_u[:, None]
     G, c = A.T @ A, A.T @ (root_u * (y - ybar))
     del A
-    # rows holds G's rows of the active set in active order; chol is the
-    # lower Cholesky factor of G_AA in that order
+    # the first k entries of active and signs are the active set in path
+    # order, rows holds G's rows of it, and chol is the lower Cholesky factor
+    # of G_AA in that order; wb holds [w; beta_A] as a contiguous (2, k) block
     beta, rows, chol = np.zeros(n), np.empty((n, n)), np.empty((0, 0), order="F")
-    active, signs, barred = [], [], []
+    active, signs, k, barred = np.empty(n, dtype=np.intp), np.empty(n), 0, []
+    wb, moves = np.empty(2 * n), np.empty((2, n))
+    up, down, enter, drop = np.empty((4, n))
     lam, events, two_c = 2.0 * float(np.max(np.abs(c))), 0, 2.0 * c
 
     def solved(routine, result):
@@ -205,35 +245,46 @@ def lasso_similarity(
     with np.errstate(divide="ignore", invalid="ignore"):
         while lam > lam1 and events < MAX_PATH_EVENTS:
             events += 1
-            k, s, idx = len(active), np.array(signs), np.array(active, dtype=np.intp)
-            w = solved("dpotrs", lapack.dpotrs(chol, s / 2.0, lower=1, overwrite_b=1)) if k else s / 2.0
+            s, idx, drop_a = signs[:k], active[:k], drop[:k]
+            w, beta_a = wb_a = wb[: 2 * k].reshape(2, k)
+            np.divide(s, 2.0, out=w)
+            if k:
+                w[:] = solved("dpotrs", lapack.dpotrs(chol, w, lower=1, overwrite_b=1))
+            beta.take(idx, out=beta_a)
             # the correlations g = 2(c - G beta) fall by a2 = 2 G w per unit of lambda;
             # up/down are the steps at which they would reach +lambda/-lambda
-            beta_a = beta[idx]
-            a2, g = 2.0 * (np.vstack([w, beta_a]) @ rows[:k])
-            g = two_c - g
-            up = np.where(a2 < 1.0, (lam - g) / (1.0 - a2), np.inf)
-            down = np.where(a2 > -1.0, (lam + g) / (1.0 + a2), np.inf)
-            drop = np.where(w * s < 0, -beta_a / w, np.inf).clip(min=0.0)
+            a2, g = np.matmul(wb_a, rows[:k], out=moves)
+            moves *= 2.0
+            np.subtract(two_c, g, out=g)
+            np.subtract(lam, g, out=up)
+            up /= 1.0 - a2
+            up[~(a2 < 1.0)] = np.inf
+            np.add(lam, g, out=down)
+            down /= 1.0 + a2
+            down[~(a2 > -1.0)] = np.inf
+            np.negative(beta_a, out=drop_a)
+            drop_a /= w
+            drop_a[~(w * s < 0)] = np.inf
+            np.maximum(drop_a, 0.0, out=drop_a)
             for b, side in barred:
                 (up if side > 0 else down)[b] = np.inf
-            enter = np.maximum(np.fmin(up, down), 0.0)
+            np.fmin(up, down, out=enter)
+            np.maximum(enter, 0.0, out=enter)
             enter[idx] = np.inf
-            j, t_drop = int(np.argmin(enter)), drop.min(initial=np.inf)
+            j, t_drop = int(np.argmin(enter)), drop_a.min(initial=np.inf)
             step = min(lam - lam1, enter[j], t_drop)
             beta[idx] += step * w
             lam = lam1 if step == lam - lam1 else lam - step
             if lam == lam1:
                 break
             if step == t_drop:
-                i = int(np.argmin(drop))
+                i, k = int(np.argmin(drop_a)), k - 1
                 barred = [(active[i], signs[i])]
                 beta[active[i]] = 0.0
-                active[i], signs[i], rows[i] = active[-1], signs[-1], rows[k - 1]
-                del active[-1], signs[-1]
+                active[i], signs[i], rows[i] = active[k], signs[k], rows[k]
                 # G = A'A is exactly symmetric (numpy forms it by SYRK), so the
                 # gathered block's transpose is G_AA itself, in Fortran order
-                chol = solved("dpotrf", lapack.dpotrf(rows[: k - 1, active].T, lower=1, overwrite_a=1))
+                chol = solved("dpotrf", lapack.dpotrf(rows[:k, active[:k]].T, lower=1, overwrite_a=1))
                 continue
             col = solved("dtrtrs", lapack.dtrtrs(chol, rows[:k, j], lower=1)) if k else rows[:0, j]
             pivot = G[j, j] - col @ col
@@ -241,11 +292,10 @@ def lasso_similarity(
             if not pivot > DEPENDENT_RTOL * G[j, j]:
                 barred.append((j, sign))
                 continue
-            grown = np.zeros((k + 1, k + 1), order="F")
+            # dpotrs and dtrtrs read only the factor's lower triangle
+            grown = np.empty((k + 1, k + 1), order="F")
             grown[:k, :k], grown[k, :k], grown[k, k] = chol, col, np.sqrt(pivot)
-            chol, rows[k] = grown, G[j]
-            active.append(j)
-            signs.append(sign)
+            chol, rows[k], active[k], signs[k], k = grown, G[j], j, sign, k + 1
             barred = []
     bias = ybar - float(sbar @ beta)
     worst = float(np.max(lasso_kkt_residuals(S, u, y, beta, bias, lam1)))

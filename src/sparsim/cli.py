@@ -165,12 +165,13 @@ def cmd_bench(args, bridges):
     config = _train_config(args, data.dim)
     rows = []
     for method in args.methods:
-        t0 = time.perf_counter()
+        evals0, t0 = similarity.EVAL_COUNTER.read(), time.perf_counter()
         model = _fit(method, data, args, spec, config)
         train_seconds = time.perf_counter() - t0
+        train_evaluations = similarity.EVAL_COUNTER.read() - evals0
         scores = _metric_rows(model, test)
-        rows.append([method, *(value for _, value in scores), f"{train_seconds:.6f}"])
-    header = ["method", *(name for name, _ in scores), "train_seconds"]
+        rows.append([method, *(value for _, value in scores), f"{train_seconds:.6f}", train_evaluations])
+    header = ["method", *(name for name, _ in scores), "train_seconds", "train_evaluations"]
     dataio.write_table(args.out, header, rows)
     print(f"benchmarked {len(rows)} methods -> {args.out}")
     config_doc = _config_dict(config, spec, m=args.m, methods=args.methods, lam1=args.lam1)

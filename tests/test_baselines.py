@@ -20,7 +20,7 @@ from sparsim.baselines import (
     set_median_index,
 )
 from sparsim.errors import ConvergenceError, SingularSystemError
-from sparsim.similarity import SimilaritySpec, sim_matrix
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise, sim_matrix
 
 from conftest import full_matrix_set_median_index
 
@@ -427,3 +427,81 @@ def test_singular_full_ridge_fails_within_two_n_squared():
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * 8 * n * n
+
+
+def gram_evaluations(n):
+    """sum_b (i1 - i0)(n - i0): the evaluations of an n x n Gram scored as
+    upper-triangle blocks of GRAM_BLOCK_ROWS rows."""
+    rows = baselines.GRAM_BLOCK_ROWS
+    return sum((min(i0 + rows, n) - i0) * (n - i0) for i0 in range(0, n, rows))
+
+
+def symmetric_scorer(calls=None):
+    """A pairwise black-box scorer, bitwise symmetric since (a - b)^2 is
+    (b - a)^2; each call appends to ``calls`` when given."""
+
+    def score(a, b):
+        if calls is not None:
+            calls.append(1)
+        return float(np.exp(-np.sum((a - b) ** 2) / a.size))
+
+    return SimilaritySpec(kind="blackbox", blackbox_id="symmetric", scorer=pairwise(score))
+
+
+def test_gram_evaluations_at_the_benchmark_sizes():
+    assert baselines.GRAM_BLOCK_ROWS == 64
+    assert [gram_evaluations(n) for n in (1, 64, 65, 150, 300, 1000)] == [1, 4096, 4161, 15_588, 54_160, 531_520]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("spec", [SimilaritySpec(kind="rbf", gamma=0.2), symmetric_scorer()], ids=["rbf", "blackbox"])
+def test_gram_is_the_one_block_matrix_bit_for_bit(spec, n):
+    X = np.random.default_rng(n).uniform(-1, 1, (n, 5))
+    gram = baselines._gram(spec, X)
+    assert gram.tobytes() == sim_matrix(spec, X, X).values.tobytes()
+    assert gram.tobytes() == gram.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+def test_linear_gram_is_symmetric_and_near_the_one_product_matrix(n):
+    # block GEMMs round differently from the one product's SYRK, in the last bit
+    X = np.random.default_rng(n).normal(0, 1, (n, 20))
+    spec = SimilaritySpec("linear")
+    gram, full = baselines._gram(spec, X), sim_matrix(spec, X, X).values
+    np.testing.assert_array_equal(gram, gram.T)
+    assert np.max(np.abs(gram - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_baselines_from_the_gram_equal_those_from_one_block(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, (150, 5))
+    data = Dataset(features=X, targets=np.sin(X.sum(axis=1)) + rng.normal(0, 0.1, 150))
+    spec = SimilaritySpec(kind="rbf", gamma=0.2)
+    fits = (lambda: kernel_ridge_full(data, 1e-2, spec), lambda: lasso_similarity(data, 1e-2, spec))
+    blocked = [fit() for fit in fits]
+    monkeypatch.setattr(baselines, "_gram", lambda spec, X: sim_matrix(spec, X, X).values)
+    for model, fit in zip(blocked, fits):
+        one_block = fit()
+        assert model.beta.tobytes() == one_block.beta.tobytes()
+        assert model.bias == one_block.bias
+        assert model.metadata == one_block.metadata
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 300])
+@pytest.mark.parametrize("baseline", [kernel_ridge_full, lasso_similarity], ids=["ridge", "lasso"])
+def test_full_baselines_evaluate_each_symmetric_pair_once(baseline, n):
+    rng = np.random.default_rng(n)
+    data = Dataset(features=rng.uniform(-1, 1, (n, 5)), targets=rng.normal(0, 1, n))
+    before = EVAL_COUNTER.read()
+    baseline(data, 1e-2, SimilaritySpec(kind="rbf", gamma=0.2))
+    assert EVAL_COUNTER.read() - before == gram_evaluations(n)
+
+
+@pytest.mark.parametrize("baseline", [kernel_ridge_full, lasso_similarity], ids=["ridge", "lasso"])
+def test_black_box_full_baselines_score_each_pair_once(baseline):
+    n, calls = 150, []
+    rng = np.random.default_rng(0)
+    data = Dataset(features=rng.uniform(-1, 1, (n, 5)), targets=rng.normal(0, 1, n))
+    baseline(data, 1e-2, symmetric_scorer(calls))
+    assert len(calls) == gram_evaluations(n) == 15_588  # not n^2 = 22,500

@@ -446,13 +446,25 @@ class TestBench:
                     "--methods", "sparse,ps-r,ridge", "--out", out])
         assert code == 0
         rows = read_rows(out)
-        assert rows[0] == ["method", "mae", "mse", "error_rate", "m", "evals_per_prediction", "train_seconds"]
+        assert rows[0] == ["method", "mae", "mse", "error_rate", "m", "evals_per_prediction", "train_seconds",
+                           "train_evaluations"]
         table = {r[0]: r for r in rows[1:]}
         assert set(table) == {"sparse", "ps-r", "ridge"}
         for name, row in table.items():
             assert row[4] == row[5]  # cost per prediction equals m
         assert table["sparse"][4] == "3"
         assert table["ridge"][4] == "25"
+
+    def test_training_evaluations_of_the_full_baselines_are_the_gram_count(self, tmp_path):
+        # 100 rows: two 64-row upper-triangle blocks, 64 * 100 + 36 * 36 evaluations, not 100^2
+        data_path, out = tmp_path / "train.csv", tmp_path / "bench.csv"
+        write_csv(gen_synthetic("two_gaussians", n=100, seed=0), data_path)
+        assert run(["bench", "--data", data_path, "--target", "target", "--m", "3", "--max-sweeps", "2",
+                    "--methods", "sparse,ridge,lasso", "--out", out]) == 0
+        rows = read_rows(out)
+        evaluations = {row[0]: int(row[rows[0].index("train_evaluations")]) for row in rows[1:]}
+        assert evaluations["ridge"] == evaluations["lasso"] == 7_696
+        assert evaluations["sparse"] > 0
 
     def test_single_method_matches_baseline_metrics(self, tmp_path, train_csv):
         bench_out = tmp_path / "bench.csv"
