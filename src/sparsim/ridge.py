@@ -7,7 +7,8 @@ sqrt(u) * [S, 1], solved by Cholesky.  The Gram matrix is a product of
 the weighted design A' (:func:`weighted_design`) with its transpose
 (:func:`normal_matrix`).  :func:`assemble` sums that product over blocks
 of BLOCK_ROWS rows of S, so ``fit`` holds S plus one block of A' instead
-of a second n x m array.  The full-similarity ridge (m = n) calls the two
+of a second n x m array; A' is scaled as it is written, with no
+scaling buffer beside it.  The full-similarity ridge (m = n) calls the two
 steps itself: one product keeps it at two n^2 arrays, since S can be
 freed once A' exists.  When a single prototype moves, only its row and
 column change, and :func:`update_column` rewrites just those.
@@ -46,12 +47,12 @@ def _design(S, u, y):
     """A' and rhs for checked float arrays; see :func:`weighted_design`."""
     m = S.shape[1]
     rhs = np.append(S.T @ (u * y), u @ y)  # before A, so u * y is freed first
-    # A' row by row: copying S' in takes no numpy iteration buffer, and the
-    # in-place scale only a fixed-size one, whatever the number of rows.
+    # A' in one pass: einsum writes sqrt(u) * S' straight into it, bit for
+    # bit the broadcast product, without the iteration buffer of numpy's
+    # broadcasting ufuncs (64 KiB whatever the block size).
     At = np.empty((m + 1, S.shape[0]))
     np.sqrt(u, out=At[m])
-    At[:m] = S.T
-    At[:m] *= At[m]
+    np.einsum("ij,j->ij", S.T, At[m], out=At[:m])
     return At, rhs
 
 

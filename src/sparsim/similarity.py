@@ -15,6 +15,7 @@ gradients are only ever needed summed over rows with weights, so
 :func:`sim_matrix` call, without stacking the n per-row gradients.
 """
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -133,8 +134,9 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     per block.  A non-finite value is reported with its (row, column).
 
     The RBF block sums the exact squared differences (a_p - b_p)^2 in
-    ``cdist`` and exponentiates in place, so its only (k, m) array is the
-    result: peak memory is about one output-sized array, whatever d is.
+    ``cdist`` and exponentiates in place, and the finiteness check sums
+    the block, so its only (k, m) array is the result: peak memory is
+    about one output-sized array, whatever d is.
     No ||a||^2 + ||b||^2 - 2 a.b expansion is used, so nothing cancels.
     A one-prototype block is ``cdist(protos, rows).T``: the same values, 4x faster.
     """
@@ -165,9 +167,20 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
                 f"black-box scorer {spec.blackbox_id!r} returned shape {values.shape}, expected {(k, m)}"
             )
     EVAL_COUNTER.add(k * m)
-    if not np.logical_and.reduce(np.isfinite(values), axis=None):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise SimilarityEvalError(f"non-finite similarity at row {i}, column {j}")
+    # A non-finite value makes the sum non-finite, so a finite sum passes
+    # the block without a (k, m) mask.  RBF values lie in [0, 1] and cannot
+    # overflow it; other kinds can, so a non-finite sum builds the mask to
+    # find the bad entry, and only a block without one passes.
+    if spec.kind == "rbf":
+        total = np.add.reduce(values, axis=None)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(values, axis=None)
+    if not math.isfinite(total):
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = bad[0]
+            raise SimilarityEvalError(f"non-finite similarity at row {i}, column {j}")
     return SimilarityMatrix(values=values)
 
 
@@ -207,9 +220,12 @@ def grad_z_sum(spec: SimilaritySpec, rows, z, weights, mode: str = "analytic", c
     if mode == "approximate" or mode == "analytic" and spec.kind == "rbf":
         if column is None:
             column = sim_matrix(spec, rows, z[None, :]).values[:, 0]
-        c = column if weights is None else weights * column
-        if mode == "analytic":
-            c = c * (2.0 * spec.gamma)
+        if weights is None:
+            c = column * (2.0 * spec.gamma) if mode == "analytic" else column
+        else:
+            c = weights * column
+            if mode == "analytic":
+                c *= 2.0 * spec.gamma  # c is this call's own array
         return c.dot(rows) - z * np.add.reduce(c)  # .dot: @'s BLAS call without its dispatch
     # Only the numeric mode and the dot product's closed form are left valid.
     check_grad_mode(spec, mode)

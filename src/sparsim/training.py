@@ -75,13 +75,19 @@ def init_prototypes(data: Dataset, m: int, seed: int) -> np.ndarray:
     return data.features[idx]
 
 
-def _loss(S, beta, bias, data, lam, resid=None):
+def _loss(S, beta, bias, data, lam, resid=None, out=None):
     """Objective value, the residual r = ``S @ beta + bias - y`` it was
     taken from and u*r, the data gradient's row weights; a ``resid``
-    already known is used as given, in O(n)."""
+    already known is used as given, in O(n).  ``out``, a pair of
+    n-vectors, receives r (unless given) and u*r in place of new arrays,
+    with the same bits."""
+    resid_out, weighted_out = (None, None) if out is None else out
     if resid is None:
-        resid = S.dot(beta) + bias - data.targets  # .dot: @'s BLAS call without its dispatch
-    weighted = data.weights * resid
+        # np.dot: @'s BLAS call without its dispatch, and it takes out=
+        resid = np.dot(S, beta, out=resid_out)
+        resid += bias
+        resid -= data.targets
+    weighted = np.multiply(data.weights, resid, out=weighted_out)
     return float(weighted.dot(resid) + lam * beta.dot(beta)), resid, weighted
 
 
@@ -160,7 +166,11 @@ def fit(
     Each iteration moves one prototype (round-robin) with a projected
     gradient step and then re-solves the coefficients exactly.  Only the
     moved prototype's similarity column, and its row and column of the
-    normal equations, are recomputed per iteration.
+    normal equations, are recomputed per iteration.  Besides the n x m
+    similarity matrix S, ``fit`` holds at most one 256-row block of the
+    weighted design (while assembling) or three n-vectors (the residual,
+    its weighted form and one temporary: the new column, the gradient's
+    row weights or the system update's).
     Training stops once consecutive objective values have differed by
     less than ``config.epsilon`` for a full sweep (m iterations in a
     row, so a single pinned prototype cannot end the run early), or
@@ -193,6 +203,7 @@ def fit(
     with np.errstate(over="ignore", invalid="ignore"):
         beta, bias = ridge.solve(M, rhs)
         trace = TrainTrace()
+        # r and u*r are the only n-vectors kept across updates; both are rewritten in place.
         trace.initial_objective, resid, weighted = _loss(S, beta, bias, data, config.lam)
         trace.final_objective = trace.initial_objective
 
@@ -202,19 +213,23 @@ def fit(
             try:
                 z_new, step_norm = _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box)
                 column = sim.sim_matrix(spec, data.features, z_new[None, :]).values[:, 0]
-                # Only column j moved: its old residual plus beta_j times the column's change.
-                moved = resid + beta[j] * (column - S[:, j])
+                # Only column j moved: the residual gains beta_j times the column's
+                # change, formed in u*r, which the gradient has used up.
+                np.subtract(column, S[:, j], out=weighted)
                 S[:, j] = column
-                omega_before = _loss(S, beta, bias, data, config.lam, moved)[0]
+                del column
+                weighted *= beta[j]
+                resid += weighted
+                omega_before = _loss(S, beta, bias, data, config.lam, resid, (resid, weighted))[0]
                 ridge.update_column(M, rhs, S, data.weights, data.targets, j, config.lam)
                 beta, bias = ridge.solve(M, rhs)
             except SparsimError as exc:
-                # protos still pairs with (beta, bias); S and the system are not read again.
+                # protos still pairs with (beta, bias); S, the system and r are not read again.
                 trace.termination = "error"
                 trace.error = str(exc)
                 break
             protos[j] = z_new
-            omega_after, resid, weighted = _loss(S, beta, bias, data, config.lam)
+            omega_after = _loss(S, beta, bias, data, config.lam, out=(resid, weighted))[0]
             trace.records.append(IterationRecord(t, j, omega_before, omega_after, step_norm))
             small_steps = small_steps + 1 if abs(omega_after - trace.final_objective) < config.epsilon else 0
             trace.final_objective = omega_after

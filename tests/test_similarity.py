@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,36 @@ class TestSimMatrix:
         spec = SimilaritySpec(kind="blackbox", blackbox_id="inf", scorer=block)
         with pytest.raises(SimilarityEvalError, match=r"row 1, column 2"):
             sim_matrix(spec, np.zeros((2, 1)), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize(
+        "spec, rows, protos, where",
+        [
+            (RBF1, [[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], "row 1, column 0"),
+            (RBF1, [[0.0, 0.0], [1.0, 1.0], [1.0, np.nan]], [[0.0, 1.0]], "row 2, column 0"),
+            (LINEAR, [[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]], "row 0, column 2"),
+        ],
+    )
+    def test_nonfinite_rbf_and_dot_product_entries_located(self, spec, rows, protos, where):
+        # a black-box scorer's inf: test_nonfinite_block_value_located
+        with pytest.raises(SimilarityEvalError, match=rf"non-finite similarity at {where}"):
+            sim_matrix(spec, np.array(rows), np.array(protos))
+
+    def test_finite_block_whose_sum_overflows_passes_without_warning(self):
+        # the block's sum is its finiteness check; an overflowing sum of
+        # finite dot products falls back to locating a bad entry, finds none
+        # and passes, with no RuntimeWarning (an error under this suite)
+        rows, protos = np.array([[1e308], [1.5e308], [-1e308]]), np.array([[1.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = sim_matrix(LINEAR, rows, protos).values
+        np.testing.assert_array_equal(S, rows @ protos.T)
+
+    @pytest.mark.parametrize("spec", [RBF1, LINEAR])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_empty_block_passes(self, spec, m):
+        before = EVAL_COUNTER.read()
+        assert sim_matrix(spec, np.zeros((0, 2)), np.ones((m, 2))).values.shape == (0, m)
+        assert EVAL_COUNTER.read() == before
 
     def test_nonfinite_value_located(self):
         spec = SimilaritySpec(
