@@ -29,8 +29,9 @@ def set_median_index(X) -> int:
     return int(np.argmin(np.concatenate(sums)))
 
 
-def _gram(spec: sim.SimilaritySpec, X) -> np.ndarray:
-    """The n x n similarity matrix of X with itself, from its upper triangle.
+def _gram(spec: sim.SimilaritySpec, X, out=None) -> np.ndarray:
+    """The n x n similarity matrix of X with itself, from its upper triangle,
+    written into ``out`` (an n x n float array) when given.
 
     Similarities are symmetric, so each block of ``GRAM_BLOCK_ROWS`` rows is
     scored by one :func:`sim_matrix` call against the rows from its own first
@@ -39,7 +40,7 @@ def _gram(spec: sim.SimilaritySpec, X) -> np.ndarray:
     symmetric, and it holds one block beyond the matrix itself.
     """
     n = len(X)
-    S = np.empty((n, n))
+    S = np.empty((n, n)) if out is None else out
     for i0 in range(0, n, GRAM_BLOCK_ROWS):
         i1 = min(i0 + GRAM_BLOCK_ROWS, n)
         block = sim.sim_matrix(spec, X[i0:i1], X[i0:]).values
@@ -126,19 +127,36 @@ SEEDED_KINDS = ("random", "kmedians")  # the selectors that take baseline_pipeli
 
 
 def _ridge_model(data, protos, lam, spec, metadata):
-    # S, A' and M are each about n x m doubles: S goes when weighted_design
-    # returns and A' once M is formed, so no more than two live at once;
-    # with the training rows themselves as prototypes, S is their Gram
+    ridge.check_lam(lam)  # before any O(n m) work
     if protos is data.features:
-        S = _gram(spec, protos)
+        beta, bias = _full_ridge(data, lam, spec)
     else:
+        # S, A' and M are each about n x m doubles: S goes when weighted_design
+        # returns and A' once M is formed, so no more than two live at once
         S = sim.sim_matrix(spec, data.features, protos).values
-    At, rhs = ridge.weighted_design(S, data.weights, data.targets, lam)
-    del S
-    M = ridge.normal_matrix(At, lam)
-    del At
-    beta, bias = ridge.solve(M, rhs)
+        At, rhs = ridge.weighted_design(S, data.weights, data.targets, lam)
+        del S
+        M = ridge.normal_matrix(At, lam)
+        del At
+        beta, bias = ridge.solve(M, rhs)
     return SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=spec, metadata=metadata)
+
+
+def _full_ridge(data, lam, spec):
+    """(beta, bias) of the ridge over all n training rows, in two (n+1)^2
+    arrays allocated once: M = A'A + lam (one SYRK product) and a flat work
+    buffer that holds in turn S (the Gram, in its first n rows of n), A' =
+    [S sqrt(u); sqrt(u)'] (S scaled in place: S is exactly symmetric, so
+    this is weighted_design's A' bit for bit) and M's Cholesky factor.
+    Both are freed on return, before the model is built."""
+    n, u = data.n, data.weights
+    work = np.empty((n + 1) ** 2)
+    At = work[: (n + 1) * n].reshape(n + 1, n)
+    S = _gram(spec, data.features, out=At[:n])
+    rhs = ridge.design_rhs(S, u, data.targets)
+    np.sqrt(u, out=At[n])
+    S *= At[n]
+    return ridge.solve(ridge.normal_matrix(At, lam), rhs, work=work)
 
 
 def kernel_ridge_full(data: Dataset, lam: float, spec: sim.SimilaritySpec) -> SparseModel:
@@ -147,7 +165,8 @@ def kernel_ridge_full(data: Dataset, lam: float, spec: sim.SimilaritySpec) -> Sp
     The n x n similarities come from their upper triangle (``_gram``), so
     training costs sum_b (i1 - i0)(n - i0) evaluations, about n^2/2 + 32 n
     with blocks of ``GRAM_BLOCK_ROWS`` = 64 rows; a black-box scorer is
-    asked for as many pairs.
+    asked for as many pairs.  Memory peaks at two (n+1)^2 arrays
+    (``_full_ridge``).
     """
     return _ridge_model(data, data.features, lam, spec, {"method": "ridge", "lam": lam})
 

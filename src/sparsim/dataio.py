@@ -269,16 +269,18 @@ class blackbox_bridge:
     non-blocking pipe takes them and reads the answers as they come, so no
     full pipe can deadlock it and memory stays bounded.  A per-bridge lock
     serializes whole blocks, so threads may share one bridge.  A block that
-    fails part-way kills the scorer, and later blocks raise an error naming
-    that first failure.  ``spec`` carries the block scorer; close the
-    bridge (or use it as a context manager) to release the process, its
-    pipes and its selector.  The id, the scorer's command line as one
-    shell-quoted string, is saved in model files, so identical runs write
-    identical files.
+    fails part-way, also by the scorer neither reading nor answering for
+    ``_RESPONSE_TIMEOUT`` seconds, kills the scorer, and later blocks raise
+    an error naming that first failure.  ``spec`` carries the block scorer;
+    close the bridge (or use it as a context manager) to release the
+    process, its pipes and its selector.  The id, the scorer's command line
+    as one shell-quoted string, is saved in model files, so identical runs
+    write identical files.
     """
 
     _CHUNK = 1 << 15  # bytes of request text encoded, and of answers read, at a time
     _TERMINATE_TIMEOUT = 5.0  # seconds close() waits after SIGTERM before it kills the scorer
+    _RESPONSE_TIMEOUT = 300.0  # seconds a block waits for the scorer to read or answer before it fails
 
     def __init__(self, command):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
@@ -312,7 +314,11 @@ class blackbox_bridge:
         self._selector.register(stdin, selectors.EVENT_WRITE)
         requests, pending, partial, filled = self._requests(rows, protos), b"", b"", 0
         while filled < values.size or pending is not None:
-            for key, _ in self._selector.select():
+            ready = self._selector.select(self._RESPONSE_TIMEOUT)
+            if not ready:
+                raise BlackboxError(
+                    f"scorer sent no response line {self._lines_read + 1} within {self._RESPONSE_TIMEOUT:g} s")
+            for key, _ in ready:
                 if key.fd == stdin:
                     try:
                         pending = pending or memoryview(next(requests, b""))

@@ -8,10 +8,10 @@ the weighted design A' (:func:`weighted_design`) with its transpose
 (:func:`normal_matrix`).  :func:`assemble` sums that product over blocks
 of BLOCK_ROWS rows of S, so ``fit`` holds S plus one block of A' instead
 of a second n x m array; A' is scaled as it is written, with no
-scaling buffer beside it.  The full-similarity ridge (m = n) calls the two
-steps itself: one product keeps it at two n^2 arrays, since S can be
-freed once A' exists.  When a single prototype moves, only its row and
-column change, and :func:`update_column` rewrites just those.
+scaling buffer beside it.  The full-similarity ridge (m = n) builds A' in
+a buffer of its own and calls :func:`normal_matrix` and :func:`solve`
+itself (``baselines._full_ridge``).  When a single prototype moves, only
+its row and column change, and :func:`update_column` rewrites just those.
 """
 
 import math
@@ -29,6 +29,12 @@ RESIDUAL_RTOL = 1e-9
 BLOCK_ROWS = 256
 
 
+def check_lam(lam):
+    """Raise ValueError unless the ridge penalty ``lam`` is finite and >= 0."""
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+
+
 def _checked(S, weights, targets, lam):
     """S, weights and targets as float arrays, after checking that their
     lengths agree and that ``lam`` is finite and >= 0."""
@@ -38,15 +44,19 @@ def _checked(S, weights, targets, lam):
     n = S.shape[0]
     if u.shape[0] != n or y.shape[0] != n:
         raise ValueError(f"similarities have {n} rows but {u.shape[0]} weights / {y.shape[0]} targets")
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    check_lam(lam)
     return S, u, y
+
+
+def design_rhs(S, u, y):
+    """rhs = [S'(u*y); sum(u*y)] for float arrays S (n x m), u and y of n."""
+    return np.append(S.T @ (u * y), u @ y)
 
 
 def _design(S, u, y):
     """A' and rhs for checked float arrays; see :func:`weighted_design`."""
     m = S.shape[1]
-    rhs = np.append(S.T @ (u * y), u @ y)  # before A, so u * y is freed first
+    rhs = design_rhs(S, u, y)  # before A, so u * y is freed first
     # A' in one pass: einsum writes sqrt(u) * S' straight into it, bit for
     # bit the broadcast product, without the iteration buffer of numpy's
     # broadcasting ufuncs (64 KiB whatever the block size).
@@ -80,8 +90,9 @@ def normal_matrix(At, lam: float):
     [u'S, sum(u)]], from :func:`weighted_design`'s ``A'``: one symmetric
     (SYRK) product and so exactly symmetric."""
     matrix = At @ At.T
-    diag = np.arange(At.shape[0] - 1)
-    matrix[diag, diag] += lam
+    # the first m diagonal entries, as a strided view of the new C-ordered
+    # matrix: no index arrays beside the full ridge's two (n+1)^2 ones
+    matrix.reshape(-1)[: -1 : At.shape[0] + 1] += lam
     return matrix
 
 
@@ -129,11 +140,21 @@ def _solved(M, rhs, x, info, tol) -> bool:
     finite and its residual against the unjittered M does not exceed ``tol``."""
     if info != 0 or not np.logical_and.reduce(np.isfinite(x)):
         return False
-    r = M.dot(x) - rhs
+    r = M.dot(x)
+    r -= rhs
     return math.sqrt(r.dot(r)) <= tol
 
 
-def solve(M, rhs):
+def _copied(M, work):
+    """M copied into the first M.size doubles of ``work``, as the
+    Fortran-ordered transpose that LAPACK factors in place; M is exactly
+    symmetric, so that is M itself, bit for bit."""
+    square = work[: M.size].reshape(M.shape)
+    np.copyto(square, M)
+    return square.T
+
+
+def solve(M, rhs, work=None):
     """Exact minimizer (coefficients, bias) of the ridge objective.
 
     One Cholesky factorization and solve (LAPACK ``dposv``).  A solution
@@ -141,19 +162,38 @@ def solve(M, rhs):
     original matrix satisfies ||M x - rhs|| <= RESIDUAL_RTOL ||rhs||;
     otherwise the system is treated as numerically singular (not positive
     definite, or condition number beyond roughly 1/RESIDUAL_RTOL) and gets
-    one diagonal-jitter retry, on M's own diagonal restored exactly after,
-    before raising SingularSystemError.  M comes back byte-unchanged.
+    one diagonal-jitter retry before raising SingularSystemError.
+    M comes back byte-unchanged.
+
+    ``work`` (at least M.size doubles) takes the copy of M that is factored
+    in place, for the retry too, and the one the error's condition number
+    comes from; without it ``dposv`` copies M itself, and the retry jitters
+    M's own diagonal, restored exactly after.  A nan M gives ``cond ~ nan``.
     """
     # sqrt(v.v) is what np.linalg.norm computes for a vector, minus its dispatch.
     tol = RESIDUAL_RTOL * max(math.sqrt(rhs.dot(rhs)), 1e-300)
-    x, info = lapack.dposv(M, rhs)[1:]  # the factor, a copy of M, is dropped at once
+    if work is None:
+        x, info = lapack.dposv(M, rhs)[1:]  # the factor, a copy of M, is dropped at once
+    else:
+        x, info = lapack.dposv(_copied(M, work), rhs, overwrite_a=1)[1:]
     if not _solved(M, rhs, x, info, tol):
         diag = np.arange(M.shape[0])
-        saved = M[diag, diag]
-        M[diag, diag] += 1e-10 * np.trace(M) / M.shape[0]
-        x, info = lapack.dposv(M, rhs)[1:]
-        M[diag, diag] = saved
+        jitter = 1e-10 * np.trace(M) / M.shape[0]
+        if work is None:
+            saved = M[diag, diag]
+            M[diag, diag] += jitter
+            x, info = lapack.dposv(M, rhs)[1:]
+            M[diag, diag] = saved
+        else:
+            jittered = _copied(M, work)
+            jittered[diag, diag] += jitter
+            x, info = lapack.dposv(jittered, rhs, overwrite_a=1)[1:]
         if not _solved(M, rhs, x, info, tol):
-            cond = np.linalg.cond(M)
+            # np.linalg.cond's ratio of singular values, from a copy that
+            # dgesdd may overwrite: in work when given, not a third n^2 array
+            a = _copied(M, np.empty(M.size) if work is None else work)
+            s, info = lapack.dgesdd(a, compute_uv=0, overwrite_a=1)[1::2]
+            high, low = s[[0, -1]].tolist()
+            cond = math.nan if info else high / low if low > 0 else math.inf
             raise SingularSystemError(f"coefficient system is numerically singular (cond ~ {cond:.3e})")
     return x[:-1], float(x[-1])

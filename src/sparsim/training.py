@@ -163,8 +163,10 @@ def fit(
 ):
     """Jointly optimize m virtual prototypes and their coefficients.
 
-    Each iteration moves one prototype (round-robin) with a projected
-    gradient step and then re-solves the coefficients exactly.  Only the
+    The start, ``init`` or m seeded training rows, is projected onto
+    ``config.box`` before anything is evaluated.  Each iteration moves one
+    prototype (round-robin) with a projected gradient step and then
+    re-solves the coefficients exactly.  Only the
     moved prototype's similarity column, and its row and column of the
     normal equations, are recomputed per iteration.  Besides the n x m
     similarity matrix S, ``fit`` holds at most one 256-row block of the
@@ -196,6 +198,8 @@ def fit(
         protos = init_prototypes(data, m, config.seed)
 
     box = resolve_box(config.box, data)
+    if box is not None:  # the start too: neither init nor training rows need lie in an explicit box
+        protos = np.minimum(np.maximum(protos, box[:, 0]), box[:, 1])
     S = sim.sim_matrix(spec, data.features, protos).values
     M, rhs = ridge.assemble(S, data.weights, data.targets, config.lam)
     # Overflow past here meets a finiteness or residual check that ends the

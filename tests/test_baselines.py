@@ -20,6 +20,7 @@ from sparsim.baselines import (
     set_median_index,
 )
 from sparsim.errors import ConvergenceError, SingularSystemError
+from sparsim.ridge import normal_matrix, solve, weighted_design
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise, sim_matrix
 
 from conftest import full_matrix_set_median_index
@@ -393,10 +394,12 @@ def test_cheap_selectors_peak_memory_below_a_tenth_of_n_squared(selector):
     ids=["kernel_ridge_full", "baseline_pipeline_random_250", "lasso_similarity"],
 )
 def test_full_baselines_peak_memory_in_units_of_n_squared(baseline, bound):
-    # the ridge holds two n x m-sized arrays at a time: the similarities and
-    # their sqrt(u)-scaled transpose A', then A' and the system, then the
-    # system and the solver's copy (a third would exceed 2.2 n^2, or 2.0 n^2
-    # at m=250 of 300); the lasso holds S, its Gram and the path's active rows
+    # the full ridge holds two (n+1)^2 arrays: the system M and one buffer,
+    # which holds the similarities, then A', then M's Cholesky factor; the
+    # pipeline holds two n x m-sized arrays at a time: S and A', then A' and
+    # M, then M and the solver's copy (a third would exceed 2.2 n^2, or
+    # 2.0 n^2 at m=250 of 300); the lasso holds S, its Gram and the path's
+    # active rows
     n, d = 300, 20
     rng = np.random.default_rng(0)
     X = rng.uniform(-1, 1, (n, d))
@@ -413,8 +416,8 @@ def test_full_baselines_peak_memory_in_units_of_n_squared(baseline, bound):
 
 def test_singular_full_ridge_fails_within_two_n_squared():
     # every row twice at lam 0 makes the system singular, so the direct solve,
-    # the jittered retry and the condition estimate all run; the retry works
-    # on M's own diagonal, so the failure stays within a regular solve's 2 n^2
+    # the jittered retry and the condition estimate all run; all three work in
+    # the buffer that held A', so the failure stays within a regular solve's 2 n^2
     n, d = 300, 20
     X = np.repeat(np.random.default_rng(0).uniform(-1, 1, (n // 2, d)), 2, axis=0)
     data = Dataset(features=X, targets=np.sin(X.sum(axis=1)))
@@ -460,6 +463,9 @@ def test_gram_is_the_one_block_matrix_bit_for_bit(spec, n):
     gram = baselines._gram(spec, X)
     assert gram.tobytes() == sim_matrix(spec, X, X).values.tobytes()
     assert gram.tobytes() == gram.T.copy().tobytes()
+    out = np.full((n, n), np.nan)
+    assert baselines._gram(spec, X, out=out) is out
+    assert out.tobytes() == gram.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
@@ -472,6 +478,21 @@ def test_linear_gram_is_symmetric_and_near_the_one_product_matrix(n):
     assert np.max(np.abs(gram - full)) <= 1e-15 * np.max(np.abs(full))
 
 
+@pytest.mark.parametrize("n", [1, 64, 65, 300])
+@pytest.mark.parametrize("spec", [SimilaritySpec(kind="rbf", gamma=0.2), symmetric_scorer()], ids=["rbf", "blackbox"])
+def test_full_ridge_in_one_buffer_is_the_composed_ridge_bit_for_bit(spec, n):
+    # the Gram scaled in place as A', and M factored in that buffer, against
+    # the public steps, each on arrays of its own
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-1, 1, (n, 5))
+    data = Dataset(features=X, targets=rng.normal(0, 1, n), weights=rng.uniform(0.5, 2.0, n))
+    model = kernel_ridge_full(data, 1e-2, spec)
+    At, rhs = weighted_design(baselines._gram(spec, X), data.weights, data.targets, 1e-2)
+    beta, bias = solve(normal_matrix(At, 1e-2), rhs)
+    assert model.beta.tobytes() == beta.tobytes()
+    assert model.bias == bias
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_full_baselines_from_the_gram_equal_those_from_one_block(monkeypatch, seed):
     rng = np.random.default_rng(seed)
@@ -480,7 +501,15 @@ def test_full_baselines_from_the_gram_equal_those_from_one_block(monkeypatch, se
     spec = SimilaritySpec(kind="rbf", gamma=0.2)
     fits = (lambda: kernel_ridge_full(data, 1e-2, spec), lambda: lasso_similarity(data, 1e-2, spec))
     blocked = [fit() for fit in fits]
-    monkeypatch.setattr(baselines, "_gram", lambda spec, X: sim_matrix(spec, X, X).values)
+
+    def one_block_gram(spec, X, out=None):
+        S = sim_matrix(spec, X, X).values
+        if out is None:
+            return S
+        out[...] = S
+        return out
+
+    monkeypatch.setattr(baselines, "_gram", one_block_gram)
     for model, fit in zip(blocked, fits):
         one_block = fit()
         assert model.beta.tobytes() == one_block.beta.tobytes()

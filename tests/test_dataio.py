@@ -383,6 +383,13 @@ sys.stdin.read()
 time.sleep(60)
 """
 
+# reads one request and then neither reads nor answers
+READ_ONE_AND_SLEEP = """\
+import sys, time
+sys.stdin.readline()
+time.sleep(60)
+"""
+
 
 class TestBlackboxBridge:
     @pytest.mark.parametrize("source", [RBF_SCORER, SPLIT_SCORER, BURST_SCORER], ids=["lines", "split", "burst"])
@@ -534,6 +541,19 @@ class TestBlackboxBridge:
         assert sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1))).values[0, 0] == 0.5
         bridge.close()
         assert bridge._proc.returncode == -signal.SIGKILL
+        assert bridge._proc.stdin.closed and bridge._proc.stdout.closed
+
+    def test_silent_scorer_fails_at_the_deadline_and_is_killed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blackbox_bridge, "_RESPONSE_TIMEOUT", 0.2)
+        script = tmp_path / "scorer.py"
+        script.write_text(READ_ONE_AND_SLEEP)
+        bridge = blackbox_bridge([sys.executable, str(script)])
+        with pytest.raises(BlackboxError, match=r"^scorer sent no response line 1 within 0.2 s$"):
+            sim_matrix(bridge.spec, np.zeros((2, 1)), np.ones((1, 1)))
+        assert bridge._proc.returncode == -signal.SIGKILL
+        with pytest.raises(BlackboxError, match="earlier failure: scorer sent no response line 1"):
+            sim_matrix(bridge.spec, np.zeros((1, 1)), np.ones((1, 1)))
+        bridge.close()
         assert bridge._proc.stdin.closed and bridge._proc.stdout.closed
 
     @pytest.mark.parametrize("source, k, line", [("import sys; sys.exit(3)\n", 1, 1), (ANSWER_ONE_AND_EXIT, 3000, 2),

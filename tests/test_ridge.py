@@ -274,6 +274,13 @@ class TestSolve:
         with np.errstate(invalid="ignore"), pytest.raises(SingularSystemError, match="cond ~ inf"):
             solve(matrix, np.ones(2))
 
+    @pytest.mark.parametrize("work", [None, np.empty(4)], ids=["plain", "work"])
+    def test_nan_system_is_singular_with_unknown_condition(self, work):
+        # the condition number of a nan matrix is unknown, not a LinAlgError
+        matrix = np.array([[1.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(SingularSystemError, match="cond ~ nan"):
+            solve(matrix, np.ones(2), work=work)
+
     @pytest.mark.parametrize("ratio, accepted", [(0.5, True), (2.0, False)])
     def test_residual_tolerance_is_relative_to_rhs_norm(self, monkeypatch, ratio, accepted):
         # with M = I the residual of x = rhs + e is e itself; a solution
@@ -314,6 +321,39 @@ class TestSolve:
         else:
             assert np.all(np.isfinite(np.append(*solve(matrix, rhs))))
         assert len(calls) == (1 if path == "direct" else 2)
+        assert (matrix.tobytes(), rhs.tobytes()) == before
+
+    @pytest.mark.parametrize("path", ["direct", "jittered", "failing"])
+    def test_work_buffer_gives_the_plain_solve_bit_for_bit(self, monkeypatch, path):
+        # with work, M is copied there and factored in place, for the retry
+        # too, and M itself is never written
+        if path == "direct":
+            S = np.random.default_rng(1).uniform(0, 1, (40, 9))
+            matrix, rhs = assemble(S, np.random.default_rng(2).uniform(0.5, 2, 40), np.arange(40.0), 1e-4)
+        elif path == "jittered":
+            matrix, rhs = np.ones((2, 2)), np.ones(2)
+        else:
+            matrix, rhs = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0])
+        before = matrix.tobytes(), rhs.tobytes()
+        calls, factor = [], lapack.dposv
+
+        def spy(a, b, **kwargs):
+            calls.append(kwargs)
+            return factor(a, b, **kwargs)
+
+        monkeypatch.setattr(lapack, "dposv", spy)
+        work = np.full(matrix.size + 3, np.nan)  # longer than M needs
+        if path == "failing":
+            with pytest.raises(SingularSystemError, match="cond") as plain:
+                solve(matrix, rhs)
+            with pytest.raises(SingularSystemError, match="cond") as buffered:
+                solve(matrix, rhs, work=work)
+            assert str(buffered.value) == str(plain.value)
+        else:
+            x = np.append(*solve(matrix, rhs))
+            assert np.append(*solve(matrix, rhs, work=work)).tobytes() == x.tobytes()
+        attempts = 1 if path == "direct" else 2
+        assert calls == [{}] * attempts + [{"overwrite_a": 1}] * attempts
         assert (matrix.tobytes(), rhs.tobytes()) == before
 
 

@@ -4,7 +4,8 @@ Nothing in ``src/sparsim`` calls ``np.linalg.solve`` or
 ``scipy.linalg.solve`` (any ``linalg.solve``).  Every direct
 ``lapack.<routine>`` call is found, and each routine has one calling
 function: ``ridge.solve`` is the only caller of ``dposv``, so the ridge
-systems keep one Cholesky solve path, and ``baselines.lasso_similarity``
+systems keep one Cholesky solve path, and of ``dgesdd``, the singular
+values of a failed system's error message; ``baselines.lasso_similarity``
 is the only caller of ``dpotrf``, ``dpotrs`` and ``dtrtrs``, the active-set
 Cholesky factor, solves and growth of the lasso homotopy.
 """
@@ -81,6 +82,7 @@ def test_one_calling_function_per_lapack_routine():
     lasso = {"baselines.lasso_similarity"}
     assert _callers() == {
         "lapack.dposv": {"ridge.solve"},
+        "lapack.dgesdd": {"ridge.solve"},
         "lapack.dpotrf": lasso,
         "lapack.dpotrs": lasso,
         "lapack.dtrtrs": lasso,

@@ -276,6 +276,25 @@ class TestFit:
             fit(data, 2, config=config, similarity=RBF1)
         assert EVAL_COUNTER.read() == before
 
+    def test_init_outside_an_explicit_box_is_projected_before_the_first_evaluation(self, rng, monkeypatch):
+        data = Dataset(features=rng.normal(0, 1, (20, 2)), targets=rng.normal(0, 1, 20))
+        config = TrainConfig(lam=1e-3, eta=0.1, box=np.array([[-0.5, 0.5], [-1.0, 0.0]]), max_sweeps=2)
+        init = np.array([[2.0, -3.0], [0.1, 0.5]])
+        projected = np.array([[0.5, -1.0], [0.1, 0.0]])
+        expected = fit(data, 2, config=config, similarity=RBF1, init=projected)
+        first, sim_matrix = [], sim.sim_matrix
+
+        def spy(spec, rows, protos):
+            first.append(np.array(protos, copy=True))
+            return sim_matrix(spec, rows, protos)
+
+        monkeypatch.setattr(sim, "sim_matrix", spy)
+        model, trace = fit(data, 2, config=config, similarity=RBF1, init=init)
+        assert first[0].tobytes() == projected.tobytes()
+        assert trace.initial_objective == expected[1].initial_objective
+        assert trace.records == expected[1].records
+        assert model.prototypes.tobytes() == expected[0].prototypes.tobytes()
+
     def test_metadata_provenance(self, rng):
         data = Dataset(features=rng.normal(0, 1, (10, 2)), targets=rng.normal(0, 1, 10))
         config = TrainConfig(seed=4, lam=1e-4, max_sweeps=3)
