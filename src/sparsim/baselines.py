@@ -30,14 +30,13 @@ def set_median_index(X) -> int:
 
 
 def _gram(spec: sim.SimilaritySpec, X, out=None) -> np.ndarray:
-    """The n x n similarity matrix of X with itself, from its upper triangle,
+    """The n x n similarity matrix of X with itself, exactly symmetric,
     written into ``out`` (an n x n float array) when given.
 
-    Similarities are symmetric, so each block of ``GRAM_BLOCK_ROWS`` rows is
-    scored by one :func:`sim_matrix` call against the rows from its own first
-    row on, and mirrored below the diagonal: sum_b (i1 - i0)(n - i0)
-    evaluations, about n^2/2 + 32 n, instead of n^2.  The result is exactly
-    symmetric, and it holds one block beyond the matrix itself.
+    Each block of ``GRAM_BLOCK_ROWS`` rows is scored by one
+    :func:`sim_matrix` call against the rows from its own first row on and
+    mirrored below the diagonal: sum_b (i1 - i0)(n - i0) evaluations, about
+    n^2/2 + 32 n instead of n^2, holding one block beyond the matrix.
     """
     n = len(X)
     S = np.empty((n, n)) if out is None else out
@@ -126,22 +125,6 @@ SELECTORS = {"random": ps_random, "border": ps_border, "spanning": ps_spanning, 
 SEEDED_KINDS = ("random", "kmedians")  # the selectors that take baseline_pipeline's seed
 
 
-def _ridge_model(data, protos, lam, spec, metadata):
-    ridge.check_lam(lam)  # before any O(n m) work
-    if protos is data.features:
-        beta, bias = _full_ridge(data, lam, spec)
-    else:
-        # S, A' and M are each about n x m doubles: S goes when weighted_design
-        # returns and A' once M is formed, so no more than two live at once
-        S = sim.sim_matrix(spec, data.features, protos).values
-        At, rhs = ridge.weighted_design(S, data.weights, data.targets, lam)
-        del S
-        M = ridge.normal_matrix(At, lam)
-        del At
-        beta, bias = ridge.solve(M, rhs)
-    return SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=spec, metadata=metadata)
-
-
 def _full_ridge(data, lam, spec):
     """(beta, bias) of the ridge over all n training rows, in two (n+1)^2
     arrays allocated once: M = A'A + lam (one SYRK product) and a flat work
@@ -160,15 +143,14 @@ def _full_ridge(data, lam, spec):
 
 
 def kernel_ridge_full(data: Dataset, lam: float, spec: sim.SimilaritySpec) -> SparseModel:
-    """Ridge regression in similarity space over all n training prototypes.
-
-    The n x n similarities come from their upper triangle (``_gram``), so
-    training costs sum_b (i1 - i0)(n - i0) evaluations, about n^2/2 + 32 n
-    with blocks of ``GRAM_BLOCK_ROWS`` = 64 rows; a black-box scorer is
-    asked for as many pairs.  Memory peaks at two (n+1)^2 arrays
-    (``_full_ridge``).
-    """
-    return _ridge_model(data, data.features, lam, spec, {"method": "ridge", "lam": lam})
+    """Ridge regression in similarity space over all n training prototypes,
+    on :func:`_gram`'s similarities (a black-box scorer is asked for as
+    many) and in :func:`_full_ridge`'s two (n+1)^2 arrays."""
+    ridge.check_lam(lam)  # before any O(n^2) work
+    beta, bias = _full_ridge(data, lam, spec)
+    return SparseModel(
+        prototypes=data.features, beta=beta, bias=bias, similarity=spec, metadata={"method": "ridge", "lam": lam}
+    )
 
 
 def baseline_pipeline(
@@ -183,9 +165,19 @@ def baseline_pipeline(
     if kind not in SELECTORS:
         raise ValueError(f"unknown selection kind {kind!r}")
     check_size(m, data.n)
+    ridge.check_lam(lam)  # before any selection or similarity work
     idx = SELECTORS[kind](data, m, *((seed,) if kind in SEEDED_KINDS else ()))
+    protos = data.features[idx]
+    # S, A' and M are each about n x m doubles: S goes when weighted_design
+    # returns and A' once M is formed, so no more than two live at once
+    S = sim.sim_matrix(spec, data.features, protos).values
+    At, rhs = ridge.weighted_design(S, data.weights, data.targets, lam)
+    del S
+    M = ridge.normal_matrix(At, lam)
+    del At
+    beta, bias = ridge.solve(M, rhs)
     metadata = {"method": kind, "indices": [int(i) for i in idx], "lam": lam}
-    return _ridge_model(data, data.features[idx], lam, spec, metadata)
+    return SparseModel(prototypes=protos, beta=beta, bias=bias, similarity=spec, metadata=metadata)
 
 
 def lasso_kkt_residuals(S, weights, targets, beta, bias, lam1):
@@ -207,30 +199,27 @@ def lasso_similarity(
     """L1-penalized least squares over all training prototypes.
 
     One exact LARS-lasso homotopy (Osborne, Presnell & Turlach 2000; Efron et
-    al. 2004).  The unpenalized, weighted intercept is eliminated by weighted
-    centering, so the path runs on G = A'A and c = A'(sqrt(u)*(y - ybar)) for
-    A = sqrt(u)*(S - sbar), computed once; the similarity features are not
-    standardized; S comes from its upper triangle (``_gram``), about
-    n^2/2 + 32 n evaluations.  From lambda_max = max|2c| down to lam1 the active
+    al. 2004) on the similarities from :func:`_gram`, not standardized.
+    Weighted centering eliminates the unpenalized intercept, so the path
+    runs on G = A'A and c = A'(sqrt(u)*(y - ybar)) for A = sqrt(u)*(S - sbar),
+    computed once.  From lambda_max = max|2c| down to lam1 the active
     coefficients move along w = G_AA^-1 s / 2 until the next event: an
     inactive correlation 2(c - G beta) reaching +-lambda (entry), an active
     coefficient reaching zero (drop), or lam1 (stop).  The active block's
-    Cholesky factor grows by one triangular solve per entry and is re-factored
-    after a drop (LAPACK dpotrs/dtrtrs/dpotrf, called directly), so with k
-    active columns an event costs O(n k) correlations and O(k^2) solves and
-    growth, plus O(k^3) for a drop.  The active set, its signs and the
-    ratio test live in arrays allocated once per path.  A column dependent
-    on the active ones is not admitted, and a newcomer whose direction
-    opposes its sign is a drop at step zero; both are barred on that side
-    until the next event.
+    Cholesky factor grows by one triangular solve per entry and is
+    re-factored after a drop (LAPACK dpotrs/dtrtrs/dpotrf, called directly),
+    so with k active columns an event costs O(n k) correlations and O(k^2)
+    solves and growth, plus O(k^3) for a drop.  A column dependent on the
+    active ones is not admitted, and a newcomer whose direction opposes its
+    sign is a drop at step zero; both are barred on that side until the
+    next event.
 
-    The path stops after ``MAX_PATH_EVENTS`` events.  A failed
-    factorization or solve raises a ConvergenceError naming the event and
-    lambda.  The result is checked once against the optimality conditions
-    and a ConvergenceError naming the worst residual is raised if it exceeds
-    ``tol``: a non-optimal solution is never returned.  Only prototypes with
-    nonzero coefficients are kept (one zero-coefficient prototype remains in
-    the all-zero case so the model stays valid).
+    The path stops after ``MAX_PATH_EVENTS`` events.  A failed factorization
+    or solve raises a ConvergenceError naming the event and lambda, and so
+    does a result whose worst optimality residual exceeds ``tol``: a
+    non-optimal solution is never returned.  Only prototypes with nonzero
+    coefficients are kept (one zero-coefficient prototype remains in the
+    all-zero case so the model stays valid).
     """
     if not 0 <= lam1 < np.inf:
         raise ValueError(f"lam1 must be finite and >= 0, got {lam1}")

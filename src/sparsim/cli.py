@@ -272,7 +272,7 @@ def build_parser():
 
 def _blas_environment():
     """What the last bits of a run's files depend on, since a BLAS splits
-    its sums by thread count (README, "Determinism"): the BLAS build, its
+    its sums by thread count (README, "Guarantees"): the BLAS build, its
     thread settings and the CPUs this process may run on."""
     try:  # numpy < 1.25 has no mode argument
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -5,9 +5,6 @@ It is the only module that reads or writes CSV or writes JSON: one CSV
 reader whose errors name the row (and column), one CSV writer, and one
 JSON writer and one JSON form of a similarity spec for both model files
 and run manifests.
-
-Model files are versioned JSON with decimal float text that round-trips
-exactly, so saving and loading reproduces predictions bit for bit.
 """
 
 import csv

@@ -9,6 +9,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import ridge
 from . import similarity as sim
 from .errors import SimilarityEvalError
 
@@ -191,8 +192,8 @@ class TrainConfig:
     """Knobs for the alternating optimization.
 
     ``box`` constrains prototypes to per-dimension [lo, hi] bounds: None
-    disables projection, the string "data" uses the training-feature hull,
-    and an explicit (d, 2) array sets the bounds directly.
+    leaves them unbounded, the string "data" uses the training-feature
+    hull, and an explicit (d, 2) array sets the bounds directly.
     """
 
     lam: float = 1e-6
@@ -205,8 +206,7 @@ class TrainConfig:
     grad_mode: str = "analytic"
 
     def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        ridge.check_lam(self.lam)
         if not 0 < self.eta < np.inf:
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if not 0 < self.epsilon < np.inf:
@@ -217,13 +217,10 @@ class TrainConfig:
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        box = self.box
-        if box is None or (isinstance(box, str) and box == "data"):
-            pass
-        elif isinstance(box, str):
-            raise ValueError(f"box must be None, 'data', or an array, got {box!r}")
-        else:
-            box = _frozen_array(box)
+        if isinstance(self.box, str) and self.box != "data":
+            raise ValueError(f"box must be None, 'data', or an array, got {self.box!r}")
+        if self.box is not None and not isinstance(self.box, str):
+            box = _frozen_array(self.box)
             if box.ndim != 2 or box.shape[1] != 2:
                 raise ValueError(f"box must have shape (d, 2), got {box.shape}")
             # Comparisons with NaN are false, so this also rejects NaN bounds.
@@ -235,12 +232,13 @@ class TrainConfig:
 
 
 def resolve_box(box, data: Dataset):
-    """Materialize the projection bounds, or None when projection is off.
+    """Materialize the projection bounds as a (d, 2) array of (lo, hi)
+    rows; None is the unbounded box, [-inf, inf] in every dimension.
 
     An explicit box must have one (lo, hi) row per data dimension.
     """
     if box is None:
-        return None
+        return np.tile([-np.inf, np.inf], (data.dim, 1))
     if isinstance(box, str):  # "data": per-dimension hull of the training features
         return np.column_stack([data.features.min(axis=0), data.features.max(axis=0)])
     box = np.asarray(box, dtype=float)

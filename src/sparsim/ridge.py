@@ -2,16 +2,12 @@
 
 For fixed prototypes the objective is an ordinary weighted ridge
 regression in the similarity features, so the coefficients and bias come
-from one symmetric positive-definite system: the Gram matrix of
-sqrt(u) * [S, 1], solved by Cholesky.  The Gram matrix is a product of
-the weighted design A' (:func:`weighted_design`) with its transpose
-(:func:`normal_matrix`).  :func:`assemble` sums that product over blocks
-of BLOCK_ROWS rows of S, so ``fit`` holds S plus one block of A' instead
-of a second n x m array; A' is scaled as it is written, with no
-scaling buffer beside it.  The full-similarity ridge (m = n) builds A' in
-a buffer of its own and calls :func:`normal_matrix` and :func:`solve`
-itself (``baselines._full_ridge``).  When a single prototype moves, only
-its row and column change, and :func:`update_column` rewrites just those.
+from one symmetric positive-definite system M [coef; bias] = rhs: M is
+the Gram matrix of the weighted design A = sqrt(u) * [S, 1] plus lam on
+the coefficient diagonal, and :func:`solve` factors it by Cholesky.
+:func:`assemble` sums M over row blocks of S; :func:`weighted_design` and
+:func:`normal_matrix` form it as one product.  When a single prototype
+moves, :func:`update_column` rewrites just its row and column.
 """
 
 import math
@@ -74,14 +70,10 @@ def _block_system(S, u, y):
 
 
 def weighted_design(S, weights, targets, lam: float):
-    """The transposed weighted design ``A'`` and right-hand side ``rhs``
-    of the normal equations, from the similarity array S (n x m), weights
-    and targets.
-
-    A = sqrt(u) * [S, 1] and rhs = [S'(u*y); sum(u*y)] = A'(sqrt(u)*y).
+    """The transposed weighted design A' = (sqrt(u) * [S, 1])' and
+    rhs = A'(sqrt(u)*y) of the normal equations, for similarities S (n x m).
     ``lam`` is checked here although only :func:`normal_matrix` uses it,
-    so a bad value fails before any O(nm) work.
-    """
+    so a bad value fails before any O(nm) work."""
     return _design(*_checked(S, weights, targets, lam))
 
 
@@ -90,21 +82,17 @@ def normal_matrix(At, lam: float):
     [u'S, sum(u)]], from :func:`weighted_design`'s ``A'``: one symmetric
     (SYRK) product and so exactly symmetric."""
     matrix = At @ At.T
-    # the first m diagonal entries, as a strided view of the new C-ordered
-    # matrix: no index arrays beside the full ridge's two (n+1)^2 ones
-    matrix.reshape(-1)[: -1 : At.shape[0] + 1] += lam
+    matrix.reshape(-1)[: -1 : matrix.shape[0] + 1] += lam  # the first m diagonal entries, with no index array
     return matrix
 
 
 def assemble(S, weights, targets, lam: float):
     """Normal equations ``(M, rhs)``, M [coef; bias] = rhs, summed over
-    blocks of BLOCK_ROWS rows of S.
+    blocks of BLOCK_ROWS rows of S, so extra memory is one block's A'.
 
-    The inputs and ``lam`` are checked once, before any block.  Each block
-    adds its own A'_b A'_b' (a SYRK product, exactly symmetric, so the
-    sum is too) and its part of rhs; ``lam`` goes on the diagonal once, at
-    the end.  Extra memory is one block's A', not a copy of S.  The first
-    block's product is assigned, so up to BLOCK_ROWS rows this is exactly
+    Each block adds its own A'_b A'_b' (a SYRK product, exactly symmetric,
+    so the sum is too) and its part of rhs; ``lam`` goes on the diagonal
+    once, at the end.  Up to BLOCK_ROWS rows this is exactly
     :func:`normal_matrix` of :func:`weighted_design`.
     """
     S, u, y = _checked(S, weights, targets, lam)
@@ -114,18 +102,16 @@ def assemble(S, weights, targets, lam: float):
         block, part = _block_system(S[rows], u[rows], y[rows])
         matrix += block
         rhs += part
-    diag = np.arange(S.shape[1])
-    matrix[diag, diag] += lam
+    matrix.reshape(-1)[: -1 : matrix.shape[0] + 1] += lam
     return matrix, rhs
 
 
 def update_column(M, rhs, S, weights, targets, j: int, lam: float):
     """Rewrite, in place, the parts of ``M`` and ``rhs`` that depend on
-    column j of S, after that column changed.
-
-    One O(nm) product instead of the O(nm^2) of :func:`assemble`.  The
-    row is recomputed from S, so no rounding accumulates over updates, and
-    written to row and column j alike, so the matrix stays exactly symmetric.
+    column j of S, after that column changed: one O(nm) product instead of
+    the O(nm^2) of :func:`assemble`.  The row is recomputed from S, so no
+    rounding accumulates over updates, and written to row and column j
+    alike, so the matrix stays exactly symmetric.
     """
     m = rhs.shape[0] - 1
     uc = weights * S[:, j]
@@ -155,44 +141,33 @@ def _copied(M, work):
 
 
 def solve(M, rhs, work=None):
-    """Exact minimizer (coefficients, bias) of the ridge objective.
+    """Exact minimizer (coefficients, bias) of the ridge objective, by one
+    Cholesky factorization and solve (LAPACK ``dposv``); M and rhs are
+    never written.
 
-    One Cholesky factorization and solve (LAPACK ``dposv``).  A solution
-    only counts if the factorization succeeds and its residual against the
-    original matrix satisfies ||M x - rhs|| <= RESIDUAL_RTOL ||rhs||;
-    otherwise the system is treated as numerically singular (not positive
-    definite, or condition number beyond roughly 1/RESIDUAL_RTOL) and gets
-    one diagonal-jitter retry before raising SingularSystemError.
-    M comes back byte-unchanged.
-
-    ``work`` (at least M.size doubles) takes the copy of M that is factored
-    in place, for the retry too, and the one the error's condition number
-    comes from; without it ``dposv`` copies M itself, and the retry jitters
-    M's own diagonal, restored exactly after.  A nan M gives ``cond ~ nan``.
+    A solution counts only if the factorization succeeds and
+    ||M x - rhs|| <= RESIDUAL_RTOL ||rhs||; otherwise the system is
+    numerically singular and gets one diagonal-jitter retry before
+    SingularSystemError, which quotes M's condition number (nan for a nan
+    M).  ``work`` (at least M.size doubles) holds the copy of M that each
+    factorization overwrites; without it ``dposv`` copies M itself, and a
+    retry allocates one such buffer.
     """
     # sqrt(v.v) is what np.linalg.norm computes for a vector, minus its dispatch.
     tol = RESIDUAL_RTOL * max(math.sqrt(rhs.dot(rhs)), 1e-300)
+    # dposv's own copy is cheaper for a tiny system; a buffer spares a large one an allocation
     if work is None:
         x, info = lapack.dposv(M, rhs)[1:]  # the factor, a copy of M, is dropped at once
     else:
         x, info = lapack.dposv(_copied(M, work), rhs, overwrite_a=1)[1:]
     if not _solved(M, rhs, x, info, tol):
-        diag = np.arange(M.shape[0])
-        jitter = 1e-10 * np.trace(M) / M.shape[0]
-        if work is None:
-            saved = M[diag, diag]
-            M[diag, diag] += jitter
-            x, info = lapack.dposv(M, rhs)[1:]
-            M[diag, diag] = saved
-        else:
-            jittered = _copied(M, work)
-            jittered[diag, diag] += jitter
-            x, info = lapack.dposv(jittered, rhs, overwrite_a=1)[1:]
+        work = np.empty(M.size) if work is None else work
+        jittered, diag = _copied(M, work), np.arange(M.shape[0])
+        jittered[diag, diag] += 1e-10 * np.trace(M) / M.shape[0]
+        x, info = lapack.dposv(jittered, rhs, overwrite_a=1)[1:]
         if not _solved(M, rhs, x, info, tol):
-            # np.linalg.cond's ratio of singular values, from a copy that
-            # dgesdd may overwrite: in work when given, not a third n^2 array
-            a = _copied(M, np.empty(M.size) if work is None else work)
-            s, info = lapack.dgesdd(a, compute_uv=0, overwrite_a=1)[1::2]
+            # np.linalg.cond's ratio of singular values, from a copy that dgesdd may overwrite
+            s, info = lapack.dgesdd(_copied(M, work), compute_uv=0, overwrite_a=1)[1::2]
             high, low = s[[0, -1]].tolist()
             cond = math.nan if info else high / low if low > 0 else math.inf
             raise SingularSystemError(f"coefficient system is numerically singular (cond ~ {cond:.3e})")

@@ -7,13 +7,8 @@ with it.  At an exact coefficient solve the objective is stationary in
 (beta, b), so by the envelope theorem the indirect part is zero and the
 total derivative equals the direct partial derivative; that is what the
 prototype step uses.  A decaying repulsion term keeps prototypes from
-collapsing onto each other.
-
-Both parts are weighted sums of similarity gradients,
-sum_i w_i ds(x_i, z_j)/dz_j: the data term weighs training row i by
-u_i r_i (sample weight times residual), the penalty weighs every other
-prototype by 1 (``weights=None``).  Each is one
-:func:`similarity.grad_z_sum` call.
+collapsing onto each other.  The data gradient and the repulsion are
+each one :func:`similarity.grad_z_sum` call.
 """
 
 import math
@@ -106,26 +101,25 @@ def _penalty(z, others, spec, t, grad_mode):
     """Decayed gradient of prototype z's summed similarity to ``others``
     (every other prototype, at least one): t^(-PENALTY_DECAY_POWER) *
     sum_k ds(z_k, z)/dz, which the update subtracts, pushing z away from
-    nearby prototypes.
-
-    Zero for exactly coincident prototypes (the RBF gradient vanishes at
-    zero distance; the update breaks such ties with a seeded nudge).
-    """
+    nearby prototypes."""
     grad = sim.grad_z_sum(spec, others, z, None, grad_mode)
     return float(t) ** (-PENALTY_DECAY_POWER) * grad
 
 
+def _project(z, box):
+    """z clipped onto ``box``'s (lo, hi) rows; z is finite, so minimum and
+    maximum clip exactly as np.clip does, at less call cost."""
+    return np.minimum(np.maximum(z, box[:, 0]), box[:, 1])
+
+
 def _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box):
     """New position for prototype j at iteration t >= 1 and the length of
-    the step to it, ``(z_new, step_norm)``, given the cached similarity
-    matrix S and the weighted residual u*r of coefficients that solve the
-    ridge system for S exactly (the gradient omits the coefficient
-    response, which vanishes only there).
-
-    The data-term gradient is scaled by the step size, the separation
-    penalty is applied unscaled with its built-in decay, and the result is
-    projected onto ``box`` when one is given.  A non-finite update raises
-    :class:`NonFiniteUpdateError`.
+    the step to it, ``(z_new, step_norm)``, from the cached similarity
+    matrix S and the weighted residual u*r of an exact coefficient solve
+    for S, where the gradient needs no coefficient response.  The data-term
+    gradient is scaled by the step size, the penalty is applied unscaled
+    with its decay, and the result is projected onto ``box``; a non-finite
+    update raises :class:`NonFiniteUpdateError`.
     """
     grad = _data_gradient(S, data, spec, protos, beta, weighted, j, config.grad_mode)
     others = np.concatenate((protos[:j], protos[j + 1 :]))
@@ -137,9 +131,7 @@ def _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box):
     z_new = z_old - config.eta * grad - penalty
     if not np.logical_and.reduce(np.isfinite(z_new)):
         raise NonFiniteUpdateError(f"update of prototype {j} is not finite")
-    # z_new is finite, so minimum/maximum clip exactly as np.clip does, at less call cost.
-    if box is not None:
-        z_new = np.minimum(np.maximum(z_new, box[:, 0]), box[:, 1])
+    z_new = _project(z_new, box)
 
     # Coincident prototypes feel no repulsion (the similarity gradient is
     # zero at distance zero); break exact ties with a tiny seeded nudge.
@@ -147,9 +139,7 @@ def _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box):
     if others.size and math.sqrt(np.minimum.reduce(np.add.reduce((others - z_new) ** 2, axis=1))) < 1e-12:
         rng = np.random.default_rng([config.seed, t, j])
         direction = rng.standard_normal(protos.shape[1])
-        z_new = z_new + 1e-6 * direction / np.linalg.norm(direction)
-        if box is not None:
-            z_new = np.minimum(np.maximum(z_new, box[:, 0]), box[:, 1])
+        z_new = _project(z_new + 1e-6 * direction / np.linalg.norm(direction), box)
     step = z_new - z_old
     return z_new, math.sqrt(step.dot(step))
 
@@ -166,21 +156,19 @@ def fit(
     The start, ``init`` or m seeded training rows, is projected onto
     ``config.box`` before anything is evaluated.  Each iteration moves one
     prototype (round-robin) with a projected gradient step and then
-    re-solves the coefficients exactly.  Only the
-    moved prototype's similarity column, and its row and column of the
-    normal equations, are recomputed per iteration.  Besides the n x m
-    similarity matrix S, ``fit`` holds at most one 256-row block of the
-    weighted design (while assembling) or three n-vectors (the residual,
-    its weighted form and one temporary: the new column, the gradient's
-    row weights or the system update's).
-    Training stops once consecutive objective values have differed by
-    less than ``config.epsilon`` for a full sweep (m iterations in a
-    row, so a single pinned prototype cannot end the run early), or
-    after ``config.max_sweeps`` passes over the prototypes.  A gradient
-    mode the similarity lacks or a non-finite ``init`` raises before
-    training; a module error during training ends it with termination
-    reason "error", returning the last model whose coefficients solve its
-    system.
+    re-solves the coefficients exactly; only the moved prototype's
+    similarity column, and its row and column of the normal equations, are
+    recomputed.  Besides the n x m similarities S, ``fit`` holds at most
+    one ``ridge.BLOCK_ROWS``-row block of the weighted design (while
+    assembling) or three n-vectors (the residual, its weighted form and one
+    temporary: the new column, the gradient's row weights or the system
+    update's).  Training stops once consecutive objective values have
+    differed by less than ``config.epsilon`` for a full sweep (m iterations
+    in a row, so a single pinned prototype cannot end the run early), or
+    after ``config.max_sweeps`` passes over the prototypes.  A gradient mode
+    the similarity lacks or a non-finite ``init`` raises before training; a
+    module error during training ends it with termination reason "error",
+    returning the last model whose coefficients solve its system.
 
     Returns (model, trace).
     """
@@ -198,8 +186,7 @@ def fit(
         protos = init_prototypes(data, m, config.seed)
 
     box = resolve_box(config.box, data)
-    if box is not None:  # the start too: neither init nor training rows need lie in an explicit box
-        protos = np.minimum(np.maximum(protos, box[:, 0]), box[:, 1])
+    protos = _project(protos, box)  # neither init nor training rows need lie in an explicit box
     S = sim.sim_matrix(spec, data.features, protos).values
     M, rhs = ridge.assemble(S, data.weights, data.targets, config.lam)
     # Overflow past here meets a finiteness or residual check that ends the
@@ -207,7 +194,6 @@ def fit(
     with np.errstate(over="ignore", invalid="ignore"):
         beta, bias = ridge.solve(M, rhs)
         trace = TrainTrace()
-        # r and u*r are the only n-vectors kept across updates; both are rewritten in place.
         trace.initial_objective, resid, weighted = _loss(S, beta, bias, data, config.lam)
         trace.final_objective = trace.initial_objective
 

@@ -7,6 +7,7 @@ import pytest
 from sparsim import SimilaritySpec, TrainConfig, fit, gen_synthetic, kernel_ridge_full, lasso_similarity
 from sparsim import predict_batch
 from sparsim.baselines import baseline_pipeline
+from sparsim.dataio import THREE_CLUSTERS_CENTERS
 from sparsim.metrics import eval_cost, mae
 from sparsim.selection import _descend_grid
 
@@ -72,3 +73,31 @@ def test_printed_frontier(kind):
         # at three planted bumps the descent needs fewer evaluations than the lasso, for a lower error
         descent, lasso = means["descent m=3"], means["lasso_similarity lam1=0.01"]
         assert descent[0] < lasso[0] and descent[1] < lasso[1], (descent, lasso)
+
+
+def planted_distances(prototypes):
+    """For each of the three planted centres, the distance to the nearest prototype."""
+    gaps = THREE_CLUSTERS_CENTERS[:, None, :] - prototypes[None, :, :]
+    return np.min(np.linalg.norm(gaps, axis=2), axis=1)
+
+
+def test_descent_recovers_the_planted_prototypes():
+    # the interpretability claim in the input space: three_clusters' targets
+    # are RBF bumps at THREE_CLUSTERS_CENTERS, so the learned m=3 prototypes
+    # should sit on them (0.1 is 0.4 cluster std)
+    print("\nthree_clusters: distance of each planted centre to its nearest prototype")
+    for seed in range(10):
+        train = gen_synthetic("three_clusters", seed=seed)
+        spec = SimilaritySpec(kind="rbf", gamma=1.0 / train.dim)
+        descent = _descend_grid(train, (10, 8, 5, 3), c06_config(seed), spec)[-1]
+        direct = fit(train, 3, config=c06_config(seed), similarity=spec)[0]
+        print(f"  n={train.n} seed {seed}: descent {planted_distances(descent.prototypes).round(3)}"
+              f"  direct fit {planted_distances(direct.prototypes).round(3)}")
+        assert np.max(planted_distances(descent.prototypes)) <= 0.1, seed
+    # at n=2000 the prototype step is about n times longer (ROADMAP item 3): printed only
+    train = gen_synthetic("three_clusters", n=2000, seed=0)
+    spec = SimilaritySpec(kind="rbf", gamma=1.0 / train.dim)
+    descent = _descend_grid(train, (10, 8, 5, 3), c06_config(0), spec)[-1]
+    direct = fit(train, 3, config=c06_config(0), similarity=spec)[0]
+    print(f"  n=2000 seed 0: descent {planted_distances(descent.prototypes).round(3)}"
+          f"  direct fit {planted_distances(direct.prototypes).round(3)}")

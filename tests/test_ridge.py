@@ -212,9 +212,10 @@ class TestSolve:
         matrix, rhs = assemble(S, np.ones(4), [0.0, 1.0, 0.0, -1.0], 0.0)
         calls, factor = [], lapack.dposv
 
-        def spy(a, b):
-            out = factor(a, b)
-            calls.append((a.copy(), out[2]))
+        def spy(a, b, **kwargs):
+            system = a.copy()  # before the retry's in-place factorization overwrites it
+            out = factor(a, b, **kwargs)
+            calls.append((system, out[2]))
             return out
 
         monkeypatch.setattr(lapack, "dposv", spy)
@@ -255,7 +256,7 @@ class TestSolve:
         # finiteness check must catch it before the residual product warns
         attempts = []
 
-        def inf_solve(a, b):
+        def inf_solve(a, b, **kwargs):
             attempts.append(a.copy())
             return a, np.full(b.shape, np.inf), 0
 
@@ -287,7 +288,7 @@ class TestSolve:
         # counts while ||e|| <= RESIDUAL_RTOL * ||rhs||
         rhs = np.array([3.0, 4.0])  # norm 5
         error = np.array([ratio * RESIDUAL_RTOL * 5.0, 0.0])
-        monkeypatch.setattr(lapack, "dposv", lambda a, b: (a, b + error, 0))
+        monkeypatch.setattr(lapack, "dposv", lambda a, b, **kwargs: (a, b + error, 0))
         if accepted:
             beta, bias = solve(np.eye(2), rhs)
             np.testing.assert_array_equal(np.append(beta, bias), rhs + error)
@@ -298,8 +299,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("path", ["direct", "jittered", "failing"])
     def test_leaves_the_system_byte_unchanged(self, monkeypatch, path):
-        # fit rewrites one M across all its iterations, so the jittered
-        # retry must hand M's diagonal back exactly, whether it succeeds or not
+        # fit rewrites one M across all its iterations, so no path may write
+        # it: M and rhs are read-only here, and come back byte-unchanged
         if path == "direct":
             S = np.random.default_rng(0).uniform(0, 1, (12, 4))
             matrix, rhs = assemble(S, np.ones(12), np.arange(12.0), 1e-4)
@@ -307,12 +308,14 @@ class TestSolve:
             matrix, rhs = np.ones((2, 2)), np.ones(2)
         else:
             matrix, rhs = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0])
+        matrix.setflags(write=False)
+        rhs.setflags(write=False)
         before = matrix.tobytes(), rhs.tobytes()
         calls, factor = [], lapack.dposv
 
-        def spy(a, b):
+        def spy(a, b, **kwargs):
             calls.append(None)
-            return factor(a, b)
+            return factor(a, b, **kwargs)
 
         monkeypatch.setattr(lapack, "dposv", spy)
         if path == "failing":
@@ -326,7 +329,8 @@ class TestSolve:
     @pytest.mark.parametrize("path", ["direct", "jittered", "failing"])
     def test_work_buffer_gives_the_plain_solve_bit_for_bit(self, monkeypatch, path):
         # with work, M is copied there and factored in place, for the retry
-        # too, and M itself is never written
+        # too; without it only the retry factors a copy in place (in a buffer
+        # of its own), and M itself is never written
         if path == "direct":
             S = np.random.default_rng(1).uniform(0, 1, (40, 9))
             matrix, rhs = assemble(S, np.random.default_rng(2).uniform(0.5, 2, 40), np.arange(40.0), 1e-4)
@@ -353,7 +357,7 @@ class TestSolve:
             x = np.append(*solve(matrix, rhs))
             assert np.append(*solve(matrix, rhs, work=work)).tobytes() == x.tobytes()
         attempts = 1 if path == "direct" else 2
-        assert calls == [{}] * attempts + [{"overwrite_a": 1}] * attempts
+        assert calls == [{}] + [{"overwrite_a": 1}] * (2 * attempts - 1)
         assert (matrix.tobytes(), rhs.tobytes()) == before
 
 

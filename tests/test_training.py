@@ -364,7 +364,7 @@ class TestEvaluationBudget:
     eta=st.floats(0.01, 1.0),
     gamma=st.floats(0.2, 3.0),
     penalty=st.booleans(),
-    box_kind=st.sampled_from([None, "data", "explicit"]),
+    box_kind=st.sampled_from([None, "data", "explicit", "unbounded"]),
     grad_mode=st.sampled_from(["analytic", "approximate"]),
 )
 def test_fit_invariants_on_generated_problems(seed, n, d, m, eta, gamma, penalty, box_kind, grad_mode):
@@ -373,6 +373,8 @@ def test_fit_invariants_on_generated_problems(seed, n, d, m, eta, gamma, penalty
     if box_kind == "explicit":
         lo = rng.uniform(-1.0, 0.0, d)
         box = np.column_stack([lo, lo + rng.uniform(0.2, 2.0, d)])
+    elif box_kind == "unbounded":
+        box = np.tile([-np.inf, np.inf], (d, 1))
     else:
         box = box_kind
     spec = SimilaritySpec(kind="rbf", gamma=gamma)
@@ -399,6 +401,11 @@ def test_fit_invariants_on_generated_problems(seed, n, d, m, eta, gamma, penalty
     np.testing.assert_array_equal(again.prototypes, model.prototypes)
     np.testing.assert_array_equal(again.beta, model.beta)
     assert again.bias == model.bias
+    if box_kind == "unbounded":  # None is the unbounded box, byte for byte
+        unboxed, trace_unboxed = fit(data, m, config=dataclasses.replace(config, box=None), similarity=spec)
+        assert trace_unboxed.records == trace.records
+        assert unboxed.prototypes.tobytes() == model.prototypes.tobytes()
+        assert unboxed.beta.tobytes() == model.beta.tobytes() and unboxed.bias == model.bias
     # n*m initially, then n per moved column and m-1 per repulsion penalty
     assert evals == n * m + iterations * (n + (m - 1) * penalty)
 
