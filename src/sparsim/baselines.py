@@ -221,8 +221,7 @@ def lasso_similarity(
     coefficients are kept (one zero-coefficient prototype remains in the
     all-zero case so the model stays valid).
     """
-    if not 0 <= lam1 < np.inf:
-        raise ValueError(f"lam1 must be finite and >= 0, got {lam1}")
+    ridge.check_lam(lam1, "lam1")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     S = _gram(spec, data.features)

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from . import baselines, dataio, metrics, selection, similarity, training
+from . import baselines, dataio, metrics, ridge, selection, similarity, training
 from .datatypes import TrainConfig, check_size, predict_batch
 from .errors import SparsimError
 
@@ -51,7 +51,7 @@ def _grid(text):
 
 
 _grid_config = partial(selection.GridConfig, grid=(1,))
-_lam = _checked(TrainConfig, "lam")  # --lambda and --lambda1
+_lam1 = _checked(partial(ridge.check_lam, name="lam1"), "value")  # the rule lasso_similarity applies
 _m = _checked(check_size, "m", int)
 
 # The compared methods; a prototype-selection name maps to its baselines.SELECTORS kind.
@@ -196,7 +196,7 @@ def _add_common(parser, out_help="output model path (JSON)"):
     parser.add_argument("--data", required=True, help="training CSV with a header row")
     parser.add_argument("--target", required=True, help="name of the target column")
     parser.add_argument("--seed", type=_checked(TrainConfig, "seed", int), default=TrainConfig.seed)
-    parser.add_argument("--lambda", dest="lam", type=_lam, default=TrainConfig.lam,
+    parser.add_argument("--lambda", dest="lam", type=_checked(TrainConfig, "lam"), default=TrainConfig.lam,
                         help="ridge regularization (default %(default)s)")
     parser.add_argument("--gamma", type=_checked(similarity.SimilaritySpec, "gamma"), default=None,
                         help="RBF bandwidth (default 1/d)")
@@ -218,7 +218,7 @@ def _add_train_knobs(parser):
 
 def _add_comparison(parser):
     parser.add_argument("--m", type=_m, default=5, help="prototypes of the ps-* and sparse methods")
-    parser.add_argument("--lambda1", dest="lam1", type=_lam, default=1e-3, help="L1 penalty of the lasso")
+    parser.add_argument("--lambda1", dest="lam1", type=_lam1, default=1e-3, help="L1 penalty of the lasso")
     parser.add_argument("--test", default=None, help="held-out CSV to score (default: the training data)")
 
 

@@ -13,8 +13,10 @@ from . import ridge
 from . import similarity as sim
 from .errors import SimilarityEvalError
 
-# Bytes of similarities that predict_batch holds at a time.
-SCORE_BLOCK_BYTES = 1 << 21
+# Bytes of similarities that predict_batch holds at a time: cache-sized,
+# because sim_matrix sweeps a block's rows once per prototype, and rows
+# still in cache from the last sweep make the next one cheap.
+SCORE_BLOCK_BYTES = 1 << 18
 
 
 def _frozen_array(values) -> np.ndarray:

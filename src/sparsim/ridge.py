@@ -25,10 +25,12 @@ RESIDUAL_RTOL = 1e-9
 BLOCK_ROWS = 256
 
 
-def check_lam(lam):
-    """Raise ValueError unless the ridge penalty ``lam`` is finite and >= 0."""
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+def check_lam(value, name="lam"):
+    """Raise ValueError unless the penalty ``value`` is finite and >= 0;
+    the message calls it ``name``.  Every penalty's range check: the ridge
+    ``lam``, the lasso's ``lam1`` and selection's size weight ``rho``."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _checked(S, weights, targets, lam):
@@ -140,6 +142,21 @@ def _copied(M, work):
     return square.T
 
 
+def _cond_estimate(M, work):
+    """LAPACK's estimate of M's 1-norm condition number, ||M||_1 ||M^-1||_1
+    (``dlange``, then ``dgecon`` on ``dgetrf``'s LU factors of a copy of M
+    in ``work``): inf for an exactly singular or infinite M, nan for a nan
+    one.  One LU factorization, several times cheaper than the singular
+    values of an exact condition number."""
+    square = _copied(M, work)
+    norm = lapack.dlange("1", square)
+    if not math.isfinite(norm):
+        return norm
+    lu, _, info = lapack.dgetrf(square, overwrite_a=1)
+    rcond = lapack.dgecon(lu, norm)[0] if info == 0 else 0.0
+    return 1.0 / rcond if rcond > 0 else math.inf if rcond == 0 else math.nan
+
+
 def solve(M, rhs, work=None):
     """Exact minimizer (coefficients, bias) of the ridge objective, by one
     Cholesky factorization and solve (LAPACK ``dposv``); M and rhs are
@@ -148,10 +165,10 @@ def solve(M, rhs, work=None):
     A solution counts only if the factorization succeeds and
     ||M x - rhs|| <= RESIDUAL_RTOL ||rhs||; otherwise the system is
     numerically singular and gets one diagonal-jitter retry before
-    SingularSystemError, which quotes M's condition number (nan for a nan
-    M).  ``work`` (at least M.size doubles) holds the copy of M that each
-    factorization overwrites; without it ``dposv`` copies M itself, and a
-    retry allocates one such buffer.
+    SingularSystemError, which quotes an estimate of M's condition number
+    (:func:`_cond_estimate`).  ``work`` (at least M.size doubles) holds the
+    copy of M that each factorization overwrites; without it ``dposv``
+    copies M itself, and a retry allocates one such buffer.
     """
     # sqrt(v.v) is what np.linalg.norm computes for a vector, minus its dispatch.
     tol = RESIDUAL_RTOL * max(math.sqrt(rhs.dot(rhs)), 1e-300)
@@ -166,9 +183,6 @@ def solve(M, rhs, work=None):
         jittered[diag, diag] += 1e-10 * np.trace(M) / M.shape[0]
         x, info = lapack.dposv(jittered, rhs, overwrite_a=1)[1:]
         if not _solved(M, rhs, x, info, tol):
-            # np.linalg.cond's ratio of singular values, from a copy that dgesdd may overwrite
-            s, info = lapack.dgesdd(_copied(M, work), compute_uv=0, overwrite_a=1)[1::2]
-            high, low = s[[0, -1]].tolist()
-            cond = math.nan if info else high / low if low > 0 else math.inf
-            raise SingularSystemError(f"coefficient system is numerically singular (cond ~ {cond:.3e})")
+            raise SingularSystemError(
+                f"coefficient system is numerically singular (estimated cond ~ {_cond_estimate(M, work):.3e})")
     return x[:-1], float(x[-1])

@@ -11,7 +11,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import dataio, metrics
+from . import dataio, metrics, ridge
 from . import similarity as sim
 from .datatypes import Dataset, TrainConfig, is_integer, predict_batch
 from .training import fit
@@ -42,8 +42,8 @@ class GridConfig:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if not is_integer(self.folds) or self.folds < 2:
             raise ValueError(f"folds must be an integer >= 2, got {self.folds!r}")
-        if self.rho is not None and not 0 <= self.rho < np.inf:
-            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
+        if self.rho is not None:
+            ridge.check_lam(self.rho, "rho")
         object.__setattr__(self, "grid", grid)
 
     @property

@@ -128,7 +128,14 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     The RBF block sums the exact squared differences (a_p - b_p)^2 in
     ``cdist``, with no ||a||^2 + ||b||^2 - 2 a.b expansion to cancel, and
     exponentiates in place; the finiteness check sums the block, so the
-    result is its only (k, m) array, whatever d is.
+    result is its only (k, m) array, whatever d is.  The RBF block is a
+    prototype-major (Fortran-ordered) view, ``cdist(protos, rows).T``:
+    (a - b)^2 == (b - a)^2, so its values are those of
+    ``cdist(rows, protos)`` bit for bit, but ``cdist``'s inner loop then
+    runs over the k rows, not over the m prototypes, which is much faster
+    when m is small, as in the paper's models.  A caller whose BLAS
+    products must round as on a row-major S copies the block into one
+    (:func:`sparsim.training.fit` does).
     """
     rows = _as_2d(rows)
     protos = _as_2d(protos)
@@ -138,9 +145,7 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
         )
     k, m = rows.shape[0], protos.shape[0]
     if spec.kind == "rbf":
-        # one prototype, the column of every update: cdist(protos, rows).T has
-        # the same values, still contiguous, about 4x faster at (k, d) = (5000, 20)
-        values = cdist(protos, rows, "sqeuclidean").T if m == 1 else cdist(rows, protos, "sqeuclidean")
+        values = cdist(protos, rows, "sqeuclidean").T
         values *= -spec.gamma
         np.exp(values, out=values)
     elif spec.kind == "linear":
@@ -223,9 +228,11 @@ def grad_z_sum(spec: SimilaritySpec, rows, z, weights, mode: str = "analytic", c
     shift = h * np.eye(z.size)
     S = sim_matrix(spec, rows, np.vstack([z + shift, z - shift])).values
     # Finite values can still difference to inf; reject those before
-    # the contraction turns them into nan.
+    # the contraction turns them into nan.  D is row-major whatever S's
+    # layout, so the contraction's GEMV rounds alike for every kind.
     with np.errstate(over="ignore", invalid="ignore"):
-        D = (S[:, : z.size] - S[:, z.size :]) / (2.0 * h)
+        D = np.subtract(S[:, : z.size], S[:, z.size :], order="C")
+        D /= 2.0 * h
     if not np.logical_and.reduce(np.isfinite(D), axis=None):
         raise SimilarityEvalError("non-finite finite-difference similarity gradient")
     return weights @ D

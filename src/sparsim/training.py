@@ -144,6 +144,24 @@ def _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box):
     return z_new, math.sqrt(step.dot(step))
 
 
+def _similarities(spec, features, protos):
+    """The n x m similarities S, row-major, so that its GEMVs round as on a
+    row-major block.  :func:`similarity.sim_matrix` returns RBF blocks
+    prototype-major; they are copied into S ``ridge.BLOCK_ROWS`` rows at a
+    time, one block held beyond S.  Other kinds are one call: the dot
+    product is already row-major, and a matrix product's rounding can
+    depend on its row count; a black-box scorer sees all n rows at once,
+    so its failures name data rows."""
+    if spec.kind != "rbf":
+        return sim.sim_matrix(spec, features, protos).values
+    n = features.shape[0]
+    S = np.empty((n, protos.shape[0]))
+    for start in range(0, n, ridge.BLOCK_ROWS):
+        block = slice(start, start + ridge.BLOCK_ROWS)
+        S[block] = sim.sim_matrix(spec, features[block], protos).values
+    return S
+
+
 def fit(
     data: Dataset,
     m: int,
@@ -159,8 +177,9 @@ def fit(
     re-solves the coefficients exactly; only the moved prototype's
     similarity column, and its row and column of the normal equations, are
     recomputed.  Besides the n x m similarities S, ``fit`` holds at most
-    one ``ridge.BLOCK_ROWS``-row block of the weighted design (while
-    assembling) or three n-vectors (the residual, its weighted form and one
+    one ``ridge.BLOCK_ROWS``-row block of similarities (while filling S,
+    see :func:`_similarities`) or of the weighted design (while
+    assembling), or three n-vectors (the residual, its weighted form and one
     temporary: the new column, the gradient's row weights or the system
     update's).  Training stops once consecutive objective values have
     differed by less than ``config.epsilon`` for a full sweep (m iterations
@@ -187,7 +206,7 @@ def fit(
 
     box = resolve_box(config.box, data)
     protos = _project(protos, box)  # neither init nor training rows need lie in an explicit box
-    S = sim.sim_matrix(spec, data.features, protos).values
+    S = _similarities(spec, data.features, protos)
     M, rhs = ridge.assemble(S, data.weights, data.targets, config.lam)
     # Overflow past here meets a finiteness or residual check that ends the
     # fit with reason "error"; numpy's warning for it would only escape fit.

@@ -189,7 +189,8 @@ class TestKernelRidgeFull:
 
         data = Dataset(features=rng.normal(0, 1, (12, 2)), targets=rng.normal(0, 1, 12))
         model = kernel_ridge_full(data, 1e-3, RBF1)
-        S = sim_matrix(RBF1, data.features, data.features).values
+        # the row-major S that the full ridge builds; sim_matrix's is prototype-major
+        S = np.ascontiguousarray(sim_matrix(RBF1, data.features, data.features).values)
         beta, bias = solve(*assemble(S, data.weights, data.targets, 1e-3))
         # the same kernels in the same order, only S and A' freed earlier
         np.testing.assert_array_equal(model.beta, beta)
@@ -503,7 +504,8 @@ def test_full_baselines_from_the_gram_equal_those_from_one_block(monkeypatch, se
     blocked = [fit() for fit in fits]
 
     def one_block_gram(spec, X, out=None):
-        S = sim_matrix(spec, X, X).values
+        # the row-major Gram that _gram builds; sim_matrix's is prototype-major
+        S = np.ascontiguousarray(sim_matrix(spec, X, X).values)
         if out is None:
             return S
         out[...] = S

@@ -102,6 +102,13 @@ class TestTrain:
             run(["train", "--m", "0", "--data", train_csv, "--target", "target", "--out", tmp_path / "m.json"])
         assert "argument --m: m must be an integer >= 1, got 0\n" in capsys.readouterr().err
 
+    def test_lambda1_usage_error_names_lam1(self, tmp_path, train_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["baseline", "--method", "lasso", "--lambda1", "-1", "--data", train_csv, "--target", "target",
+                 "--out", tmp_path / "m.json"])
+        assert exc.value.code == 2
+        assert "argument --lambda1: lam1 must be finite and >= 0, got -1.0\n" in capsys.readouterr().err
+
     def test_gamma_sets_the_rbf_bandwidth(self, tmp_path, train_csv):
         out = tmp_path / "model.json"
         assert run(["train", "--data", train_csv, "--target", "target", "--m", "2",

@@ -130,6 +130,24 @@ class TestPredict:
         assert len(values) == 1
 
 
+def assert_blocks_bit_identical_to_one_block(rng, m, k):
+    model = toy_model(rng.normal(0, 1, (m, 3)), rng.normal(0, 1, m), bias=0.3, spec=SimilaritySpec("rbf", gamma=0.4))
+    rows = rng.normal(0, 1, (k, 3))
+    expected = sim_matrix(model.similarity, rows, model.prototypes).values @ model.beta + model.bias
+    before = EVAL_COUNTER.read()
+    pred = predict_batch(model, rows)
+    assert EVAL_COUNTER.read() - before == k * model.m
+    assert pred.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+@pytest.mark.parametrize("k", [65_537, 70_001])
+def test_default_blocks_are_bit_identical_to_one_block(rng, m, k):
+    # several blocks of the default SCORE_BLOCK_BYTES at every m; at m=1 a
+    # single last row joins the block before it
+    assert_blocks_bit_identical_to_one_block(rng, m, k)
+
+
 class TestPredictBlocks:
     """predict_batch with SCORE_BLOCK_BYTES patched so that blocks hold 256 rows."""
 
@@ -139,13 +157,8 @@ class TestPredictBlocks:
 
     @pytest.mark.parametrize("k", [255, 256, 257, 513])
     def test_blocks_are_bit_identical_to_one_block(self, rng, k):
-        model = toy_model(rng.normal(0, 1, (7, 3)), rng.normal(0, 1, 7), bias=0.3, spec=SimilaritySpec("rbf", gamma=0.4))
-        rows = rng.normal(0, 1, (k, 3))
-        expected = sim_matrix(model.similarity, rows, model.prototypes).values @ model.beta + model.bias
-        before = EVAL_COUNTER.read()
-        pred = predict_batch(model, rows)
-        assert EVAL_COUNTER.read() - before == k * model.m
-        assert pred.tobytes() == expected.tobytes()
+        for m in (1, 3, 7):
+            assert_blocks_bit_identical_to_one_block(rng, m, k)
 
     def test_nonfinite_last_row_rejected_before_any_evaluation(self, rng):
         model = toy_model(rng.normal(0, 1, (2, 3)), [1.0, 2.0])

@@ -7,6 +7,7 @@ from conftest import einsum_rbf_matrix
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from sparsim import SparseModel, predict_batch
 from sparsim import similarity as sim
@@ -222,6 +223,15 @@ class TestSimMatrix:
                    LINEAR: np.array([[r @ p for p in protos] for r in rows])}
         for spec, oracle in oracles.items():
             np.testing.assert_allclose(sim_matrix(spec, rows, protos).values, oracle, rtol=1e-14)
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (5000, 1), (250, 3), (64, 1000)])
+    def test_rbf_block_is_the_row_major_cdist_bit_for_bit(self, rng, k, m):
+        # the block runs cdist prototype-major; its values are exp(-gamma * cdist(rows, protos))
+        rows, protos = rng.normal(0, 1, (k, 5)), rng.normal(0, 1, (m, 5))
+        spec = SimilaritySpec(kind="rbf", gamma=0.3)
+        S = sim_matrix(spec, rows, protos).values
+        assert S.shape == (k, m) and S.flags.f_contiguous
+        assert np.ascontiguousarray(S).tobytes() == np.exp(-0.3 * cdist(rows, protos, "sqeuclidean")).tobytes()
 
     @pytest.mark.parametrize("k, m, d", [(1, 1, 1), (1, 6, 2), (9, 1, 1), (7, 1, 50), (30, 12, 50)])
     def test_rbf_matches_eval_across_shapes(self, rng, k, m, d):

@@ -4,8 +4,9 @@ Nothing in ``src/sparsim`` calls ``np.linalg.solve`` or
 ``scipy.linalg.solve`` (any ``linalg.solve``).  Every direct
 ``lapack.<routine>`` call is found, and each routine has one calling
 function: ``ridge.solve`` is the only caller of ``dposv``, so the ridge
-systems keep one Cholesky solve path, and of ``dgesdd``, the singular
-values of a failed system's error message; ``baselines.lasso_similarity``
+systems keep one Cholesky solve path, and ``ridge._cond_estimate`` of
+``dlange``, ``dgetrf`` and ``dgecon``, the condition estimate of a failed
+system's error message; ``baselines.lasso_similarity``
 is the only caller of ``dpotrf``, ``dpotrs`` and ``dtrtrs``, the active-set
 Cholesky factor, solves and growth of the lasso homotopy.
 """
@@ -82,7 +83,9 @@ def test_one_calling_function_per_lapack_routine():
     lasso = {"baselines.lasso_similarity"}
     assert _callers() == {
         "lapack.dposv": {"ridge.solve"},
-        "lapack.dgesdd": {"ridge.solve"},
+        "lapack.dlange": {"ridge._cond_estimate"},
+        "lapack.dgetrf": {"ridge._cond_estimate"},
+        "lapack.dgecon": {"ridge._cond_estimate"},
         "lapack.dpotrf": lasso,
         "lapack.dpotrs": lasso,
         "lapack.dtrtrs": lasso,

@@ -14,8 +14,8 @@ from sparsim import select_model_size
 from sparsim import similarity as sim
 from sparsim import training
 from sparsim.datatypes import resolve_box
-from sparsim.errors import SparsimError, UnsupportedGradModeError
-from sparsim.ridge import assemble
+from sparsim.errors import SimilarityEvalError, SparsimError, UnsupportedGradModeError
+from sparsim.ridge import BLOCK_ROWS, assemble
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise
 from sparsim.training import IterationRecord, init_prototypes
 
@@ -275,6 +275,18 @@ class TestFit:
         with pytest.raises(ValueError, match=f"box has {rows} rows but the data have 2 dimensions"):
             fit(data, 2, config=config, similarity=RBF1)
         assert EVAL_COUNTER.read() == before
+
+    def test_nonfinite_similarity_names_the_data_row_not_the_block_row(self):
+        # a fit's similarities may be scored in blocks of BLOCK_ROWS rows; a
+        # bad value in the second block is named by its row in the data
+        n = 2 * BLOCK_ROWS + 100
+        spec = SimilaritySpec(
+            kind="blackbox", blackbox_id="nan300", scorer=pairwise(lambda a, b: np.nan if a[0] == 300 else 1.0)
+        )
+        data = Dataset(features=np.arange(float(n))[:, None], targets=np.zeros(n))
+        config = TrainConfig(grad_mode="approximate", max_sweeps=1)
+        with pytest.raises(SimilarityEvalError, match=r"non-finite similarity at row 300, column 0$"):
+            fit(data, 2, config=config, similarity=spec)
 
     def test_init_outside_an_explicit_box_is_projected_before_the_first_evaluation(self, rng, monkeypatch):
         data = Dataset(features=rng.normal(0, 1, (20, 2)), targets=rng.normal(0, 1, 20))
