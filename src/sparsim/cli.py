@@ -74,7 +74,7 @@ def _stem(path):
 
 
 def _similarity_spec(args, dim, bridges):
-    if getattr(args, "blackbox", None) is not None:
+    if args.blackbox is not None:
         return bridges.enter_context(dataio.blackbox_bridge(args.blackbox)).spec
     if args.gamma is None:
         return similarity.default_spec(dim)
@@ -183,8 +183,7 @@ def cmd_predict(args, bridges):
     if args.blackbox is not None:
         if model.similarity.kind != "blackbox":
             raise ValueError(f"--blackbox needs a black-box model, not one of {model.similarity.kind} similarity")
-        bridge = bridges.enter_context(dataio.blackbox_bridge(args.blackbox))
-        model = replace(model, similarity=bridge.spec)
+        model = replace(model, similarity=_similarity_spec(args, model.dim, bridges))
     rows = dataio.load_features(args.data, args.target)
     predictions = predict_batch(model, rows)
     dataio.write_table(args.out, ["prediction"], ([value] for value in predictions))
@@ -198,8 +197,10 @@ def _add_common(parser, out_help="output model path (JSON)"):
     parser.add_argument("--seed", type=_checked(TrainConfig, "seed", int), default=TrainConfig.seed)
     parser.add_argument("--lambda", dest="lam", type=_checked(TrainConfig, "lam"), default=TrainConfig.lam,
                         help="ridge regularization (default %(default)s)")
-    parser.add_argument("--gamma", type=_checked(similarity.SimilaritySpec, "gamma"), default=None,
+    choice = parser.add_mutually_exclusive_group()
+    choice.add_argument("--gamma", type=_checked(similarity.SimilaritySpec, "gamma"), default=None,
                         help="RBF bandwidth (default 1/d)")
+    choice.add_argument("--blackbox", default=None, help="command of a line-protocol similarity scorer")
     parser.add_argument("--out", required=True, help=out_help)
 
 
@@ -212,7 +213,6 @@ def _add_train_knobs(parser):
                         help="do not repel nearby prototypes")
     parser.add_argument("--box", nargs="?", type=_checked(TrainConfig, "box", _box), const="data",
                         help="projection bounds: 'data' for the feature hull or 'lo,hi'")
-    parser.add_argument("--blackbox", default=None, help="command of a line-protocol similarity scorer")
     parser.set_defaults(**{f.name: f.default for f in fields(TrainConfig)})
 
 

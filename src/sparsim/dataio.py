@@ -18,7 +18,7 @@ import threading
 import numpy as np
 
 from . import similarity as sim
-from .datatypes import Dataset, SparseModel
+from .datatypes import Dataset, SparseModel, is_integer
 from .errors import BlackboxError, DataFormatError
 
 MODEL_FORMAT_VERSION = 1
@@ -95,6 +95,8 @@ def load_csv(path, target_column: str, group_column: str = None) -> Dataset:
     All columns except the target (and optional group) become features,
     in header order.  Parse failures report the offending row and column.
     """
+    if group_column == target_column:
+        raise ValueError(f"group column {group_column!r} is the target column")
     columns = [target_column] if group_column is None else [target_column, group_column]
     header, rows = _read_rows(path, columns)
     if not rows:
@@ -220,7 +222,9 @@ def gen_synthetic(kind: str, n: int = None, seed: int = 0) -> Dataset:
     """
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
-    n = _DEFAULT_N[kind] if n is None else int(n)
+    n = _DEFAULT_N[kind] if n is None else n
+    if not is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)

@@ -347,20 +347,49 @@ class TestBlackbox:
         assert not out.exists()
         assert not (tmp_path / "model.manifest.json").exists()
 
-    @pytest.mark.parametrize("subcommand", ["train", "select-m", "bench", "predict"])
+    @pytest.mark.parametrize("subcommand", ["train", "select-m", "baseline", "bench", "predict"])
     def test_empty_command_is_runtime_error(self, tmp_path, train_csv, bridges, capsys, subcommand):
         # an empty --blackbox names a scorer that cannot start; it is not an absent flag
         model = tmp_path / "blackbox.json"
         sparsim.save_model(sparsim.SparseModel(prototypes=[[0.0, 0.0]], beta=[1.0], bias=0.0,
                                                similarity=SimilaritySpec(kind="blackbox", blackbox_id="m")), model)
         out = tmp_path / "out.json"
-        extra = {"train": ["--m", "2"], "select-m": ["--grid", "3,2"], "bench": ["--methods", "sparse"],
-                 "predict": ["--model", model]}[subcommand]
+        extra = {"train": ["--m", "2"], "select-m": ["--grid", "3,2"], "baseline": ["--method", "ridge"],
+                 "bench": ["--methods", "sparse"], "predict": ["--model", model]}[subcommand]
         code = run([subcommand, "--data", train_csv, "--target", "target", "--blackbox", "", "--out", out, *extra])
         assert code == 1
         assert "error: empty scorer command ''" in capsys.readouterr().err
         assert bridges == []
         assert not out.exists()
+
+    def test_baseline_in_a_scorer_space_matches_its_bench_row(self, tmp_path, train_csv, bridges):
+        # the black-box twin of TestBench::test_single_method_matches_baseline_metrics
+        command = self.scorer(tmp_path, RBF_SCORER)
+        common = ["--data", train_csv, "--target", "target", "--m", "4", "--seed", "3", "--blackbox", command]
+        assert run(["bench", *common, "--methods", "ps-km", "--out", tmp_path / "bench.csv"]) == 0
+        assert run(["baseline", *common, "--method", "ps-km", "--out", tmp_path / "base.json"]) == 0
+        self.assert_closed(bridges)
+        header, row = read_rows(tmp_path / "bench.csv")
+        metrics_rows = read_rows(tmp_path / "base.metrics.csv")[1:]
+        assert {name: row[header.index(name)] for name, _ in metrics_rows} == dict(metrics_rows)
+        assert load_model(tmp_path / "base.json").similarity.blackbox_id == command
+        manifest = json.loads((tmp_path / "base.manifest.json").read_text())
+        assert manifest["config"]["similarity"]["blackbox_id"] == command
+
+    @pytest.mark.parametrize("subcommand, extra", [
+        ("train", ["--m", "2"]), ("select-m", ["--grid", "3,2"]), ("baseline", ["--method", "ps-km"]),
+        ("bench", ["--methods", "ps-km"]),
+    ])
+    def test_gamma_with_blackbox_is_usage_error(self, tmp_path, train_csv, bridges, capsys, subcommand, extra):
+        # the pair used to give a black-box run whose manifest read "gamma": null
+        command = self.scorer(tmp_path, RBF_SCORER)
+        with pytest.raises(SystemExit) as exc:
+            run([subcommand, "--data", train_csv, "--target", "target", "--gamma", "0.5", "--blackbox", command,
+                 "--out", tmp_path / "out.json", *extra])
+        assert exc.value.code == 2
+        assert "argument --blackbox: not allowed with argument --gamma" in capsys.readouterr().err
+        assert bridges == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["scorer.py", "train.csv"]
 
 
 class TestSelectM:
@@ -389,6 +418,14 @@ class TestSelectM:
                     "--rho", "1e9", "--folds", "3", "--max-sweeps", "5", "--out", out])
         assert code == 0
         assert load_model(out).m == 2
+
+    def test_group_column_that_is_the_target_is_runtime_error(self, tmp_path, train_csv, capsys):
+        out = tmp_path / "model.json"
+        code = run(["select-m", "--data", train_csv, "--target", "target", "--group-column", "target",
+                    "--out", out])
+        assert code == 1
+        assert "error: group column 'target' is the target column" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBaseline:

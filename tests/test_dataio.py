@@ -126,6 +126,11 @@ class TestCsv:
         np.testing.assert_array_equal(back.targets, data.targets)
         assert back.groups.tolist() == data.groups.tolist()
 
+    def test_group_column_that_is_the_target_fails_before_reading(self, tmp_path):
+        # the target values were read as subject ids; the file is not opened
+        with pytest.raises(ValueError, match="group column 'y' is the target column"):
+            load_csv(tmp_path / "absent.csv", "y", group_column="y")
+
     def test_write_is_byte_deterministic(self, tmp_path, rng):
         data = Dataset(features=rng.normal(0, 1, (5, 2)), targets=rng.normal(0, 1, 5))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -270,6 +275,15 @@ class TestGenerators:
             gen_synthetic("spiral")
         with pytest.raises(ValueError, match="need n >= 2, got 1"):
             gen_synthetic("ring", n=1)
+
+    @pytest.mark.parametrize("n", [2.9, 7.0, "7", True])
+    def test_n_that_is_not_an_integer(self, n):
+        # int(n) gave 2 rows for 2.9 and 7 for "7", and read True as n = 1
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            gen_synthetic("ring", n=n)
+
+    def test_numpy_integer_n(self):
+        assert gen_synthetic("ring", n=np.int64(7)).n == 7
 
 
 RBF_SCORER = """\

@@ -1,15 +1,19 @@
 """The paper's headline claim, accuracy near the full-similarity baseline at
 a fraction of its test-time cost, measured along the frontier."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparsim import SimilaritySpec, TrainConfig, fit, gen_synthetic, kernel_ridge_full, lasso_similarity
-from sparsim import predict_batch
+from sparsim import EVAL_COUNTER, SimilaritySpec, TrainConfig, fit, gen_synthetic, kernel_ridge_full
+from sparsim import lasso_similarity, predict_batch
 from sparsim.baselines import baseline_pipeline
-from sparsim.dataio import THREE_CLUSTERS_CENTERS
-from sparsim.metrics import eval_cost, mae
+from sparsim.dataio import SYNTHETIC_KINDS, THREE_CLUSTERS_CENTERS
+from sparsim.metrics import error_rate, eval_cost, mae
 from sparsim.selection import _descend_grid
+from test_baselines import gram_evaluations
 
 FRONTIER_SIZES = (2, 3, 5, 8)
 
@@ -101,3 +105,46 @@ def test_descent_recovers_the_planted_prototypes():
     direct = fit(train, 3, config=c06_config(0), similarity=spec)[0]
     print(f"  n=2000 seed 0: descent {planted_distances(descent.prototypes).round(3)}"
           f"  direct fit {planted_distances(direct.prototypes).round(3)}")
+
+
+def measured(train):
+    """``train()``'s result, seconds, similarity evaluations and tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        before, started = EVAL_COUNTER.read(), time.perf_counter()
+        result = train()
+        seconds, evaluations = time.perf_counter() - started, EVAL_COUNTER.read() - before
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, seconds, evaluations, peak
+
+
+def test_headline_at_n_1000():
+    # the claim at a size where the full baselines' n^2 shows: exact training
+    # evaluations asserted; time, memory and test error printed (ROADMAP item 5)
+    n = 1000
+    print(f"\nn={n} seed 0: train seconds, tracemalloc peak / (8 n^2 B), training evaluations, "
+          "test MAE (error rate for +-1 targets), evaluations per prediction")
+    for kind in SYNTHETIC_KINDS:
+        train = gen_synthetic(kind, n=n, seed=0)
+        test = gen_synthetic(kind, n=n, seed=10_000)
+        score = error_rate if set(np.unique(train.targets)) <= {-1.0, 1.0} else mae
+        spec = SimilaritySpec(kind="rbf", gamma=1.0 / train.dim)
+        runs = {
+            "kernel_ridge_full lam=0.01": lambda: kernel_ridge_full(train, 1e-2, spec),
+            "lasso_similarity lam1=0.01": lambda: lasso_similarity(train, 1e-2, spec),
+            **{f"fit m={m}": (lambda m=m: fit(train, m, config=c06_config(0), similarity=spec)) for m in (3, 8)},
+        }
+        for name, run in runs.items():
+            result, seconds, evaluations, peak = measured(run)
+            if name.startswith("fit"):
+                model, trace = result
+                assert evaluations == n * model.m + len(trace.records) * (n + model.m - 1), name
+            else:
+                model = result
+                assert evaluations == gram_evaluations(n), name
+            assert eval_cost(model) == model.m
+            error = score(predict_batch(model, test.features), test.targets)
+            print(f"  {kind:15s} {name:26s} {seconds:6.3f}s {peak / (8 * n * n):6.3f} {evaluations:8d} "
+                  f"{error:.4f} {model.m:5d}")
