@@ -13,9 +13,11 @@ from . import ridge
 from . import similarity as sim
 from .errors import SimilarityEvalError
 
-# Bytes of similarities that predict_batch holds at a time: cache-sized,
-# because sim_matrix sweeps a block's rows once per prototype, and rows
-# still in cache from the last sweep make the next one cheap.
+# Bytes that predict_batch holds at a time besides its output: a block's
+# similarities (8 per value) and its rows' finiteness mask (1 per input
+# value).  Cache-sized, because sim_matrix sweeps a block's rows once per
+# prototype, and rows still in cache from the last sweep make the next
+# one cheap.
 SCORE_BLOCK_BYTES = 1 << 18
 
 
@@ -146,47 +148,62 @@ def check_size(m: int, n: Optional[int] = None) -> None:
 
 def predict(model: SparseModel, x) -> float:
     """Score one sample: sum_j beta_j * s(x, z_j) + bias, the one-row case
-    of :func:`predict_batch` (exactly m similarity evaluations)."""
+    of :func:`predict_batch`: exactly m similarity evaluations, and memory
+    for the m similarities and the row's d-entry finiteness mask."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a vector of dimension {model.dim}, got shape {x.shape}")
     return float(predict_batch(model, x[None, :])[0])
 
 
-def _score(model: SparseModel, rows) -> np.ndarray:
-    return sim.sim_matrix(model.similarity, rows, model.prototypes).values @ model.beta + model.bias
+def _check_finite(rows) -> None:
+    """Raise unless every entry of ``rows`` is finite: one reduction over a
+    one-byte-per-entry mask."""
+    if not np.logical_and.reduce(np.isfinite(rows), axis=None):
+        raise ValueError("inputs must be finite")
 
 
 def predict_batch(model: SparseModel, rows) -> np.ndarray:
     """Score many samples at once (k rows cost k*m evaluations).
 
-    Rows are scored in blocks of at most ``SCORE_BLOCK_BYTES`` of
-    similarities, and at least 256 rows, so memory stays bounded whatever
-    k is; a batch that fits in one block is one :func:`sim_matrix` call.
+    Rows are scored in blocks whose similarities (8 bytes a value) and
+    finiteness mask (a byte per input value) fit in ``SCORE_BLOCK_BYTES``,
+    but of at least 256 rows; a batch that fits in one block is one
+    :func:`sim_matrix` call.  Finiteness is checked by one reduction per
+    block, every block before the first evaluation, so besides the k
+    predictions scoring holds one block of similarities and one block of
+    the mask, whatever k and d are.
     Blocks start at multiples of 256 rows, where the GEMV rounds a row
     alike wherever it sits, so with one BLAS thread every prediction is
-    bit-identical to scoring the whole batch as one block.  Every row is
-    checked before the first evaluation.
+    bit-identical to scoring the whole batch as one block.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != model.dim:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim < 2:
+        rows = np.atleast_2d(rows)
+    if rows.ndim != 2 or rows.shape[1] != model.dim:
         raise ValueError(f"expected rows of dimension {model.dim}, got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("inputs must be finite")
     k = rows.shape[0]
-    step = max(256, SCORE_BLOCK_BYTES // (8 * model.m) // 256 * 256)
+    step = max(256, SCORE_BLOCK_BYTES // (8 * model.m + model.dim) // 256 * 256)
     if k <= step:
-        return _score(model, rows)
+        _check_finite(rows)
+        scores = sim.sim_matrix(model.similarity, rows, model.prototypes).values.dot(model.beta)
+        scores += model.bias
+        return scores
     # numpy scores a one-row block by a dot product, not the GEMV, which
     # rounds differently, so a last single row joins the block before it
     bounds = [*range(0, k - 1, step), k]
-    out = np.empty(k)
-    for start, stop in zip(bounds, bounds[1:]):
+    blocks = list(zip(bounds, bounds[1:]))
+    for start, stop in blocks:
+        _check_finite(rows[start:stop])
+    scores = np.empty(k)
+    for start, stop in blocks:
         try:
-            out[start:stop] = _score(model, rows[start:stop])
+            values = sim.sim_matrix(model.similarity, rows[start:stop], model.prototypes).values
         except SimilarityEvalError as exc:  # name the rows of the batch, not of the block
             raise type(exc)(f"scoring rows {start}..{stop - 1}: {exc}") from exc
-    return out
+        values.dot(model.beta, out=scores[start:stop])
+    scores += model.bias
+    return scores
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .errors import BlackboxError, SimilarityEvalError, UnsupportedGradModeError
 
 KINDS = ("rbf", "linear", "blackbox")
 GRAD_MODES = ("analytic", "approximate", "numeric")
+_FLOAT64 = np.dtype(np.float64)
 
 
 class EvalCounter:
@@ -108,8 +109,11 @@ def eval(spec: SimilaritySpec, a, b) -> float:
 
 
 def _as_2d(x) -> np.ndarray:
-    """``x`` as a two-dimensional float array, skipping the costly
-    ``np.atleast_2d`` call when it already has two dimensions."""
+    """``x`` as a two-dimensional float array: a 2-D float64 ndarray as it
+    is, with no conversion call, and ``np.atleast_2d`` only below two
+    dimensions."""
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype is _FLOAT64:
+        return x
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         return x

@@ -599,6 +599,9 @@ class TestPredict:
                     "--out", pred_out]) == 0
         rows = read_rows(pred_out)
         assert rows == [["prediction"]]
+        manifest = json.loads((tmp_path / "pred.manifest.json").read_text())
+        assert manifest["subcommand"] == "predict"
+        assert manifest["similarity_evaluations"] == 0
 
     def test_empty_input_of_the_wrong_width_is_runtime_error(self, tmp_path, train_csv, capsys):
         model_out = tmp_path / "model.json"

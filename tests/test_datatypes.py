@@ -1,8 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import objective
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparsim import datatypes
 from sparsim import Dataset, SparseModel, TrainConfig, baseline_pipeline, fit, gen_synthetic, init_prototypes
@@ -143,9 +146,24 @@ def assert_blocks_bit_identical_to_one_block(rng, m, k):
 @pytest.mark.parametrize("m", [1, 3, 7])
 @pytest.mark.parametrize("k", [65_537, 70_001])
 def test_default_blocks_are_bit_identical_to_one_block(rng, m, k):
-    # several blocks of the default SCORE_BLOCK_BYTES at every m; at m=1 a
-    # single last row joins the block before it
+    # several blocks of the default SCORE_BLOCK_BYTES at every m (a single
+    # last row joining the block before it is TestPredictBlocks' k=257, 513)
     assert_blocks_bit_identical_to_one_block(rng, m, k)
+
+
+def test_peak_memory_is_the_output_and_a_block_whatever_k_and_d(rng):
+    # d >> m: a (k, d) finiteness mask would outweigh the output and
+    # every block of similarities
+    k, d, m = 20_000, 200, 3
+    model = toy_model(rng.normal(0, 1, (m, d)), rng.normal(0, 1, m), spec=SimilaritySpec("rbf", gamma=1.0 / d))
+    rows = rng.normal(0, 1, (k, d))
+    tracemalloc.start()
+    try:
+        predict_batch(model, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * k + 2 * datatypes.SCORE_BLOCK_BYTES
 
 
 class TestPredictBlocks:
@@ -188,6 +206,53 @@ class TestPredictBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * k * m / 4
+
+
+def input_forms(rows):
+    """(the float64 rows scored, the form predict_batch is handed) per form."""
+    ints, singles = np.rint(3 * rows), rows.astype(np.float32)
+    forms = {
+        "float64": (rows, rows),
+        "int": (ints, ints.astype(np.int64)),
+        "float32": (singles.astype(float), singles),
+        "fortran": (rows, np.asfortranarray(rows)),
+        "strided": (rows, np.repeat(rows, 2, axis=0)[::2]),
+    }
+    if rows.shape[0]:  # [] has no row width
+        forms["list"] = (rows, rows.tolist())
+        forms["row"] = (rows[:1], rows[0])
+    return forms
+
+
+@given(
+    k=st.integers(0, 2).flatmap(lambda blocks: st.integers(256 * blocks, 256 * blocks + 88)),
+    m=st.integers(1, 8),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scoring_path_property(k, m, d, seed):
+    """Whatever form the rows come in, 256-row blocks score them byte for
+    byte as one ``sim_matrix`` block of their float64 values, at exactly
+    k*m evaluations; ``predict`` scores a row as its row of the batch, up
+    to the rounding of a dot product against the GEMV's."""
+    rng = np.random.default_rng(seed)
+    model = toy_model(rng.normal(0, 1, (m, d)), rng.normal(0, 1, m), bias=rng.normal(),
+                      spec=SimilaritySpec("rbf", gamma=0.5 / d))
+    rows = rng.normal(0, 1, (k, d))
+    for form, (values, given_rows) in input_forms(rows).items():
+        expected = sim_matrix(model.similarity, values, model.prototypes).values @ model.beta + model.bias
+        with mock.patch.object(datatypes, "SCORE_BLOCK_BYTES", 1):
+            before = EVAL_COUNTER.read()
+            pred = predict_batch(model, given_rows)
+            assert EVAL_COUNTER.read() - before == values.shape[0] * m, form
+        assert pred.dtype == np.float64 and pred.shape == (values.shape[0],), form
+        assert pred.tobytes() == expected.tobytes(), form
+    if k:
+        batch = predict_batch(model, rows)
+        # RBF values lie in [0, 1], so each sum is at most |beta|_1 + |bias|
+        tol = 2 * (m + 1) * np.finfo(float).eps * (np.abs(model.beta).sum() + abs(model.bias))
+        i = k // 2
+        assert abs(predict(model, rows[i]) - batch[i]) <= tol
 
 
 class TestObjective:
