@@ -18,6 +18,8 @@ MAX_PATH_EVENTS = 10_000
 MEDIAN_BLOCK_ROWS = 256
 # Rows of the full baselines' similarity matrix that one sim_matrix call scores.
 GRAM_BLOCK_ROWS = 64
+# Rows of the full ridge's system M per panel product, the one buffer beside its (n+1)^2 array.
+PANEL_ROWS = 128
 
 
 def set_median_index(X) -> int:
@@ -31,24 +33,19 @@ def set_median_index(X) -> int:
 
 def _gram(spec: sim.SimilaritySpec, X, out=None) -> np.ndarray:
     """The n x n similarity matrix of X with itself, exactly symmetric,
-    written into ``out`` (an n x n float array) when given.
+    written into ``out`` (an n x n float array or view) when given.
 
     Each block of ``GRAM_BLOCK_ROWS`` rows is scored by one
-    :func:`sim_matrix` call against the rows from its own first row on and
-    mirrored below the diagonal: sum_b (i1 - i0)(n - i0) evaluations, about
-    n^2/2 + 32 n instead of n^2, holding one block beyond the matrix.
+    :func:`sim_matrix` call against the rows from its own first row on,
+    then the upper triangle is mirrored: sum_b (i1 - i0)(n - i0)
+    evaluations, about n^2/2 + 32 n instead of n^2, holding one block
+    beyond the matrix.
     """
     n = len(X)
     S = np.empty((n, n)) if out is None else out
     for i0 in range(0, n, GRAM_BLOCK_ROWS):
-        i1 = min(i0 + GRAM_BLOCK_ROWS, n)
-        block = sim.sim_matrix(spec, X[i0:i1], X[i0:]).values
-        S[i0:i1, i0:] = block
-        S[i1:, i0:i1] = block[:, i1 - i0 :].T
-        # the diagonal block's lower triangle from its upper one
-        diagonal, below = S[i0:i1, i0:i1], np.tri(i1 - i0, k=-1, dtype=bool)
-        diagonal[below] = diagonal.T[below]
-    return S
+        S[i0 : i0 + GRAM_BLOCK_ROWS, i0:] = sim.sim_matrix(spec, X[i0 : i0 + GRAM_BLOCK_ROWS], X[i0:]).values
+    return ridge.mirror_upper(S)
 
 
 def ps_random(data: Dataset, m: int, seed: int) -> np.ndarray:
@@ -126,26 +123,34 @@ SEEDED_KINDS = ("random", "kmedians")  # the selectors that take baseline_pipeli
 
 
 def _full_ridge(data, lam, spec):
-    """(beta, bias) of the ridge over all n training rows, in two (n+1)^2
-    arrays allocated once: M = A'A + lam (one SYRK product) and a flat work
-    buffer that holds in turn S (the Gram, in its first n rows of n), A' =
-    [S sqrt(u); sqrt(u)'] (S scaled in place: S is exactly symmetric, so
-    this is weighted_design's A' bit for bit) and M's Cholesky factor.
-    Both are freed on return, before the model is built."""
+    """(beta, bias) of the ridge over all n training rows, in one (n+1)^2
+    array W and one panel of PANEL_ROWS rows, about (n+1)^2 + PANEL_ROWS
+    (n+1) doubles.  W holds in turn S (the Gram, in its leading n x n
+    block), A' = [S sqrt(u); sqrt(u)'] in its first n columns (S scaled in
+    place: S is exactly symmetric, so this is weighted_design's A' bit for
+    bit) and the upper triangle of M = A'A + lam, formed a panel of rows
+    A'[i0:i1] A'[i0:]' at a time and written over A' rows that no later
+    panel reads; ridge.solve then factors M in W itself."""
     n, u = data.n, data.weights
-    work = np.empty((n + 1) ** 2)
-    At = work[: (n + 1) * n].reshape(n + 1, n)
+    W = np.empty((n + 1, n + 1))
+    At = W[:, :n]
     S = _gram(spec, data.features, out=At[:n])
     rhs = ridge.design_rhs(S, u, data.targets)
     np.sqrt(u, out=At[n])
     S *= At[n]
-    return ridge.solve(ridge.normal_matrix(At, lam), rhs, work=work)
+    panel = np.empty((PANEL_ROWS, n + 1))
+    for i0 in range(0, n + 1, PANEL_ROWS):
+        rows = At[i0 : i0 + PANEL_ROWS]
+        W[i0 : i0 + PANEL_ROWS, i0:] = np.matmul(rows, At[i0:].T, out=panel[: len(rows), : n + 1 - i0])
+    del panel
+    W.reshape(-1)[: -1 : n + 2] += lam  # the first n diagonal entries
+    return ridge.solve(W, rhs, in_place=True)
 
 
 def kernel_ridge_full(data: Dataset, lam: float, spec: sim.SimilaritySpec) -> SparseModel:
     """Ridge regression in similarity space over all n training prototypes,
     on :func:`_gram`'s similarities (a black-box scorer is asked for as
-    many) and in :func:`_full_ridge`'s two (n+1)^2 arrays."""
+    many) and in :func:`_full_ridge`'s one (n+1)^2 array and panel."""
     ridge.check_lam(lam)  # before any O(n^2) work
     beta, bias = _full_ridge(data, lam, spec)
     return SparseModel(

@@ -4,8 +4,10 @@ For fixed prototypes the objective is an ordinary weighted ridge
 regression in the similarity features, so the coefficients and bias come
 from one symmetric positive-definite system M [coef; bias] = rhs: M is
 the Gram matrix of the weighted design A = sqrt(u) * [S, 1] plus lam on
-the coefficient diagonal, and :func:`solve` factors it by Cholesky.
-:func:`assemble` sums M over row blocks of S; :func:`weighted_design` and
+the coefficient diagonal, and :func:`solve` factors it by Cholesky, in a
+copy of M or, for the full ridge's (n+1) x (n+1) system, in place in M's
+upper triangle after mirroring it (:func:`mirror_upper`).  :func:`assemble`
+sums M over row blocks of S; :func:`weighted_design` and
 :func:`normal_matrix` form it as one product.  When a single prototype
 moves, :func:`update_column` rewrites just its row and column.
 """
@@ -13,7 +15,7 @@ moves, :func:`update_column` rewrites just its row and column.
 import math
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import SingularSystemError
 
@@ -23,6 +25,8 @@ RESIDUAL_RTOL = 1e-9
 
 # Rows of S per block of assemble's sum: A' for one block is (m+1) x BLOCK_ROWS.
 BLOCK_ROWS = 256
+# Columns per block of mirror_upper's copy; a diagonal block is its only temporary.
+MIRROR_ROWS = 64
 
 
 def check_lam(value, name="lam"):
@@ -123,32 +127,43 @@ def update_column(M, rhs, S, weights, targets, j: int, lam: float):
     rhs[j] = uc.dot(targets)
 
 
-def _solved(M, rhs, x, info, tol) -> bool:
+def _solved(product, rhs, x, info, tol) -> bool:
     """Whether a ``dposv`` result counts: the factorization succeeded, x is
-    finite and its residual against the unjittered M does not exceed ``tol``."""
+    finite and its residual product(x) - rhs against the unjittered M does
+    not exceed ``tol``."""
     if info != 0 or not np.logical_and.reduce(np.isfinite(x)):
         return False
-    r = M.dot(x)
+    r = product(x)
     r -= rhs
     return math.sqrt(r.dot(r)) <= tol
 
 
-def _copied(M, work):
-    """M copied into the first M.size doubles of ``work``, as the
-    Fortran-ordered transpose that LAPACK factors in place; M is exactly
-    symmetric, so that is M itself, bit for bit."""
-    square = work[: M.size].reshape(M.shape)
-    np.copyto(square, M)
-    return square.T
+def mirror_upper(square):
+    """``square`` with its upper triangle copied into its strict lower one (on
+    a transposed view, the lower into the upper), MIRROR_ROWS columns at a
+    time: each block's source ends in memory before its destination starts,
+    so only a diagonal block's triangle is copied through a temporary."""
+    n = square.shape[0]
+    for i0 in range(0, n, MIRROR_ROWS):
+        i1 = min(i0 + MIRROR_ROWS, n)
+        square[i1:, i0:i1] = square[i0:i1, i1:].T
+        diagonal, below = square[i0:i1, i0:i1], np.tri(i1 - i0, k=-1, dtype=bool)
+        diagonal[below] = diagonal.T[below]
+    return square
 
 
-def _cond_estimate(M, work):
+def _full(M, in_place):
+    """M in full and Fortran-ordered for LAPACK to overwrite: a copy, or in
+    place ``M.T`` with its factored triangle rewritten from the mirror."""
+    return mirror_upper(M.T) if in_place else M.T.copy(order="F")
+
+
+def _cond_estimate(square):
     """LAPACK's estimate of M's 1-norm condition number, ||M||_1 ||M^-1||_1
-    (``dlange``, then ``dgecon`` on ``dgetrf``'s LU factors of a copy of M
-    in ``work``): inf for an exactly singular or infinite M, nan for a nan
-    one.  One LU factorization, several times cheaper than the singular
-    values of an exact condition number."""
-    square = _copied(M, work)
+    (``dlange``, then ``dgecon`` on ``dgetrf``'s LU factors, which overwrite
+    ``square``, M from :func:`_full`): inf for an exactly singular or
+    infinite M, nan for a nan one.  One LU factorization, several times
+    cheaper than the singular values of an exact condition number."""
     norm = lapack.dlange("1", square)
     if not math.isfinite(norm):
         return norm
@@ -157,32 +172,42 @@ def _cond_estimate(M, work):
     return 1.0 / rcond if rcond > 0 else math.inf if rcond == 0 else math.nan
 
 
-def solve(M, rhs, work=None):
+def solve(M, rhs, in_place=False):
     """Exact minimizer (coefficients, bias) of the ridge objective, by one
-    Cholesky factorization and solve (LAPACK ``dposv``); M and rhs are
-    never written.
+    Cholesky factorization and solve (LAPACK ``dposv``); rhs is never
+    written, and M only ``in_place``.
 
     A solution counts only if the factorization succeeds and
     ||M x - rhs|| <= RESIDUAL_RTOL ||rhs||; otherwise the system is
     numerically singular and gets one diagonal-jitter retry before
     SingularSystemError, which quotes an estimate of M's condition number
-    (:func:`_cond_estimate`).  ``work`` (at least M.size doubles) holds the
-    copy of M that each factorization overwrites; without it ``dposv``
-    copies M itself, and a retry allocates one such buffer.
+    (:func:`_cond_estimate`); by default each works in a copy of M.
+    ``in_place`` needs no second n x n array: in a C-contiguous M whose
+    upper triangle holds the system, the upper is mirrored into the lower
+    (:func:`mirror_upper`), each factorization overwrites the upper
+    (``lower=1`` on the Fortran-ordered ``M.T``), and the residual reads the
+    mirror, which holds M on return, with a saved copy of the diagonal (BLAS
+    ``dsymv`` on ``M.T``).
     """
     # sqrt(v.v) is what np.linalg.norm computes for a vector, minus its dispatch.
     tol = RESIDUAL_RTOL * max(math.sqrt(rhs.dot(rhs)), 1e-300)
-    # dposv's own copy is cheaper for a tiny system; a buffer spares a large one an allocation
-    if work is None:
-        x, info = lapack.dposv(M, rhs)[1:]  # the factor, a copy of M, is dropped at once
+    if in_place:
+        mirror_upper(M)
+        diag = np.arange(M.shape[0])
+        saved, product = M[diag, diag], lambda x: blas.dsymv(1.0, M.T, x)
+        x, info = lapack.dposv(M.T, rhs, lower=1, overwrite_a=1)[1:]
+        M[diag, diag] = saved
     else:
-        x, info = lapack.dposv(_copied(M, work), rhs, overwrite_a=1)[1:]
-    if not _solved(M, rhs, x, info, tol):
-        work = np.empty(M.size) if work is None else work
-        jittered, diag = _copied(M, work), np.arange(M.shape[0])
+        product = M.dot
+        x, info = lapack.dposv(M, rhs)[1:]  # the factor, a copy of M, is dropped at once
+    if not _solved(product, rhs, x, info, tol):
+        jittered, diag = _full(M, in_place), np.arange(M.shape[0])
         jittered[diag, diag] += 1e-10 * np.trace(M) / M.shape[0]
-        x, info = lapack.dposv(jittered, rhs, overwrite_a=1)[1:]
-        if not _solved(M, rhs, x, info, tol):
+        x, info = lapack.dposv(jittered, rhs, lower=int(in_place), overwrite_a=1)[1:]
+        if in_place:
+            M[diag, diag] = saved
+        if not _solved(product, rhs, x, info, tol):
             raise SingularSystemError(
-                f"coefficient system is numerically singular (estimated cond ~ {_cond_estimate(M, work):.3e})")
+                "coefficient system is numerically singular "
+                f"(estimated cond ~ {_cond_estimate(_full(M, in_place)):.3e})")
     return x[:-1], float(x[-1])

@@ -5,7 +5,7 @@ import pytest
 from conftest import objective
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from sparsim import Dataset, SparseModel
 from sparsim.errors import SingularSystemError
@@ -275,12 +275,12 @@ class TestSolve:
         with np.errstate(invalid="ignore"), pytest.raises(SingularSystemError, match="cond ~ inf"):
             solve(matrix, np.ones(2))
 
-    @pytest.mark.parametrize("work", [None, np.empty(4)], ids=["plain", "work"])
-    def test_nan_system_is_singular_with_unknown_condition(self, work):
+    @pytest.mark.parametrize("in_place", [False, True], ids=["plain", "in_place"])
+    def test_nan_system_is_singular_with_unknown_condition(self, in_place):
         # the condition number of a nan matrix is unknown, not a LinAlgError
         matrix = np.array([[1.0, 0.0], [0.0, np.nan]])
         with pytest.raises(SingularSystemError, match="cond ~ nan"):
-            solve(matrix, np.ones(2), work=work)
+            solve(matrix, np.ones(2), in_place=in_place)
 
     @pytest.mark.parametrize("ratio, accepted", [(0.5, True), (2.0, False)])
     def test_residual_tolerance_is_relative_to_rhs_norm(self, monkeypatch, ratio, accepted):
@@ -327,10 +327,11 @@ class TestSolve:
         assert (matrix.tobytes(), rhs.tobytes()) == before
 
     @pytest.mark.parametrize("path", ["direct", "jittered", "failing"])
-    def test_work_buffer_gives_the_plain_solve_bit_for_bit(self, monkeypatch, path):
-        # with work, M is copied there and factored in place, for the retry
-        # too; without it only the retry factors a copy in place (in a buffer
-        # of its own), and M itself is never written
+    def test_in_place_solve_gives_the_plain_solve(self, monkeypatch, path):
+        # in place, only M's upper triangle is read: it is mirrored into the
+        # free lower one, and each factorization overwrites it in place
+        # (lower=1 on the Fortran view, the retry too), while the residual
+        # reads the mirror (dsymv on the same view); rhs is never written
         if path == "direct":
             S = np.random.default_rng(1).uniform(0, 1, (40, 9))
             matrix, rhs = assemble(S, np.random.default_rng(2).uniform(0.5, 2, 40), np.arange(40.0), 1e-4)
@@ -338,27 +339,39 @@ class TestSolve:
             matrix, rhs = np.ones((2, 2)), np.ones(2)
         else:
             matrix, rhs = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 1.0])
-        before = matrix.tobytes(), rhs.tobytes()
-        calls, factor = [], lapack.dposv
-
-        def spy(a, b, **kwargs):
-            calls.append(kwargs)
-            return factor(a, b, **kwargs)
-
-        monkeypatch.setattr(lapack, "dposv", spy)
-        work = np.full(matrix.size + 3, np.nan)  # longer than M needs
+        storage = np.where(np.triu(np.ones(matrix.shape, dtype=bool)), matrix, np.nan)
+        rhs.setflags(write=False)
+        before = rhs.tobytes()
         if path == "failing":
             with pytest.raises(SingularSystemError, match="cond") as plain:
                 solve(matrix, rhs)
-            with pytest.raises(SingularSystemError, match="cond") as buffered:
-                solve(matrix, rhs, work=work)
-            assert str(buffered.value) == str(plain.value)
         else:
             x = np.append(*solve(matrix, rhs))
-            assert np.append(*solve(matrix, rhs, work=work)).tobytes() == x.tobytes()
-        attempts = 1 if path == "direct" else 2
-        assert calls == [{}] + [{"overwrite_a": 1}] * (2 * attempts - 1)
-        assert (matrix.tobytes(), rhs.tobytes()) == before
+        calls, factor, product = [], lapack.dposv, blas.dsymv
+
+        def spy(routine, a, kwargs):
+            # f2py would copy a C-ordered array, so each call must get storage's Fortran view
+            assert a.flags.f_contiguous and np.shares_memory(a, storage)
+            calls.append((routine, kwargs))
+
+        monkeypatch.setattr(lapack, "dposv", lambda a, b, **kw: spy("dposv", a, kw) or factor(a, b, **kw))
+        monkeypatch.setattr(blas, "dsymv", lambda alpha, a, x, **kw: spy("dsymv", a, kw) or product(alpha, a, x, **kw))
+        if path == "failing":
+            with pytest.raises(SingularSystemError, match="cond") as in_place:
+                solve(storage, rhs, in_place=True)
+            assert str(in_place.value) == str(plain.value)
+        else:
+            y = np.append(*solve(storage, rhs, in_place=True))
+            # one pivot per column of a 2 x 2 system: both triangles' factors round alike
+            if path == "jittered":
+                assert y.tobytes() == x.tobytes()
+            assert np.linalg.norm(matrix @ y - rhs) <= RESIDUAL_RTOL * np.linalg.norm(rhs)
+            np.testing.assert_allclose(y, x, rtol=1e-9)
+            assert np.tril(storage).tobytes() == np.tril(matrix).tobytes()
+        # a factorization that fails (a zero pivot here) skips the residual product
+        attempt = [("dposv", {"lower": 1, "overwrite_a": 1}), ("dsymv", {})]
+        assert calls == (attempt if path == "direct" else attempt[:1] + attempt)
+        assert rhs.tobytes() == before
 
 
 class TestOracleEquivalence:
@@ -438,3 +451,29 @@ def test_systems_stay_exactly_symmetric(seed, n, m, lam, updates):
         S[:, j] = rng.uniform(0, 1, n)
         update_column(matrix, rhs, S, u, y, j, lam)
         assert np.array_equal(matrix, matrix.T)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    size=st.integers(1, 40),
+    extra_rows=st.integers(0, 20),
+    lam=st.sampled_from([0.0, 1e-8, 1e-4, 0.1]),
+)
+def test_in_place_solve_agrees_with_the_plain_solve(seed, size, extra_rows, lam):
+    """On generated SPD systems (m + 1 = ``size`` <= 40, at least as many
+    rows as unknowns, random weights, lam down to 0) the in-place solve
+    meets the plain solve's residual guarantee, agrees with it within what
+    both residuals allow, leaves M's mirror in the lower triangle and never
+    writes rhs."""
+    rng = np.random.default_rng(seed)
+    S = rng.uniform(0, 1, (size + extra_rows, size - 1))
+    matrix, rhs = assemble(S, rng.uniform(0.1, 3, len(S)), rng.normal(0, 1, len(S)), lam)
+    storage = np.where(np.triu(np.ones(matrix.shape, dtype=bool)), matrix, rng.normal(0, 1, matrix.shape))
+    before = rhs.copy()
+    x = np.append(*solve(matrix, rhs))
+    y = np.append(*solve(storage, rhs, in_place=True))
+    tol = RESIDUAL_RTOL * np.linalg.norm(rhs)
+    assert np.linalg.norm(matrix @ y - rhs) <= tol
+    assert np.linalg.norm(matrix @ (y - x)) <= 2 * tol
+    assert np.tril(storage).tobytes() == np.tril(matrix).tobytes()
+    assert rhs.tobytes() == before.tobytes()

@@ -1,4 +1,4 @@
-"""No general ``linalg.solve`` in the package, and one caller per LAPACK routine.
+"""No general ``linalg.solve`` in the package, and one caller per LAPACK or BLAS routine.
 
 Nothing in ``src/sparsim`` calls ``np.linalg.solve`` or
 ``scipy.linalg.solve`` (any ``linalg.solve``).  Every direct
@@ -6,7 +6,8 @@ Nothing in ``src/sparsim`` calls ``np.linalg.solve`` or
 function: ``ridge.solve`` is the only caller of ``dposv``, so the ridge
 systems keep one Cholesky solve path, and ``ridge._cond_estimate`` of
 ``dlange``, ``dgetrf`` and ``dgecon``, the condition estimate of a failed
-system's error message; ``baselines.lasso_similarity``
+system's error message; ``ridge.solve`` is also the only caller of BLAS
+``dsymv``, the residual of a system solved in place; ``baselines.lasso_similarity``
 is the only caller of ``dpotrf``, ``dpotrs`` and ``dtrtrs``, the active-set
 Cholesky factor, solves and growth of the lasso homotopy.
 """
@@ -31,20 +32,21 @@ def _dotted(node):
 
 
 def _kind(name):
-    """``linalg.solve`` or ``lapack.<routine>`` for a dotted call name, else None."""
+    """``linalg.solve``, ``lapack.<routine>`` or ``blas.<routine>`` for a
+    dotted call name, else None."""
     scope, _, attr = name.rpartition(".")
     module = scope.rpartition(".")[2]
     if module == "linalg" and attr == "solve":
         return "linalg.solve"
-    return f"lapack.{attr}" if module == "lapack" else None
+    return f"{module}.{attr}" if module in ("lapack", "blas") else None
 
 
 def solve_calls(source: str, module: str):
-    """``(kind, module.function)`` for every ``linalg.solve`` and
-    ``lapack.<routine>`` call in ``source``, by the outermost enclosing
-    function (``module.<module>`` for a call outside any function).  A
-    ``solve`` or routine imported by name from a linalg or lapack module
-    counts as a call at the import."""
+    """``(kind, module.function)`` for every ``linalg.solve``,
+    ``lapack.<routine>`` and ``blas.<routine>`` call in ``source``, by the
+    outermost enclosing function (``module.<module>`` for a call outside any
+    function).  A ``solve`` or routine imported by name from a linalg, lapack
+    or blas module counts as a call at the import."""
     calls = []
 
     def visit(node, scope):
@@ -83,6 +85,7 @@ def test_one_calling_function_per_lapack_routine():
     lasso = {"baselines.lasso_similarity"}
     assert _callers() == {
         "lapack.dposv": {"ridge.solve"},
+        "blas.dsymv": {"ridge.solve"},
         "lapack.dlange": {"ridge._cond_estimate"},
         "lapack.dgetrf": {"ridge._cond_estimate"},
         "lapack.dgecon": {"ridge._cond_estimate"},
@@ -101,6 +104,7 @@ def test_checker_finds_calls_by_outermost_function():
         "def f():\n    def g():\n        lapack.dposv(a, b)\n    scipy.linalg.lapack.dtrtrs(a, b)\n"
         "def h():\n    linalg.solve(a, b)\n    cho_solve(c, b)\n    other.solve(a, b)\n"
         "    lapack_like.dpotrs(c, b)\n"
+        "def k():\n    lambda x: blas.dsymv(1.0, a, x)\n"
     )
     assert solve_calls(source, "m") == [
         ("linalg.solve", "m.<module>"),
@@ -109,4 +113,5 @@ def test_checker_finds_calls_by_outermost_function():
         ("lapack.dposv", "m.f"),
         ("lapack.dtrtrs", "m.f"),
         ("linalg.solve", "m.h"),
+        ("blas.dsymv", "m.k"),
     ]
