@@ -31,9 +31,13 @@ def mse(pred, truth) -> float:
 def error_rate(scores, labels) -> float:
     """Fraction of sign disagreements between scores and +-1 labels.
 
-    A score of exactly zero counts as the positive class (ties accept).
+    A score of exactly zero counts as the positive class (ties accept);
+    any other label raises ``ValueError``.
     """
     scores, labels = _pair(scores, labels)
+    bad = np.flatnonzero(np.abs(labels) != 1.0)
+    if bad.size:
+        raise ValueError(f"error_rate needs +-1 labels, got {labels[bad[0]]:g} at row {bad[0]}")
     predicted = np.where(scores >= 0, 1.0, -1.0)
     return float(np.mean(predicted != labels))
 

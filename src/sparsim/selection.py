@@ -166,6 +166,7 @@ def select_model_size(
     spec = similarity or sim.default_spec(data.dim)
     grid, rho = grid_config.grid, grid_config.resolved_rho
     loss = metrics.LOSSES[grid_config.loss_kind]
+    loss(data.targets, data.targets)  # targets the loss rejects (error_rate: not +-1) raise before any fit
 
     if data.groups is not None:
         folds = group_kfold_split(data.groups, grid_config.folds, train_config.seed)

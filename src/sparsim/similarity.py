@@ -1,8 +1,8 @@
 """Similarity functions, their prototype gradients, and similarity matrices.
 
-Three kinds: an RBF kernel ``s(a, b) = exp(-gamma * ||a - b||^2)``, a plain
-dot product, and black-box scorers, block functions carried by the spec
-(see :func:`pairwise` and :mod:`sparsim.dataio`).  :func:`sim_matrix`
+Two kinds: an RBF kernel ``s(a, b) = exp(-gamma * ||a - b||^2)`` and
+black-box scorers, block functions carried by the spec (see
+:func:`pairwise` and :mod:`sparsim.dataio`).  :func:`sim_matrix`
 computes and counts every similarity value, so that test-time cost is
 measured exactly; :func:`grad_z_sum` takes its values from it.
 """
@@ -17,7 +17,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import BlackboxError, SimilarityEvalError, UnsupportedGradModeError
 
-KINDS = ("rbf", "linear", "blackbox")
+KINDS = ("rbf", "blackbox")
 GRAD_MODES = ("analytic", "approximate", "numeric")
 _FLOAT64 = np.dtype(np.float64)
 
@@ -152,8 +152,6 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
         values = cdist(protos, rows, "sqeuclidean").T
         values *= -spec.gamma
         np.exp(values, out=values)
-    elif spec.kind == "linear":
-        values = rows @ protos.T
     elif spec.scorer is None:
         raise SimilarityEvalError(f"black-box similarity {spec.blackbox_id!r} has no scorer attached")
     else:
@@ -170,8 +168,8 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     EVAL_COUNTER.add(k * m)
     # A non-finite value makes the sum non-finite, so a finite sum passes
     # the block without a (k, m) mask.  RBF values lie in [0, 1] and cannot
-    # overflow it; other kinds can, so a non-finite sum builds the mask to
-    # find the bad entry, and only a block without one passes.
+    # overflow it; a scorer's finite values can, so a non-finite sum builds
+    # the mask to find the bad entry, and only a block without one passes.
     if spec.kind == "rbf":
         total = np.add.reduce(values, axis=None)
     else:
@@ -198,17 +196,16 @@ def grad_z_sum(spec: SimilaritySpec, rows, z, weights, mode: str = "analytic", c
     d-vector; ``weights=None`` is ``np.ones`` weights, bit for bit.
 
     The modes, with their cost in similarity evaluations for n rows in d
-    dimensions: ``analytic`` is the closed form, X'c - z*sum(c) with
-    c = 2*gamma*weights*s(x,z) for RBF (n evaluations) and weights'X for the
-    dot product (none), and black-box scorers have none; ``approximate`` is
-    the shift heuristic s(x,z)*(x-z), summed the same way with
-    c = weights*s(x,z) (n evaluations); ``numeric`` takes central finite
-    differences against the 2*d shifted prototypes z +- h*e_p (2*d*n
-    evaluations), and is the only mode to build an (n, d) array.  Every
-    similarity value comes from one :func:`sim_matrix` call; ``column``,
-    the already evaluated s(rows[i], z), spares the analytic RBF and
-    approximate modes theirs.  A mode that :func:`check_grad_mode` refuses
-    for ``spec`` raises before any evaluation.
+    dimensions: ``analytic`` is the RBF closed form, X'c - z*sum(c) with
+    c = 2*gamma*weights*s(x,z) (n evaluations), and black-box scorers have
+    none; ``approximate`` is the shift heuristic s(x,z)*(x-z), summed the
+    same way with c = weights*s(x,z) (n evaluations); ``numeric`` takes
+    central finite differences against the 2*d shifted prototypes
+    z +- h*e_p (2*d*n evaluations), and is the only mode to build an (n, d)
+    array.  Every similarity value comes from one :func:`sim_matrix` call;
+    ``column``, the already evaluated s(rows[i], z), spares the analytic
+    and approximate modes theirs.  A mode that :func:`check_grad_mode`
+    refuses for ``spec`` raises before any evaluation.
     """
     rows = _as_2d(rows)
     z = np.asarray(z, dtype=float)
@@ -222,11 +219,9 @@ def grad_z_sum(spec: SimilaritySpec, rows, z, weights, mode: str = "analytic", c
             if mode == "analytic":
                 c *= 2.0 * spec.gamma  # c is this call's own array
         return c.dot(rows) - z * np.add.reduce(c)  # .dot: @'s BLAS call without its dispatch
-    # Only the numeric mode and the dot product's closed form are left valid.
+    # Only the numeric mode is left valid.
     check_grad_mode(spec, mode)
     weights = np.ones(rows.shape[0]) if weights is None else weights
-    if mode == "analytic":
-        return weights @ rows
     # Step scaled to the prototype magnitude.
     h = 1e-6 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
     shift = h * np.eye(z.size)

@@ -148,10 +148,8 @@ def _similarities(spec, features, protos):
     """The n x m similarities S, row-major, so that its GEMVs round as on a
     row-major block.  :func:`similarity.sim_matrix` returns RBF blocks
     prototype-major; they are copied into S ``ridge.BLOCK_ROWS`` rows at a
-    time, one block held beyond S.  Other kinds are one call: the dot
-    product is already row-major, and a matrix product's rounding can
-    depend on its row count; a black-box scorer sees all n rows at once,
-    so its failures name data rows."""
+    time, one block held beyond S.  A black-box scorer is one call: it
+    sees all n rows at once, so its failures name data rows."""
     if spec.kind != "rbf":
         return sim.sim_matrix(spec, features, protos).values
     n = features.shape[0]

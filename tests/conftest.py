@@ -1,5 +1,6 @@
 """Shared oracle helpers for the test suite."""
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,12 +10,16 @@ from scipy.spatial.distance import cdist
 
 from sparsim import Dataset, SparseModel, predict_batch
 from sparsim.ridge import assemble, solve
-from sparsim.similarity import grad_z_sum, sim_matrix
+from sparsim.similarity import SimilaritySpec, grad_z_sum, sim_matrix
 
 # Property tests run a fixed, small set of examples so that tier-1 stays
 # reproducible and fast; no example database is written.
 settings.register_profile("sparsim", derandomize=True, max_examples=25, deadline=None, database=None)
 settings.load_profile("sparsim")
+
+#: The dot product as an in-process black-box block scorer: the package's
+#: non-RBF paths on values that BLAS computes in one product.
+DOT = SimilaritySpec(kind="blackbox", blackbox_id="dot", scorer=lambda rows, protos: rows @ protos.T)
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,16 @@ def einsum_rbf_matrix(spec, rows, protos):
     ``sim_matrix``, equal to the bit for d <= 2."""
     diff = rows[:, None, :] - protos[None, :, :]
     return np.exp(-spec.gamma * np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def traced_peak(run):
+    """tracemalloc's peak of bytes allocated while ``run()`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def resolve_coefficients(data, protos, spec, lam):

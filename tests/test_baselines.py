@@ -1,5 +1,4 @@
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from sparsim.errors import ConvergenceError, SingularSystemError
 from sparsim.ridge import RESIDUAL_RTOL, normal_matrix, solve, weighted_design
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, pairwise, sim_matrix
 
-from conftest import full_matrix_set_median_index
+from conftest import DOT, full_matrix_set_median_index, traced_peak
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
 
@@ -297,9 +296,8 @@ class TestLasso:
         # the one known design on which an entering column's direction
         # opposes its sign; the path drops it again with a zero step
         data = Dataset(features=[[-1, 2], [-2, 0], [0, 1], [1, 2]], targets=[0, -1, 1, -1])
-        spec = SimilaritySpec("linear")
-        model = lasso_similarity(data, lam1, spec)
-        S = sim_matrix(spec, data.features, data.features).values
+        model = lasso_similarity(data, lam1, DOT)
+        S = sim_matrix(DOT, data.features, data.features).values
         res = lasso_kkt_residuals(S, data.weights, data.targets, full_beta(model, data.n), model.bias, lam1)
         assert res.max() <= 1e-6
         assert model.beta.tolist() == [beta]
@@ -381,13 +379,7 @@ def test_cheap_selectors_peak_memory_below_a_tenth_of_n_squared(selector):
     # the set median used to build the whole n x n distance matrix (1.0 n^2)
     n = 4000
     data = Dataset(features=np.random.default_rng(0).normal(0, 1, (n, 2)), targets=np.ones(n))
-    tracemalloc.start()
-    try:
-        selector(data, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.1 * 8 * n * n
+    assert traced_peak(lambda: selector(data, 5))[0] < 0.1 * 8 * n * n
 
 
 def full_ridge_account(n):
@@ -395,16 +387,6 @@ def full_ridge_account(n):
     panel of PANEL_ROWS rows of n+1, and 4 n for its vectors (rhs, the
     saved diagonal, the solution and its residual)."""
     return ((n + 1) ** 2 + baselines.PANEL_ROWS * (n + 1) + 4 * n) / n**2
-
-
-def traced_peak(run):
-    """tracemalloc's peak of bytes allocated while ``run()`` runs."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def peak_memory_problem(n, d=20):
@@ -432,14 +414,14 @@ def test_full_baselines_peak_memory_in_units_of_n_squared(baseline, bound):
     # lasso holds S, its Gram and the path's active rows
     n = 300
     data, spec = peak_memory_problem(n)
-    assert traced_peak(lambda: baseline(data, spec)) <= bound * 8 * n * n
+    assert traced_peak(lambda: baseline(data, spec))[0] <= bound * 8 * n * n
 
 
 def test_full_ridge_peak_memory_at_the_benchmark_size():
     # score_full's n: two (n+1)^2 arrays read 2.0 n^2; one and a panel, 1.13 n^2
     n = 1000
     data, spec = peak_memory_problem(n)
-    assert traced_peak(lambda: kernel_ridge_full(data, 1e-2, spec)) <= 1.2 * 8 * n * n
+    assert traced_peak(lambda: kernel_ridge_full(data, 1e-2, spec))[0] <= 1.2 * 8 * n * n
 
 
 def test_singular_full_ridge_fails_within_one_array_and_a_panel():
@@ -455,7 +437,7 @@ def test_singular_full_ridge_fails_within_one_array_and_a_panel():
         with pytest.raises(SingularSystemError, match="cond"):
             kernel_ridge_full(data, 0.0, spec)
 
-    assert traced_peak(fails) <= full_ridge_account(n) * 8 * n * n
+    assert traced_peak(fails)[0] <= full_ridge_account(n) * 8 * n * n
 
 
 def gram_evaluations(n):
@@ -496,10 +478,10 @@ def test_gram_is_the_one_block_matrix_bit_for_bit(spec, n):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
 def test_linear_gram_is_symmetric_and_near_the_one_product_matrix(n):
-    # block GEMMs round differently from the one product's SYRK, in the last bit
+    # the dot product's Gram: block GEMMs round differently from the one
+    # product's SYRK, in the last bit
     X = np.random.default_rng(n).normal(0, 1, (n, 20))
-    spec = SimilaritySpec("linear")
-    gram, full = baselines._gram(spec, X), sim_matrix(spec, X, X).values
+    gram, full = baselines._gram(DOT, X), sim_matrix(DOT, X, X).values
     np.testing.assert_array_equal(gram, gram.T)
     assert np.max(np.abs(gram - full)) <= 1e-15 * np.max(np.abs(full))
 

@@ -427,6 +427,16 @@ class TestSelectM:
         assert "error: group column 'target' is the target column" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_error_rate_on_regression_targets_is_runtime_error(self, tmp_path, capsys):
+        # on real-valued targets every size would score 1.0, and the tie rule pick the smallest
+        data_path = tmp_path / "sine.csv"
+        write_csv(gen_synthetic("sine_regression", n=60, seed=0), data_path)
+        code = run(["select-m", "--data", data_path, "--target", "target", "--grid", "6,4,2",
+                    "--loss", "error_rate", "--out", tmp_path / "model.json"])
+        assert code == 1
+        assert "error: error_rate needs +-1 labels, got " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sine.csv"]
+
 
 class TestBaseline:
     @pytest.mark.parametrize("method", ["ps-r", "ps-b", "ps-s", "ps-km"])

@@ -188,6 +188,15 @@ class TestModelFile:
         with pytest.raises(DataFormatError, match=r"\(2, 3, 1\)"):
             load_model(path)
 
+    def test_model_of_the_removed_dot_product_kind_fails_by_name(self, tmp_path):
+        # the dot product's kind was removed: its m prototypes always collapse to one
+        path = tmp_path / "model.json"
+        similarity = {"kind": 'linear', "gamma": None, "blackbox_id": None}
+        path.write_text(json.dumps({"format_version": 1, "similarity": similarity, "prototypes": [[1.0, 2.0]],
+                                    "beta": [0.5], "bias": 0.0, "metadata": {}}))
+        with pytest.raises(DataFormatError, match="unknown similarity kind 'linear'"):
+            load_model(path)
+
     def test_numpy_scalar_metadata_round_trips(self, tmp_path, rng):
         # the seed of a fitted model lands in its metadata as a numpy integer
         data = Dataset(features=rng.normal(0, 1, (8, 2)), targets=rng.normal(0, 1, 8))

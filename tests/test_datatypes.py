@@ -1,9 +1,8 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import objective
+from conftest import objective, traced_peak
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -157,13 +156,7 @@ def test_peak_memory_is_the_output_and_a_block_whatever_k_and_d(rng):
     k, d, m = 20_000, 200, 3
     model = toy_model(rng.normal(0, 1, (m, d)), rng.normal(0, 1, m), spec=SimilaritySpec("rbf", gamma=1.0 / d))
     rows = rng.normal(0, 1, (k, d))
-    tracemalloc.start()
-    try:
-        predict_batch(model, rows)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * k + 2 * datatypes.SCORE_BLOCK_BYTES
+    assert traced_peak(lambda: predict_batch(model, rows))[0] < 8 * k + 2 * datatypes.SCORE_BLOCK_BYTES
 
 
 class TestPredictBlocks:
@@ -199,13 +192,7 @@ class TestPredictBlocks:
         k, m = 200_000, 20
         model = toy_model(rng.normal(0, 1, (m, 2)), rng.normal(0, 1, m))
         rows = rng.normal(0, 1, (k, 2))
-        tracemalloc.start()
-        try:
-            predict_batch(model, rows)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * k * m / 4
+        assert traced_peak(lambda: predict_batch(model, rows))[0] < 8 * k * m / 4
 
 
 def input_forms(rows):

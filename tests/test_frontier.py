@@ -2,7 +2,6 @@
 a fraction of its test-time cost, measured along the frontier."""
 
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from sparsim.dataio import SYNTHETIC_KINDS, THREE_CLUSTERS_CENTERS
 from sparsim.metrics import error_rate, eval_cost, mae
 from sparsim.selection import _descend_grid
 from test_baselines import gram_evaluations
+from conftest import traced_peak
 
 FRONTIER_SIZES = (2, 3, 5, 8)
 
@@ -109,15 +109,9 @@ def test_descent_recovers_the_planted_prototypes():
 
 def measured(train):
     """``train()``'s result, seconds, similarity evaluations and tracemalloc peak in bytes."""
-    tracemalloc.start()
-    try:
-        before, started = EVAL_COUNTER.read(), time.perf_counter()
-        result = train()
-        seconds, evaluations = time.perf_counter() - started, EVAL_COUNTER.read() - before
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, seconds, evaluations, peak
+    before, started = EVAL_COUNTER.read(), time.perf_counter()
+    peak, result = traced_peak(train)
+    return result, time.perf_counter() - started, EVAL_COUNTER.read() - before, peak
 
 
 def test_headline_at_n_1000():

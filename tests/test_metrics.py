@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from conftest import DOT
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -32,6 +35,12 @@ class TestPointwise:
     def test_error_rate_ties_accept(self):
         assert error_rate([0.0, -0.1, 0.2], [1.0, -1.0, -1.0]) == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("labels, where", [([1.0, 0.5, -1.0], "0.5 at row 1"), ([2.0, 1.0, 0.0], "2 at row 0")])
+    def test_error_rate_names_a_label_that_is_not_plus_or_minus_one(self, labels, where):
+        # counted as a disagreement, a regression target would be wrong whatever the score
+        with pytest.raises(ValueError, match=f"error_rate needs \\+-1 labels, got {where}"):
+            error_rate([1.0, -1.0, 1.0], labels)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mae([1.0], [1.0, 2.0])
@@ -63,7 +72,7 @@ FINITE = st.floats(-10.0, 10.0, allow_nan=False)
 
 
 @given(
-    kind=st.sampled_from(["rbf", "linear"]),
+    kind=st.sampled_from(["rbf", "dot"]),
     gamma=st.floats(0.01, 10.0),
     m=st.integers(1, 8),
     d=st.integers(1, 4),
@@ -71,10 +80,10 @@ FINITE = st.floats(-10.0, 10.0, allow_nan=False)
     draw=st.data(),
 )
 def test_cost_and_round_trip_on_generated_models(tmp_path_factory, kind, gamma, m, d, k, draw):
-    """For generated rbf and linear models: one prediction costs m
-    evaluations, k rows cost k*m, and a saved-and-loaded model predicts
-    bit-identically."""
-    spec = SimilaritySpec(kind="rbf", gamma=gamma) if kind == "rbf" else SimilaritySpec(kind="linear")
+    """For generated rbf and dot-product (black-box) models: one
+    prediction costs m evaluations, k rows cost k*m, and a saved-and-loaded
+    model predicts bit-identically."""
+    spec = SimilaritySpec(kind="rbf", gamma=gamma) if kind == "rbf" else DOT
     model = SparseModel(
         prototypes=draw.draw(arrays(float, (m, d), elements=FINITE)),
         beta=draw.draw(arrays(float, m, elements=FINITE)),
@@ -88,4 +97,7 @@ def test_cost_and_round_trip_on_generated_models(tmp_path_factory, kind, gamma, 
     assert EVAL_COUNTER.read() - before == k * m
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(model, path)
-    assert predict_batch(load_model(path), rows).tobytes() == predicted.tobytes()
+    loaded = load_model(path)
+    if kind == "dot":  # a black-box spec is saved without its scorer
+        loaded = replace(loaded, similarity=replace(loaded.similarity, scorer=DOT.scorer))
+    assert predict_batch(loaded, rows).tobytes() == predicted.tobytes()

@@ -18,7 +18,7 @@ from sparsim.selection import (
     select_model_size,
     smallest_coefficient_positions,
 )
-from sparsim.similarity import SimilaritySpec
+from sparsim.similarity import EVAL_COUNTER, SimilaritySpec
 
 RBF = SimilaritySpec(kind="rbf", gamma=0.5)
 FAST = dict(eta=0.15, box="data", max_sweeps=10, epsilon=1e-8)
@@ -228,6 +228,15 @@ class TestSelect:
         gc = GridConfig(grid=(5, 3, 2), loss_kind="mse", folds=3)
         model, trace = select_model_size(data, gc, TrainConfig(seed=3, **FAST), RBF)
         assert model.m == trace.chosen_m
+
+    def test_error_rate_on_regression_targets_fails_before_any_evaluation(self):
+        # on real-valued targets every size would score 1.0, and the tie rule pick the smallest
+        data = gen_synthetic("sine_regression", n=60, seed=0)
+        gc = GridConfig(grid=(6, 4, 2), loss_kind="error_rate")
+        before = EVAL_COUNTER.read()
+        with pytest.raises(ValueError, match=r"error_rate needs \+-1 labels, got -?\d"):
+            select_model_size(data, gc, TrainConfig(seed=0, **FAST), RBF)
+        assert EVAL_COUNTER.read() == before
 
     def test_grid_too_large_for_folds(self):
         data = gen_synthetic("three_clusters", n=45, seed=4)

@@ -1,9 +1,8 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from conftest import einsum_rbf_matrix
+from conftest import DOT, einsum_rbf_matrix, traced_peak
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -15,7 +14,6 @@ from sparsim.errors import SimilarityEvalError, UnsupportedGradModeError
 from sparsim.similarity import EVAL_COUNTER, SimilaritySpec, default_spec, grad_z_sum, pairwise, sim_matrix
 
 RBF1 = SimilaritySpec(kind="rbf", gamma=1.0)
-LINEAR = SimilaritySpec(kind="linear")
 
 
 def one_row_grad(spec, x, z, mode):
@@ -33,8 +31,10 @@ class TestSpec:
             SimilaritySpec(kind="rbf", gamma=np.inf)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            SimilaritySpec(kind="cosine")
+        # the dot product's kind is gone too: its m prototypes always collapse to one
+        for kind in "cosine linear".split():
+            with pytest.raises(ValueError, match=f"unknown similarity kind '{kind}'"):
+                SimilaritySpec(kind=kind)
 
     def test_blackbox_needs_id(self):
         with pytest.raises(ValueError):
@@ -61,14 +61,11 @@ class TestEval:
         got = sim.eval(RBF1, [1.0, 0.0], [0.0, 0.0])
         assert got == pytest.approx(np.exp(-1.0), rel=1e-15)
 
-    def test_linear_dot_product(self):
-        assert sim.eval(LINEAR, [1.0, 2.0], [3.0, 4.0]) == 11.0
-
     def test_symmetry_is_exact(self, rng):
         for _ in range(50):
             a = rng.normal(0, 2, 5)
             b = rng.normal(0, 2, 5)
-            for spec in (RBF1, LINEAR):
+            for spec in (RBF1, DOT):
                 assert sim.eval(spec, a, b) == sim.eval(spec, b, a)
 
     def test_rbf_range(self, rng):
@@ -137,12 +134,7 @@ class TestGrad:
         rows = rng.normal(0, 1, (n, d))
         z = rng.normal(0, 1, d)
         weights = rng.normal(0, 1, n)
-        tracemalloc.start()
-        try:
-            grad = grad_z_sum(default_spec(d), rows, z, weights)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, grad = traced_peak(lambda: grad_z_sum(default_spec(d), rows, z, weights))
         assert grad.shape == (d,)
         # below one (n, d) float64 array: only n-vectors are allocated
         assert peak < rows.nbytes
@@ -167,7 +159,6 @@ PAIRWISE_RBF = SimilaritySpec(
 @pytest.mark.parametrize(
     "spec, mode",
     [(RBF1, mode) for mode in sim.GRAD_MODES]
-    + [(LINEAR, mode) for mode in sim.GRAD_MODES]
     + [(PAIRWISE_RBF, "approximate"), (PAIRWISE_RBF, "numeric")],
     ids=lambda v: v if isinstance(v, str) else v.kind,
 )
@@ -192,7 +183,7 @@ def test_unit_weights_equal_explicit_ones_bit_for_bit(spec, mode, k):
 
 
 class TestSimMatrix:
-    @pytest.mark.parametrize("spec", [LINEAR, SimilaritySpec(kind="rbf", gamma=0.5)])
+    @pytest.mark.parametrize("spec", [DOT, SimilaritySpec(kind="rbf", gamma=0.5)])
     def test_rejects_more_than_two_dimensions(self, spec):
         model = SparseModel(prototypes=np.eye(2), beta=np.ones(2), bias=0.0, similarity=spec)
         before = EVAL_COUNTER.read()
@@ -220,7 +211,7 @@ class TestSimMatrix:
         rows = rng.normal(0, 1, (5, 3))
         protos = rng.normal(0, 1, (4, 3))
         oracles = {RBF1: einsum_rbf_matrix(RBF1, rows, protos),
-                   LINEAR: np.array([[r @ p for p in protos] for r in rows])}
+                   DOT: np.array([[r @ p for p in protos] for r in rows])}
         for spec, oracle in oracles.items():
             np.testing.assert_allclose(sim_matrix(spec, rows, protos).values, oracle, rtol=1e-14)
 
@@ -256,12 +247,7 @@ class TestSimMatrix:
         k, m, d = 20000, 20, 50
         rows = rng.normal(0, 1, (k, d))
         protos = rng.normal(0, 1, (m, d))
-        tracemalloc.start()
-        try:
-            S = sim_matrix(default_spec(d), rows, protos).values
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, S = traced_peak(lambda: sim_matrix(default_spec(d), rows, protos).values)
         assert S.nbytes == 8 * k * m
         assert peak <= 1.5 * S.nbytes
 
@@ -295,11 +281,10 @@ class TestSimMatrix:
         spec = SimilaritySpec(kind="blackbox", blackbox_id="dot", scorer=dot_block)
         rows, protos = rng.normal(0, 1, (7, 2)), rng.normal(0, 1, (3, 2))
         before = EVAL_COUNTER.read()
-        expected = sim_matrix(LINEAR, rows, protos).values
-        np.testing.assert_array_equal(sim_matrix(spec, rows, protos).values, expected)
-        assert sim.eval(spec, rows[0], protos[0]) == sim.eval(LINEAR, rows[0], protos[0])
+        np.testing.assert_array_equal(sim_matrix(spec, rows, protos).values, rows @ protos.T)
+        assert sim.eval(spec, rows[0], protos[0]) == (rows[:1] @ protos[:1].T)[0, 0]
         assert calls == [((7, 2), (3, 2)), ((1, 2), (1, 2))]
-        assert EVAL_COUNTER.read() - before == 2 * (21 + 1)
+        assert EVAL_COUNTER.read() - before == 21 + 1
 
     def test_wrong_block_shape_names_scorer_and_expected_shape(self):
         spec = SimilaritySpec(kind="blackbox", blackbox_id="flat", scorer=lambda rows, protos: np.ones(6))
@@ -321,7 +306,7 @@ class TestSimMatrix:
         [
             (RBF1, [[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], "row 1, column 0"),
             (RBF1, [[0.0, 0.0], [1.0, 1.0], [1.0, np.nan]], [[0.0, 1.0]], "row 2, column 0"),
-            (LINEAR, [[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]], "row 0, column 2"),
+            (DOT, [[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]], "row 0, column 2"),
         ],
     )
     def test_nonfinite_rbf_and_dot_product_entries_located(self, spec, rows, protos, where):
@@ -336,10 +321,10 @@ class TestSimMatrix:
         rows, protos = np.array([[1e308], [1.5e308], [-1e308]]), np.array([[1.0], [1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            S = sim_matrix(LINEAR, rows, protos).values
+            S = sim_matrix(DOT, rows, protos).values
         np.testing.assert_array_equal(S, rows @ protos.T)
 
-    @pytest.mark.parametrize("spec", [RBF1, LINEAR])
+    @pytest.mark.parametrize("spec", [RBF1, DOT])
     @pytest.mark.parametrize("m", [1, 3])
     def test_empty_block_passes(self, spec, m):
         before = EVAL_COUNTER.read()
@@ -409,7 +394,7 @@ def test_grad_z_sum_modes_and_costs(data, gamma):
     """Every gradient mode of ``grad_z_sum`` against the stacked per-row
     closed form, or finite-difference oracle, contracted with random
     weights; with its exact evaluation cost: n without a column, none with
-    ``column=``, 2*d*n in numeric mode, none for the dot product."""
+    ``column=``, 2*d*n in numeric mode."""
     rows, z, w = data
     n, d = rows.shape
     spec = SimilaritySpec(kind="rbf", gamma=gamma)
@@ -433,9 +418,6 @@ def test_grad_z_sum_modes_and_costs(data, gamma):
     cached, cost = counted(spec, rows, z, w, "analytic", column=s)
     assert cost == 0
     np.testing.assert_array_equal(cached, analytic)
-    linear, cost = counted(LINEAR, rows, z, w, "analytic")
-    assert cost == 0
-    np.testing.assert_array_equal(linear, w @ rows)
 
     approx, cost = counted(spec, rows, z, w, "approximate")
     assert cost == n

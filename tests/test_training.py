@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import objective
+from conftest import DOT, objective, traced_peak
 
 from sparsim import Dataset, GridConfig, SparseModel, TrainConfig, fit, gen_synthetic, predict_batch
 from sparsim import select_model_size
@@ -203,14 +202,15 @@ class TestFit:
             assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_diverging_fit_records_its_error_under_the_warnings_filter(self):
-        # approximate steps on the dot product grow the prototypes until the
-        # system overflows: the residual check rejects the solve at
-        # iteration 9, and no overflow warning escapes fit, even as an error
+        # approximate steps on the dot product, scored as a black box, grow
+        # the prototypes until the system overflows: the residual check
+        # rejects the solve at iteration 9, and no overflow warning escapes
+        # fit, even as an error
         data = gen_synthetic("two_gaussians", n=40, seed=0)
         config = TrainConfig(lam=1e-4, eta=0.3, max_sweeps=4, grad_mode="approximate")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            model, trace = fit(data, 3, config=config, similarity=SimilaritySpec("linear"))
+            model, trace = fit(data, 3, config=config, similarity=DOT)
         assert trace.termination == "error"
         assert "cond ~ inf" in trace.error
         assert len(trace.records) == 8
@@ -221,12 +221,7 @@ class TestFit:
         """tracemalloc's peak, in bytes, over one sweep of ``fit`` on n rows in d dimensions."""
         X = np.random.default_rng(0).normal(0, 1, (n, d))
         data = Dataset(features=X, targets=np.sign(X[:, 0]))
-        tracemalloc.start()
-        try:
-            fit(data, m, config=TrainConfig(max_sweeps=1), similarity=RBF1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: fit(data, m, config=TrainConfig(max_sweeps=1), similarity=RBF1))[0]
 
     def test_peak_memory_is_the_similarity_matrix_plus_one_block(self):
         # the normal equations are summed over row blocks, so besides S
