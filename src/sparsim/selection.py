@@ -133,16 +133,20 @@ def _descend_grid(data, grid, config, spec):
     """Fit at the largest size, then drop the smallest-coefficient
     prototypes and warm-refit down the grid.
 
+    Each fit's trace is dropped as the fit returns, so the descent holds
+    one fit's working set and trace at a time, plus the models so far:
+    O(|grid|·m·d) beyond the largest fit.
+
     Returns the models at every grid size.
     """
-    model, _ = fit(data, grid[0], config=config, similarity=spec)
+    model = fit(data, grid[0], config=config, similarity=spec)[0]
     models = [model]
     for target in grid[1:]:
         # The survivors go straight into fit, which solves their
         # coefficients itself.
         dropped = smallest_coefficient_positions(model.beta, model.m - target)
         survivors = np.delete(model.prototypes, dropped, axis=0)
-        model, _ = fit(data, target, config=config, similarity=spec, init=survivors)
+        model = fit(data, target, config=config, similarity=spec, init=survivors)[0]
         models.append(model)
     return models
 
@@ -159,6 +163,11 @@ def select_model_size(
     its held-out part; sizes are compared on the fold-averaged loss and
     ties go to the smaller size.  The returned model comes from the same
     descent run on the full dataset, stopped at the chosen size.
+
+    Memory: one fit runs at a time and its trace is freed before the next
+    starts (see :func:`_descend_grid`), so the peak is the largest fit's
+    peak plus the fold's training and validation subsets and the grid's
+    small models, O(n·d + |grid|·m·d).
 
     Returns (model, trace).
     """

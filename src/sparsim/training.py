@@ -179,10 +179,12 @@ def fit(
     see :func:`_similarities`) or of the weighted design (while
     assembling), or three n-vectors (the residual, its weighted form and one
     temporary: the new column, the gradient's row weights or the system
-    update's).  Training stops once consecutive objective values have
-    differed by less than ``config.epsilon`` for a full sweep (m iterations
-    in a row, so a single pinned prototype cannot end the run early), or
-    after ``config.max_sweeps`` passes over the prototypes.  A gradient mode
+    update's), and the trace: one record per iteration, about 150 bytes
+    each, so O(max_sweeps·m) beside S's O(n·m).  Training stops once
+    consecutive objective values have differed by less than
+    ``config.epsilon`` for a full sweep (m iterations in a row, so a single
+    pinned prototype cannot end the run early), or after
+    ``config.max_sweeps`` passes over the prototypes.  A gradient mode
     the similarity lacks or a non-finite ``init`` raises before training; a
     module error during training ends it with termination reason "error",
     returning the last model whose coefficients solve its system.

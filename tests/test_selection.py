@@ -1,4 +1,5 @@
 import csv
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import loop_group_kfold_split
+from conftest import loop_group_kfold_split, traced_peak
 
-from sparsim import Dataset, GridConfig, TrainConfig, fit, gen_synthetic, predict_batch
+from sparsim import Dataset, GridConfig, TrainConfig, fit, gen_synthetic, predict_batch, selection
 from sparsim.metrics import error_rate, mae, mse
 from sparsim.selection import (
     _descend_grid,
@@ -306,3 +307,56 @@ class TestSelect:
         for gi in range(len(grid)):
             se = cold[:, gi].std(ddof=1) / np.sqrt(10)
             assert warm[:, gi].mean() <= cold[:, gi].mean() + se
+
+
+class TestMemory:
+    @staticmethod
+    def _watch_traces(monkeypatch):
+        """Wrap ``selection.fit`` so that each call first counts the earlier
+        fits' traces still alive; the returned list collects the counts."""
+        traces, alive = [], []
+
+        def watched(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in traces))
+            model, trace = fit(*args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return model, trace
+
+        monkeypatch.setattr(selection, "fit", watched)
+        return alive
+
+    def test_descent_holds_one_trace_at_a_time(self, monkeypatch):
+        alive = self._watch_traces(monkeypatch)
+        data = gen_synthetic("three_clusters", n=60, seed=0)
+        _descend_grid(data, (6, 4, 3, 2), TrainConfig(seed=0, **FAST), RBF)
+        assert alive == [0, 0, 0, 0]
+
+    def test_selection_holds_one_trace_at_a_time(self, monkeypatch):
+        # every fold's descent and the final one on the full data
+        alive = self._watch_traces(monkeypatch)
+        data = gen_synthetic("three_clusters", n=60, seed=1)
+        gc = GridConfig(grid=(6, 4, 2), loss_kind="mse", folds=3)
+        _, trace = select_model_size(data, gc, TrainConfig(seed=1, **FAST), RBF)
+        assert len(alive) == 9 + gc.grid.index(trace.chosen_m) + 1
+        assert not any(alive)
+
+    def test_peak_memory_is_the_largest_fit_plus_the_folds(self, monkeypatch):
+        # replay every fit of the selection on its own under tracemalloc:
+        # the selection adds only the fold subsets and the grid's models
+        # (1.14 times the largest fit here); a trace kept alive through the
+        # next fit of a descent read 1.37
+        data = gen_synthetic("three_clusters", n=400, seed=0)
+        gc = GridConfig(grid=(20, 10, 5, 3), loss_kind="mse", folds=5)
+        config = TrainConfig(seed=0, max_sweeps=50)
+        calls = []
+
+        def recorded(fold_data, m, **kwargs):
+            calls.append((fold_data, m, kwargs))
+            return fit(fold_data, m, **kwargs)
+
+        monkeypatch.setattr(selection, "fit", recorded)
+        select_model_size(data, gc, config, RBF)
+        monkeypatch.undo()
+        largest = max(traced_peak(lambda: fit(d, m, **kwargs))[0] for d, m, kwargs in calls)
+        peak = traced_peak(lambda: select_model_size(data, gc, config, RBF))[0]
+        assert peak <= 1.25 * largest

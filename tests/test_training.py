@@ -238,6 +238,19 @@ class TestFit:
         n, m = 20000, 3
         assert self._sweep_peak(n, 2, m) - 8 * n * m <= 3.5 * 8 * n
 
+    def test_peak_memory_at_many_sweeps_is_the_trace_beside_s(self):
+        # at small n the trace outweighs S: one record per iteration, an
+        # 80 B slotted IterationRecord and three 24 B floats, plus its list
+        # slot and, past t = 256, an int (the peak is 96 KB here, of which
+        # S, one design block and four n-vectors are 18 KB)
+        n, m = 90, 10
+        X = np.random.default_rng(0).normal(0, 1, (n, 2))
+        data = Dataset(features=X, targets=np.sign(X[:, 0]))
+        config = TrainConfig(max_sweeps=50, epsilon=1e-300)
+        peak, (_, trace) = traced_peak(lambda: fit(data, m, config=config, similarity=RBF1))
+        assert len(trace.records) == 50 * m
+        assert peak <= 8 * n * m + 8 * n * (m + 1) + 4 * 8 * n + 200 * len(trace.records)
+
     def test_init_with_more_prototypes_than_rows_rejected(self, rng):
         data = Dataset(features=rng.normal(0, 1, (3, 2)), targets=rng.normal(0, 1, 3))
         with pytest.raises(ValueError):
