@@ -133,22 +133,18 @@ def _descend_grid(data, grid, config, spec):
     """Fit at the largest size, then drop the smallest-coefficient
     prototypes and warm-refit down the grid.
 
-    Each fit's trace is dropped as the fit returns, so the descent holds
-    one fit's working set and trace at a time, plus the models so far:
-    O(|grid|·m·d) beyond the largest fit.
-
-    Returns the models at every grid size.
+    Yields each size's model as its fit returns, keeping no list and no
+    trace, so beyond the running fit it holds one model, O(m·d).
     """
     model = fit(data, grid[0], config=config, similarity=spec)[0]
-    models = [model]
+    yield model
     for target in grid[1:]:
         # The survivors go straight into fit, which solves their
         # coefficients itself.
         dropped = smallest_coefficient_positions(model.beta, model.m - target)
         survivors = np.delete(model.prototypes, dropped, axis=0)
         model = fit(data, target, config=config, similarity=spec, init=survivors)[0]
-        models.append(model)
-    return models
+        yield model
 
 
 def select_model_size(
@@ -164,10 +160,9 @@ def select_model_size(
     ties go to the smaller size.  The returned model comes from the same
     descent run on the full dataset, stopped at the chosen size.
 
-    Memory: one fit runs at a time and its trace is freed before the next
-    starts (see :func:`_descend_grid`), so the peak is the largest fit's
-    peak plus the fold's training and validation subsets and the grid's
-    small models, O(n·d + |grid|·m·d).
+    Memory: one fit runs at a time and each model is scored as it comes
+    (see :func:`_descend_grid`), so the peak is the largest fit's peak
+    plus one fold's training subset and one model, O(n·d + m·d).
 
     Returns (model, trace).
     """
@@ -189,20 +184,17 @@ def select_model_size(
 
     children = np.random.SeedSequence(train_config.seed).spawn(len(folds))
     fold_losses = np.empty((len(folds), len(grid)))
-    all_idx = np.arange(data.n)
     for f, val_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, val_idx)
         fold_cfg = replace(train_config, seed=int(children[f].generate_state(1)[0]))
-        models = _descend_grid(data.subset(train_idx), grid, fold_cfg, spec)
-        val = data.subset(val_idx)
-        for gi, model in enumerate(models):
-            fold_losses[f, gi] = loss(predict_batch(model, val.features), val.targets)
+        descent = _descend_grid(data.subset(np.delete(np.arange(data.n), val_idx)), grid, fold_cfg, spec)
+        fold_losses[f] = [loss(predict_batch(model, data.features[val_idx]), data.targets[val_idx])
+                          for model in descent]
 
     mean_loss = fold_losses.mean(axis=0)
     scores = mean_loss + rho * np.asarray(grid, dtype=float)
     best = scores.min()
     chosen = min(m for m, score in zip(grid, scores) if score == best)
 
-    final = _descend_grid(data, grid[: grid.index(chosen) + 1], train_config, spec)[-1]
+    final = next(model for model in _descend_grid(data, grid, train_config, spec) if model.m == chosen)
     rows = [SelectionRecord(m, float(mean_loss[gi]), float(scores[gi])) for gi, m in enumerate(grid)]
     return final, SelectionTrace(rows=rows, chosen_m=chosen)

@@ -93,7 +93,7 @@ def test_descent_recovers_the_planted_prototypes():
     for seed in range(10):
         train = gen_synthetic("three_clusters", seed=seed)
         spec = SimilaritySpec(kind="rbf", gamma=1.0 / train.dim)
-        descent = _descend_grid(train, (10, 8, 5, 3), c06_config(seed), spec)[-1]
+        descent = list(_descend_grid(train, (10, 8, 5, 3), c06_config(seed), spec))[-1]
         direct = fit(train, 3, config=c06_config(seed), similarity=spec)[0]
         print(f"  n={train.n} seed {seed}: descent {planted_distances(descent.prototypes).round(3)}"
               f"  direct fit {planted_distances(direct.prototypes).round(3)}")
@@ -101,7 +101,7 @@ def test_descent_recovers_the_planted_prototypes():
     # at n=2000 the prototype step is about n times longer (ROADMAP item 3): printed only
     train = gen_synthetic("three_clusters", n=2000, seed=0)
     spec = SimilaritySpec(kind="rbf", gamma=1.0 / train.dim)
-    descent = _descend_grid(train, (10, 8, 5, 3), c06_config(0), spec)[-1]
+    descent = list(_descend_grid(train, (10, 8, 5, 3), c06_config(0), spec))[-1]
     direct = fit(train, 3, config=c06_config(0), similarity=spec)[0]
     print(f"  n=2000 seed 0: descent {planted_distances(descent.prototypes).round(3)}"
           f"  direct fit {planted_distances(direct.prototypes).round(3)}")

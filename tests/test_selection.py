@@ -230,6 +230,20 @@ class TestSelect:
         model, trace = select_model_size(data, gc, TrainConfig(seed=3, **FAST), RBF)
         assert model.m == trace.chosen_m
 
+    def test_final_model_is_the_full_descent_stopped_at_the_chosen_size(self):
+        # replayed over the grid cut after the chosen size, byte for byte
+        data = gen_synthetic("three_clusters", n=60, seed=1)
+        gc = GridConfig(grid=(6, 4, 2), loss_kind="mse", folds=3)
+        config = TrainConfig(seed=1, **FAST)
+        model, trace = select_model_size(data, gc, config, RBF)
+        assert trace.chosen_m not in (gc.grid[0], gc.grid[-1])
+        cut = gc.grid[: gc.grid.index(trace.chosen_m) + 1]
+        replayed = list(_descend_grid(data, cut, config, RBF))[-1]
+        assert model.prototypes.tobytes() == replayed.prototypes.tobytes()
+        assert model.beta.tobytes() == replayed.beta.tobytes()
+        for name in ("bias", "similarity", "metadata"):
+            assert getattr(model, name) == getattr(replayed, name), name
+
     def test_error_rate_on_regression_targets_fails_before_any_evaluation(self):
         # on real-valued targets every size would score 1.0, and the tie rule pick the smallest
         data = gen_synthetic("sine_regression", n=60, seed=0)
@@ -282,7 +296,7 @@ class TestSelect:
             train = data.subset(np.setdiff1d(np.arange(data.n), val_idx))
             val = data.subset(val_idx)
             fold_config = replace(config, seed=int(child.generate_state(1)[0]))
-            models = _descend_grid(train, gc.grid, fold_config, RBF)
+            models = list(_descend_grid(train, gc.grid, fold_config, RBF))
             for loss, values in per_fold.items():
                 values.append([loss(predict_batch(m, val.features), val.targets) for m in models])
         got = [row.loss for row in trace.rows]
@@ -299,7 +313,7 @@ class TestSelect:
             train = gen_synthetic("three_clusters", n=60, seed=seed)
             val = gen_synthetic("three_clusters", n=60, seed=700 + seed)
             config = TrainConfig(seed=seed, **FAST)
-            models = _descend_grid(train, grid, config, RBF)
+            models = list(_descend_grid(train, grid, config, RBF))
             for gi, model in enumerate(models):
                 warm[seed, gi] = mse(predict_batch(model, val.features), val.targets)
                 cold_model, _ = fit(train, grid[gi], config=config, similarity=RBF)
@@ -311,40 +325,56 @@ class TestSelect:
 
 class TestMemory:
     @staticmethod
-    def _watch_traces(monkeypatch):
+    def _watch_fits(monkeypatch):
         """Wrap ``selection.fit`` so that each call first counts the earlier
-        fits' traces still alive; the returned list collects the counts."""
-        traces, alive = [], []
+        fits' traces and models still alive; returns the two lists of counts."""
+        traces, models = [], []
+        alive_traces, alive_models = [], []
 
         def watched(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in traces))
+            alive_traces.append(sum(ref() is not None for ref in traces))
+            alive_models.append(sum(ref() is not None for ref in models))
             model, trace = fit(*args, **kwargs)
             traces.append(weakref.ref(trace))
+            models.append(weakref.ref(model))
             return model, trace
 
         monkeypatch.setattr(selection, "fit", watched)
-        return alive
+        return alive_traces, alive_models
 
     def test_descent_holds_one_trace_at_a_time(self, monkeypatch):
-        alive = self._watch_traces(monkeypatch)
+        alive, _ = self._watch_fits(monkeypatch)
         data = gen_synthetic("three_clusters", n=60, seed=0)
-        _descend_grid(data, (6, 4, 3, 2), TrainConfig(seed=0, **FAST), RBF)
+        list(_descend_grid(data, (6, 4, 3, 2), TrainConfig(seed=0, **FAST), RBF))
         assert alive == [0, 0, 0, 0]
 
     def test_selection_holds_one_trace_at_a_time(self, monkeypatch):
         # every fold's descent and the final one on the full data
-        alive = self._watch_traces(monkeypatch)
+        alive, _ = self._watch_fits(monkeypatch)
         data = gen_synthetic("three_clusters", n=60, seed=1)
         gc = GridConfig(grid=(6, 4, 2), loss_kind="mse", folds=3)
         _, trace = select_model_size(data, gc, TrainConfig(seed=1, **FAST), RBF)
         assert len(alive) == 9 + gc.grid.index(trace.chosen_m) + 1
         assert not any(alive)
 
+    def test_selection_holds_one_model_at_a_time(self, monkeypatch):
+        # the only earlier model alive when a fit starts is the one whose
+        # survivors seed it, so none at each descent's first fit (a fold's
+        # models kept until the next fold's fits read [0, 1, 2, 3, 4, 5, ...])
+        _, alive = self._watch_fits(monkeypatch)
+        data = gen_synthetic("three_clusters", n=60, seed=1)
+        gc = GridConfig(grid=(6, 4, 2), loss_kind="mse", folds=3)
+        select_model_size(data, gc, TrainConfig(seed=1, **FAST), RBF)
+        firsts = range(0, len(alive), len(gc.grid))
+        assert [alive[i] for i in firsts] == [0] * (gc.folds + 1)
+        assert max(alive) <= 1
+
     def test_peak_memory_is_the_largest_fit_plus_the_folds(self, monkeypatch):
         # replay every fit of the selection on its own under tracemalloc:
-        # the selection adds only the fold subsets and the grid's models
-        # (1.14 times the largest fit here); a trace kept alive through the
-        # next fit of a descent read 1.37
+        # the selection adds only one fold's training subset and one model
+        # (1.088 times the largest fit here); a fold's models and validation
+        # subset kept alive through the next fold's fits read 1.137, and a
+        # trace kept alive through the next fit of a descent 1.37
         data = gen_synthetic("three_clusters", n=400, seed=0)
         gc = GridConfig(grid=(20, 10, 5, 3), loss_kind="mse", folds=5)
         config = TrainConfig(seed=0, max_sweeps=50)
@@ -359,4 +389,4 @@ class TestMemory:
         monkeypatch.undo()
         largest = max(traced_peak(lambda: fit(d, m, **kwargs))[0] for d, m, kwargs in calls)
         peak = traced_peak(lambda: select_model_size(data, gc, config, RBF))[0]
-        assert peak <= 1.25 * largest
+        assert peak <= 1.2 * largest
