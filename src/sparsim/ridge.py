@@ -55,8 +55,12 @@ def design_rhs(S, u, y):
     return np.append(S.T @ (u * y), u @ y)
 
 
-def _design(S, u, y):
-    """A' and rhs for checked float arrays; see :func:`weighted_design`."""
+def weighted_design(S, weights, targets, lam: float):
+    """The transposed weighted design A' = (sqrt(u) * [S, 1])' and
+    rhs = A'(sqrt(u)*y) of the normal equations, for similarities S (n x m).
+    ``lam`` is checked here although only :func:`normal_matrix` uses it,
+    so a bad value fails before any O(nm) work."""
+    S, u, y = _checked(S, weights, targets, lam)
     m = S.shape[1]
     rhs = design_rhs(S, u, y)  # before A, so u * y is freed first
     # A' in one pass: einsum writes sqrt(u) * S' straight into it, bit for
@@ -66,21 +70,6 @@ def _design(S, u, y):
     np.sqrt(u, out=At[m])
     np.einsum("ij,j->ij", S.T, At[m], out=At[:m])
     return At, rhs
-
-
-def _block_system(S, u, y):
-    """One block's A'A and rhs; its A' is freed on return, before the next
-    block's is made."""
-    At, rhs = _design(S, u, y)
-    return At @ At.T, rhs
-
-
-def weighted_design(S, weights, targets, lam: float):
-    """The transposed weighted design A' = (sqrt(u) * [S, 1])' and
-    rhs = A'(sqrt(u)*y) of the normal equations, for similarities S (n x m).
-    ``lam`` is checked here although only :func:`normal_matrix` uses it,
-    so a bad value fails before any O(nm) work."""
-    return _design(*_checked(S, weights, targets, lam))
 
 
 def normal_matrix(At, lam: float):
@@ -96,17 +85,22 @@ def assemble(S, weights, targets, lam: float):
     """Normal equations ``(M, rhs)``, M [coef; bias] = rhs, summed over
     blocks of BLOCK_ROWS rows of S, so extra memory is one block's A'.
 
-    Each block adds its own A'_b A'_b' (a SYRK product, exactly symmetric,
-    so the sum is too) and its part of rhs; ``lam`` goes on the diagonal
-    once, at the end.  Up to BLOCK_ROWS rows this is exactly
+    Each block adds :func:`normal_matrix` of its :func:`weighted_design`
+    with no penalty (a SYRK product, exactly symmetric, so the sum is too;
+    adding 0.0 to a diagonal of sums of squares is exact) and its part of
+    rhs, and drops its A' before the next block's is made; ``lam`` goes on
+    the diagonal once, at the end.  Up to BLOCK_ROWS rows this is exactly
     :func:`normal_matrix` of :func:`weighted_design`.
     """
     S, u, y = _checked(S, weights, targets, lam)
-    matrix, rhs = _block_system(S[:BLOCK_ROWS], u[:BLOCK_ROWS], y[:BLOCK_ROWS])
+    At, rhs = weighted_design(S[:BLOCK_ROWS], u[:BLOCK_ROWS], y[:BLOCK_ROWS], lam)
+    matrix = normal_matrix(At, 0.0)
+    del At
     for start in range(BLOCK_ROWS, S.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        block, part = _block_system(S[rows], u[rows], y[rows])
-        matrix += block
+        At, part = weighted_design(S[rows], u[rows], y[rows], lam)
+        matrix += normal_matrix(At, 0.0)
+        del At
         rhs += part
     matrix.reshape(-1)[: -1 : matrix.shape[0] + 1] += lam
     return matrix, rhs

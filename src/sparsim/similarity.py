@@ -45,13 +45,13 @@ EVAL_COUNTER = EvalCounter()
 class SimilaritySpec:
     """Identity of a similarity function.
 
-    For ``kind="rbf"`` a positive ``gamma`` is required.  ``kind="blackbox"``
-    needs a ``blackbox_id`` and evaluates through ``scorer``, a symmetric
-    block function ``(rows (k, d), protos (m, d)) -> (k, m)`` (see
-    :func:`pairwise`) called unsynchronized from the caller's thread.  The
-    scorer is not part of the spec's identity (equality, hash, ``repr``,
-    saved form), so a loaded black-box spec needs one attached again with
-    :func:`dataclasses.replace`.
+    Each kind takes only its own fields.  ``kind="rbf"`` needs a positive
+    ``gamma``.  ``kind="blackbox"`` needs a ``blackbox_id`` and evaluates
+    through ``scorer``, a symmetric block function ``(rows (k, d), protos
+    (m, d)) -> (k, m)`` (see :func:`pairwise`) called unsynchronized from
+    the caller's thread.  The scorer is not part of the spec's identity
+    (equality, hash, ``repr``, saved form), so a loaded black-box spec
+    needs one attached again with :func:`dataclasses.replace`.
     """
 
     kind: str = "rbf"
@@ -65,10 +65,12 @@ class SimilaritySpec:
         if self.kind == "rbf":
             if self.gamma is None or not 0 < self.gamma < np.inf:
                 raise ValueError(f"rbf similarity needs a finite gamma > 0, got {self.gamma}")
-        if self.kind == "blackbox" and not self.blackbox_id:
+            if self.scorer is not None or self.blackbox_id is not None:
+                raise ValueError("rbf similarity takes no scorer and no blackbox_id")
+        elif not self.blackbox_id:
             raise ValueError("blackbox similarity needs a blackbox_id")
-        if self.kind != "blackbox" and self.scorer is not None:
-            raise ValueError(f"{self.kind} similarity takes no scorer")
+        elif self.gamma is not None:
+            raise ValueError("blackbox similarity takes no gamma")
 
 
 def default_spec(dim: int) -> SimilaritySpec:
@@ -110,13 +112,11 @@ def eval(spec: SimilaritySpec, a, b) -> float:
 
 def _as_2d(x) -> np.ndarray:
     """``x`` as a two-dimensional float array: a 2-D float64 ndarray as it
-    is, with no conversion call, and ``np.atleast_2d`` only below two
-    dimensions."""
+    is, with no conversion call, anything else through ``np.asarray`` and
+    ``np.atleast_2d``, which leaves a 2-D array as it is."""
     if type(x) is np.ndarray and x.ndim == 2 and x.dtype is _FLOAT64:
         return x
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        return x
     if x.ndim > 2:
         raise ValueError(f"expected at most two dimensions, got shape {x.shape}")
     return np.atleast_2d(x)
@@ -137,9 +137,10 @@ def sim_matrix(spec: SimilaritySpec, rows, protos) -> SimilarityMatrix:
     (a - b)^2 == (b - a)^2, so its values are those of
     ``cdist(rows, protos)`` bit for bit, but ``cdist``'s inner loop then
     runs over the k rows, not over the m prototypes, which is much faster
-    when m is small, as in the paper's models.  A caller whose BLAS
-    products must round as on a row-major S copies the block into one
-    (:func:`sparsim.training.fit` does).
+    when m is small, as in the paper's models.  s is symmetric, so
+    ``sim_matrix(spec, protos, rows).values.T`` is the row-major block,
+    C-contiguous and bit for bit, with no copy; :func:`sparsim.training.fit`
+    takes its S that way.
     """
     rows = _as_2d(rows)
     protos = _as_2d(protos)

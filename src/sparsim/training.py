@@ -144,22 +144,6 @@ def _update_prototype(protos, beta, weighted, spec, j, data, config, t, S, box):
     return z_new, math.sqrt(step.dot(step))
 
 
-def _similarities(spec, features, protos):
-    """The n x m similarities S, row-major, so that its GEMVs round as on a
-    row-major block.  :func:`similarity.sim_matrix` returns RBF blocks
-    prototype-major; they are copied into S ``ridge.BLOCK_ROWS`` rows at a
-    time, one block held beyond S.  A black-box scorer is one call: it
-    sees all n rows at once, so its failures name data rows."""
-    if spec.kind != "rbf":
-        return sim.sim_matrix(spec, features, protos).values
-    n = features.shape[0]
-    S = np.empty((n, protos.shape[0]))
-    for start in range(0, n, ridge.BLOCK_ROWS):
-        block = slice(start, start + ridge.BLOCK_ROWS)
-        S[block] = sim.sim_matrix(spec, features[block], protos).values
-    return S
-
-
 def fit(
     data: Dataset,
     m: int,
@@ -174,20 +158,21 @@ def fit(
     prototype (round-robin) with a projected gradient step and then
     re-solves the coefficients exactly; only the moved prototype's
     similarity column, and its row and column of the normal equations, are
-    recomputed.  Besides the n x m similarities S, ``fit`` holds at most
-    one ``ridge.BLOCK_ROWS``-row block of similarities (while filling S,
-    see :func:`_similarities`) or of the weighted design (while
-    assembling), or three n-vectors (the residual, its weighted form and one
-    temporary: the new column, the gradient's row weights or the system
-    update's), and the trace: one record per iteration, about 150 bytes
-    each, so O(max_sweeps·m) beside S's O(n·m).  Training stops once
-    consecutive objective values have differed by less than
-    ``config.epsilon`` for a full sweep (m iterations in a row, so a single
-    pinned prototype cannot end the run early), or after
-    ``config.max_sweeps`` passes over the prototypes.  A gradient mode
-    the similarity lacks or a non-finite ``init`` raises before training; a
-    module error during training ends it with termination reason "error",
-    returning the last model whose coefficients solve its system.
+    recomputed.  Besides the n x m similarities S, which one
+    :func:`similarity.sim_matrix` call fills with nothing else held,
+    ``fit`` holds at most one block of the weighted design (while
+    assembling, see :func:`ridge.assemble`) or three n-vectors (the
+    residual, its weighted form and one temporary: the new column, the
+    gradient's row weights or the system update's), and the trace: one
+    record per iteration, about 150 bytes each, so O(max_sweeps·m) beside
+    S's O(n·m).  Training stops once consecutive objective values have
+    differed by less than ``config.epsilon`` for a full sweep (m
+    iterations in a row, so a single pinned prototype cannot end the run
+    early), or after ``config.max_sweeps`` passes over the prototypes.  A
+    gradient mode the similarity lacks or a non-finite ``init`` raises
+    before training; a module error during training ends it with
+    termination reason "error", returning the last model whose
+    coefficients solve its system.
 
     Returns (model, trace).
     """
@@ -206,7 +191,12 @@ def fit(
 
     box = resolve_box(config.box, data)
     protos = _project(protos, box)  # neither init nor training rows need lie in an explicit box
-    S = _similarities(spec, data.features, protos)
+    # By symmetry the transposed RBF block is the row-major S, with no copy
+    # (see sim_matrix); a black-box scorer's failures name the data rows.
+    if spec.kind == "rbf":
+        S = sim.sim_matrix(spec, protos, data.features).values.T
+    else:
+        S = sim.sim_matrix(spec, data.features, protos).values
     M, rhs = ridge.assemble(S, data.weights, data.targets, config.lam)
     # Overflow past here meets a finiteness or residual check that ends the
     # fit with reason "error"; numpy's warning for it would only escape fit.

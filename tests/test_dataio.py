@@ -197,6 +197,15 @@ class TestModelFile:
         with pytest.raises(DataFormatError, match="unknown similarity kind 'linear'"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, gamma, blackbox_id", [("rbf", 1.0, "x"), ("blackbox", 0.5, "x")])
+    def test_similarity_with_the_other_kinds_field_is_rejected(self, tmp_path, kind, gamma, blackbox_id):
+        path = tmp_path / "model.json"
+        similarity = {"kind": kind, "gamma": gamma, "blackbox_id": blackbox_id}
+        path.write_text(json.dumps({"format_version": 1, "similarity": similarity, "prototypes": [[1.0, 2.0]],
+                                    "beta": [0.5], "bias": 0.0, "metadata": {}}))
+        with pytest.raises(DataFormatError, match="takes no"):
+            load_model(path)
+
     def test_numpy_scalar_metadata_round_trips(self, tmp_path, rng):
         # the seed of a fitted model lands in its metadata as a numpy integer
         data = Dataset(features=rng.normal(0, 1, (8, 2)), targets=rng.normal(0, 1, 8))

@@ -47,6 +47,13 @@ class TestSpec:
         with pytest.raises(ValueError, match="takes no scorer"):
             SimilaritySpec(kind="rbf", gamma=1.0, scorer=pairwise(lambda a, b: 1.0))
 
+    def test_each_kind_takes_only_its_own_fields(self):
+        # the saved form writes every field, so an extra one would reach model files and manifests
+        with pytest.raises(ValueError, match="rbf similarity takes no scorer and no blackbox_id"):
+            SimilaritySpec(kind="rbf", gamma=1.0, blackbox_id="x")
+        with pytest.raises(ValueError, match="blackbox similarity takes no gamma"):
+            SimilaritySpec(kind="blackbox", blackbox_id="x", gamma=0.5)
+
     def test_scorer_is_not_identity(self):
         bare = SimilaritySpec(kind="blackbox", blackbox_id="m")
         carried = SimilaritySpec(kind="blackbox", blackbox_id="m", scorer=pairwise(lambda a, b: 1.0))
@@ -223,6 +230,10 @@ class TestSimMatrix:
         S = sim_matrix(spec, rows, protos).values
         assert S.shape == (k, m) and S.flags.f_contiguous
         assert np.ascontiguousarray(S).tobytes() == np.exp(-0.3 * cdist(rows, protos, "sqeuclidean")).tobytes()
+        # so, by symmetry, the swapped block transposed is the row-major S with no copy (fit's S)
+        swapped = sim_matrix(spec, protos, rows).values.T
+        assert swapped.shape == (k, m) and swapped.flags.c_contiguous
+        assert swapped.tobytes() == S.tobytes()
 
     @pytest.mark.parametrize("k, m, d", [(1, 1, 1), (1, 6, 2), (9, 1, 1), (7, 1, 50), (30, 12, 50)])
     def test_rbf_matches_eval_across_shapes(self, rng, k, m, d):

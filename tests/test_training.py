@@ -302,15 +302,17 @@ class TestFit:
         init = np.array([[2.0, -3.0], [0.1, 0.5]])
         projected = np.array([[0.5, -1.0], [0.1, 0.0]])
         expected = fit(data, 2, config=config, similarity=RBF1, init=projected)
-        first, sim_matrix = [], sim.sim_matrix
+        blocks, sim_matrix = [], sim.sim_matrix
 
         def spy(spec, rows, protos):
-            first.append(np.array(protos, copy=True))
+            blocks.append((np.array(rows, copy=True), np.array(protos, copy=True)))
             return sim_matrix(spec, rows, protos)
 
         monkeypatch.setattr(sim, "sim_matrix", spy)
         model, trace = fit(data, 2, config=config, similarity=RBF1, init=init)
-        assert first[0].tobytes() == projected.tobytes()
+        # s is symmetric, so fit may pass the prototypes as either block
+        # argument; the first evaluation pairs the projected init with the data
+        assert {block.tobytes() for block in blocks[0]} == {projected.tobytes(), data.features.tobytes()}
         assert trace.initial_objective == expected[1].initial_objective
         assert trace.records == expected[1].records
         assert model.prototypes.tobytes() == expected[0].prototypes.tobytes()
